@@ -193,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("input", help="DIMACS edge-format file, or - for stdin")
     solve.add_argument("--trace", action="store_true", help="emit phase traces to stderr")
     solve.add_argument("--out", help="write the matching to a file")
-    solve.add_argument("--seed", type=int, default=0)
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="check a matching file for validity and maximality")

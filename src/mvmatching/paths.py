@@ -1,102 +1,136 @@
 """Augmenting-path extraction and bookkeeping after a successful search.
 
-A TwoPaths outcome certifies a minimum-length augmenting path through
-the triggering bridge.  The concrete path is recovered by descending the
-predecessor structure with backtracking, opening petals through their
-bridges wherever a vertex must be traversed at its maxlevel.
+A TwoPaths outcome gives, from each end of the triggering bridge, a
+descent to a free vertex through the contracted graph, where each petal
+is shrunk to its bud*.  `extract_path` expands every hop of those
+descents and opens each petal it jumps over (the paper's FINDPATH/OPEN):
+a vertex entered at its minlevel (outer) descends to its bud by a
+depth-first predecessor search confined to the petal; a vertex entered
+at its maxlevel (inner) climbs its colour's DDFS tree to the bridge,
+crosses it, and descends the other colour's tree to the bud.  All of it
+runs on one explicit work stack whose entries carry their orientation,
+so nothing recurses with the input and no segment is reversed after it
+is built.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional, Union
 
 from .ddfs import TwoPaths
-from .graph import AlternatingPath, Graph, MatchingState, check_alternating
-from .phase import PhaseState, _process_bridges
+from .graph import AlternatingPath, Graph, MatchingState
+from .phase import INF, PhaseState
 
-INF = math.inf
+# A work item is a vertex or a segment (x, level, low, pid, rev): the path
+# from x, entered at `level`, down x's bud chain to `low` (excluded),
+# through petals formed before petal `pid` only; `rev` emits it backwards.
+Item = Union[int, tuple[int, float, int, int, bool]]
 
 
 class ExtractionError(RuntimeError):
     """Engine state inconsistent with a promised path; indicates a bug."""
 
 
-@dataclass
-class PathRequest:
-    """Ask for an alternating path from `low` up to `high` of the given
-    parity, confined to high's petal and its bud chain."""
-
-    high: int
-    low: int
-    parity: str  # 'even' | 'odd'
-    context: Optional[int] = None  # petal id, if known
+def _flip(items: list[Item]) -> list[Item]:
+    """The same vertices in reverse order."""
+    return [t if type(t) is int else t[:4] + (not t[4],) for t in reversed(items)]
 
 
-def _candidates(
-    s: PhaseState,
-    g: Graph,
-    m: MatchingState,
-    x: int,
-    want: float,
-    used: set[int],
-    target: Optional[int],
-) -> Iterator[list[int]]:
-    """Yield alternating paths [x, ..., end] of exactly `want` minus
-    minlevel(end) edges, descending the predecessor structure.
+def _anchor(s: PhaseState, x: int, pid: int) -> int:
+    """bud*(x) as it stood when petal `pid` formed: follow x's bud chain
+    through earlier petals only."""
+    petal_of, petals = s.petal_of, s.petals
+    q = petal_of[x]
+    while q is not None and q < pid:
+        x = petals[q].bud
+        q = petal_of[x]
+    return x
 
-    `want` must be one of x's two levels.  When it is the minlevel the
-    path follows props only; when it is the maxlevel the path is routed
-    through x's petal bridge, recursing for inner bridge endpoints.
-    While a candidate is being yielded its vertices are held in `used`,
-    so nested generators automatically produce disjoint continuations.
-    """
-    if want == INF or x in used or s.removed[x]:
-        return
-    minl = s.minlevel(x)
-    if want == minl:
-        floor = 0 if target is None else s.minlevel(target)
-        if minl == floor:
-            if target is None or x == target:
-                used.add(x)
-                try:
-                    yield [x]
-                finally:
-                    used.remove(x)
-            return
-        if minl < floor:
-            return
-        used.add(x)
-        try:
-            for p in s.preds[x]:
-                if s.removed[p]:
-                    continue
-                # A predecessor sits at level want - 1, which may be its
-                # maxlevel (petal member): the recursion dispatches.
-                for sub in _candidates(s, g, m, p, want - 1, used, target):
-                    yield [x] + sub
-        finally:
-            used.remove(x)
-        return
-    if want != s.maxlevel(x):
-        return
-    # Maxlevel side: the path must cross x's petal bridge.
-    pid = s.petal_of[x]
-    if pid is None:
-        return
+
+def _down(s: PhaseState, x: int, level: float, chain: list[int], pid: int) -> list[Item]:
+    """Items for the path from x, entered at `level`, down its bud chain to
+    chain[0], then along the contracted descent `chain` to chain[-1]
+    (excluded).  Each hop a -> y takes the first live predecessor of a
+    whose bud chain, as of petal `pid`, reaches y."""
+    items: list[Item] = [(x, level, chain[0], pid, False)]
+    for a, y in zip(chain, chain[1:]):
+        for p in s.preds[a]:
+            if not s.removed[p] and _anchor(s, p, pid) == y:
+                items += [a, (p, s.minlevel(a) - 1, y, pid, False)]
+                break
+        else:
+            raise ExtractionError(f"no live predecessor of {a} reaches {y}")
+    return items
+
+
+def _tree_path(tree: dict[int, Optional[int]], v: int) -> list[int]:
+    """Contracted descent from the root of a DDFS parent map down to v."""
+    chain = [v]
+    while tree[chain[-1]] is not None:
+        chain.append(tree[chain[-1]])
+    return chain[::-1]
+
+
+def _search(s: PhaseState, x: int, bud: int, pid: int) -> list[int]:
+    """Contracted descent [x, ..., bud] of an outer member x of petal
+    `pid`: depth-first over the petal's members, each visited once."""
+    trail, seen = [(x, iter(s.preds[x]))], {x}
+    while trail:
+        for p in trail[-1][1]:
+            if s.removed[p]:
+                continue
+            y = _anchor(s, p, pid)
+            if y == bud:
+                return [a for a, _ in trail] + [bud]
+            if s.petal_of[y] == pid and y not in seen:
+                seen.add(y)
+                trail.append((y, iter(s.preds[y])))
+                break
+        else:
+            trail.pop()
+    raise ExtractionError(f"no descent from {x} to bud {bud} inside petal {pid}")
+
+
+def _inner(s: PhaseState, g: Graph, m: MatchingState, x: int, pid: int) -> list[Item]:
+    """Items for [x, bud) for an inner member x of petal `pid`: up x's
+    colour tree to its bridge end, across the bridge, down the other
+    colour's tree to the bud."""
     petal = s.petals[pid]
-    c0, d0 = g.edges[petal.bridge_eid]
-    bridge_matched = m.partner[c0] == d0
-    side = s.oddlevel if bridge_matched else s.evenlevel
-    orientations = [(c0, d0), (d0, c0)]
-    if x in petal.green_set:
-        orientations.reverse()
-    for c, d in orientations:
-        for up in _candidates(s, g, m, c, side[c], used, x):
-            prefix = list(reversed(up))
-            for down in _candidates(s, g, m, d, side[d], used, target):
-                yield prefix + down
+    c, d = g.edges[petal.bridge_eid]
+    own, other = petal.red_tree, petal.green_tree
+    if x not in petal.red_set:
+        c, d, own, other = d, c, other, own
+    side = s.oddlevel if m.partner[c] == d else s.evenlevel
+    climb = _down(s, c, side[c], _tree_path(own, x), pid)
+    return [x] + _flip(climb) + _down(s, d, side[d], _tree_path(other, petal.bud), pid)
+
+
+def _walk(s: PhaseState, g: Graph, m: MatchingState, items: list[Item]) -> list[int]:
+    """Expand work items into the vertices they stand for, in order: each
+    segment opens x's petal down to its bud, then goes on down the chain."""
+    out: list[int] = []
+    stack = items[::-1]
+    while stack:
+        item = stack.pop()
+        if type(item) is int:
+            out.append(item)
+            continue
+        x, level, low, pid, rev = item
+        if x == low:
+            continue
+        q = s.petal_of[x]
+        if q is None or q >= pid:
+            raise ExtractionError(f"bud chain of {x} misses {low}")
+        bud = s.petals[q].bud
+        if level == s.minlevel(x):
+            sub = _down(s, x, level, _search(s, x, bud, q), q)
+        elif level == s.maxlevel(x):
+            sub = _inner(s, g, m, x, q)
+        else:
+            raise ExtractionError(f"vertex {x} has no level {level}")
+        sub.append((bud, s.minlevel(bud), low, pid, False))
+        stack.extend(reversed(_flip(sub) if rev else sub))
+    return out
 
 
 def extract_path(
@@ -105,36 +139,15 @@ def extract_path(
     """Recover the augmenting path certified by a TwoPaths outcome."""
     u, v = g.edges[bridge]
     side = s.oddlevel if m.partner[u] == v else s.evenlevel
-    expected_len = side[u] + side[v] + 1
-    used: set[int] = set()
-    for left in _candidates(s, g, m, u, side[u], used, None):
-        prefix = list(reversed(left))
-        for right in _candidates(s, g, m, v, side[v], used, None):
-            path = prefix + right
-            if len(path) - 1 != expected_len:
-                continue
-            if check_alternating(g, m, path) is not None:
-                continue
-            if m.is_matched(path[0]) or m.is_matched(path[-1]):
-                continue
-            return AlternatingPath(path)
-    raise ExtractionError(f"no augmenting path through bridge {g.edges[bridge]}")
-
-
-def open_petal(
-    s: PhaseState, g: Graph, m: MatchingState, req: PathRequest
-) -> AlternatingPath:
-    """Minimum alternating path of the requested parity from req.low up to
-    req.high, confined to the petal structure."""
-    want = s.evenlevel[req.high] if req.parity == "even" else s.oddlevel[req.high]
-    if req.high == req.low:
-        return AlternatingPath([req.high])
-    used: set[int] = set()
-    for p in _candidates(s, g, m, req.high, want, used, req.low):
-        return AlternatingPath(list(reversed(p)))
-    raise ExtractionError(
-        f"no {req.parity} path from {req.low} to {req.high} in petal context"
+    red, green = (
+        _down(s, end, side[end], descent, len(s.petals)) + [descent[-1]]
+        for end, descent in ((u, outcome.red_path), (v, outcome.green_path))
     )
+    path = _walk(s, g, m, _flip(red) + green)
+    free_ends = not (m.is_matched(path[0]) or m.is_matched(path[-1]))
+    if len(path) - 1 != side[u] + side[v] + 1 or not free_ends:
+        raise ExtractionError(f"no augmenting path through bridge {g.edges[bridge]}")
+    return AlternatingPath(path)
 
 
 def recursive_remove(s: PhaseState, g: Graph, m: MatchingState, seed: set[int]) -> None:
@@ -168,11 +181,3 @@ def recursive_remove(s: PhaseState, g: Graph, m: MatchingState, seed: set[int]) 
             if alive_deg[z] == 0 and partner[z] is None:
                 removed[z] = True
                 stack.append(z)
-
-
-def collect_maximal(s: PhaseState, g: Graph, m: MatchingState) -> list[AlternatingPath]:
-    """Drain the remaining bridges of tenacity l_m on the reduced graph and
-    return the accumulated maximal disjoint path set."""
-    if s.l_m != INF:
-        _process_bridges(s, g, m, (int(s.l_m) - 1) // 2)
-    return list(s.found_paths)

@@ -16,7 +16,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .ddfs import Bottleneck, EmptySupport, TwoPaths, run_ddfs
+from .ddfs import Bottleneck, TwoPaths, run_ddfs
 from .graph import AlternatingPath, Graph, MatchingState
 
 INF = math.inf
@@ -30,16 +30,13 @@ TraceFn = Callable[[str], None]
 
 @dataclass
 class PetalNode:
-    """Record of one formed petal: its bridge, bud, members, and the
-    forming DDFS's colors and parent maps."""
+    """Record of one formed petal: its bridge (red end first), bud,
+    members, the forming DDFS's red members and its parent maps."""
 
     bridge_eid: int
     bud: int
     members: frozenset[int]
-    red_root: int
-    green_root: int
     red_set: frozenset[int]
-    green_set: frozenset[int]
     red_tree: dict[int, Optional[int]]
     green_tree: dict[int, Optional[int]]
 
@@ -236,8 +233,6 @@ def _form_petal(
     m: MatchingState,
     eid: int,
     outcome: Bottleneck,
-    ru: int,
-    rv: int,
     i: int,
 ) -> None:
     members = sorted(set(outcome.red_set) | set(outcome.green_set))
@@ -248,10 +243,7 @@ def _form_petal(
             bridge_eid=eid,
             bud=outcome.b,
             members=frozenset(members),
-            red_root=ru,
-            green_root=rv,
             red_set=outcome.red_set,
-            green_set=outcome.green_set,
             red_tree=outcome.red_tree,
             green_tree=outcome.green_tree,
         )
@@ -268,11 +260,10 @@ class _AdapterView:
     """Layered view of the predecessor structure with petals contracted:
     layer(v) = minlevel(v); edges go to bud*(predecessor)."""
 
-    __slots__ = ("s", "g")
+    __slots__ = ("s",)
 
-    def __init__(self, s: PhaseState, g: Graph) -> None:
+    def __init__(self, s: PhaseState) -> None:
         self.s = s
-        self.g = g
 
     def layer(self, v: int) -> int:
         return int(self.s.minlevel(v))
@@ -292,16 +283,18 @@ class _AdapterView:
         return out
 
 
-def layered_adapter(s: PhaseState, g: Graph) -> _AdapterView:
-    return _AdapterView(s, g)
-
-
 def _process_bridges(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
     """Drain Br(2i+1) in FIFO order, running DDFS per bridge."""
     from .paths import extract_path, recursive_remove
 
     t = 2 * i + 1
     queue = s.br.get(t)
+    view = _AdapterView(s)
+    ddfs_trace = None
+    if s.trace is not None:
+        ddfs_trace = lambda rec: s.emit(
+            "ddfs {action} {tree} {vertex} {layer}".format(**rec)
+        )
     while queue:
         eid = queue.popleft()
         s.bridge_processed_at.setdefault(eid, i)
@@ -309,20 +302,12 @@ def _process_bridges(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
         if s.removed[u] or s.removed[v]:
             continue
         ru, rv = bud_star(s, u), bud_star(s, v)
-        if s.removed[ru] or s.removed[rv]:
+        if ru == rv or s.removed[ru] or s.removed[rv]:
+            # Ends sharing a bud* have empty support: no petal, no path.
             continue
-        ddfs_trace = None
-        if s.trace is not None:
-            ddfs_trace = lambda rec: s.emit(
-                "ddfs {action} {tree} {vertex} {layer}".format(**rec)
-            )
-        outcome = run_ddfs(
-            layered_adapter(s, g), ru, rv, trace=ddfs_trace, collect_stats=False
-        )
-        if isinstance(outcome, EmptySupport):
-            continue
+        outcome = run_ddfs(view, ru, rv, trace=ddfs_trace, collect_stats=False)
         if isinstance(outcome, Bottleneck):
-            _form_petal(s, g, m, eid, outcome, ru, rv, i)
+            _form_petal(s, g, m, eid, outcome, i)
             continue
         assert isinstance(outcome, TwoPaths)
         if s.l_m == INF:

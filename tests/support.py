@@ -105,6 +105,35 @@ def nested_blossom_graph() -> tuple[Graph, MatchingState]:
     return g, MatchingState(5, [(1, 2), (3, 4)])
 
 
+def inner_matched_path(n: int) -> tuple[Graph, MatchingState]:
+    """Path 0-1-...-(n-1), n even, with its inner edges (1,2), (3,4), ...
+    matched: the single augmenting path is the whole graph."""
+    g = Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)])
+    return g, MatchingState(n, [(i, i + 1) for i in range(1, n - 2, 2)])
+
+
+def triangle_chain(k: int) -> tuple[Graph, MatchingState]:
+    """k triangles, each an apex x and a matched pair (y, z), linked by
+    z-w unmatched and w-x' matched to the next apex; the first apex and
+    a last vertex t hanging off the last z are free.  The search from
+    the first apex turns each triangle of the first half into a petal
+    (the search from t reaches the second half first), and the single
+    augmenting path t-z-y-x-w-... enters each of those petals at its
+    maxlevel, crossing it through its bridge."""
+    edges: list[tuple[int, int]] = []
+    pairs: list[tuple[int, int]] = []
+    x = 0
+    for j in range(k):
+        y, z, w = 4 * j + 1, 4 * j + 2, 4 * j + 3
+        edges += [(x, y), (x, z), (y, z), (z, w)]
+        pairs.append((y, z))
+        if j < k - 1:
+            x = w + 1
+            edges.append((w, x))
+            pairs.append((w, x))
+    return Graph.from_edges(4 * k, edges), MatchingState(4 * k, pairs)
+
+
 def greedy_matching(g: Graph, seed: int, accept: float = 0.7) -> MatchingState:
     """Seeded greedy partial matching used for corpus instances."""
     rng = random.Random(seed)

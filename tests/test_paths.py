@@ -3,14 +3,21 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import mvmatching
 from mvmatching.graph import Graph, MatchingState, check_alternating, generate_random_graph
+from mvmatching.graph import serialize_dimacs, serialize_matching
 from mvmatching.oracle import _iter_alternating_paths, compute_profile
-from mvmatching.paths import PathRequest, collect_maximal, open_petal, recursive_remove
-from mvmatching.phase import init_phase, max_step, min_step, run_phase
+from mvmatching.paths import _walk, recursive_remove
+from mvmatching.phase import _process_bridges, init_phase, max_step, min_step, run_phase
 
 import support
 
@@ -42,6 +49,12 @@ def _triangle_state():
     return s, g, m
 
 
+def descend(s, g, m, x: int, level: float, low: int) -> list[int]:
+    """The walker's alternating path [x, ..., low] from x, entered at
+    `level`, down its bud chain to `low`: one segment work item."""
+    return _walk(s, g, m, [(x, level, low, len(s.petals), False), low])
+
+
 class TestExtractPath:
     def test_p4_bridge_yields_unique_path(self) -> None:
         g, m = support.p4()
@@ -68,18 +81,15 @@ class TestExtractPath:
 class TestOpenPetal:
     def test_high_equals_low(self) -> None:
         s, g, m = _triangle_state()
-        out = open_petal(s, g, m, PathRequest(high=0, low=0, parity="even"))
-        assert out.vertices == [0]
+        assert descend(s, g, m, 0, 0, 0) == [0]
 
     def test_triangle_odd_path_avoids_bridge(self) -> None:
         s, g, m = _triangle_state()
-        out = open_petal(s, g, m, PathRequest(high=1, low=0, parity="odd"))
-        assert out.vertices == [0, 1]
+        assert descend(s, g, m, 1, s.oddlevel[1], 0) == [1, 0]
 
     def test_triangle_even_path_uses_bridge(self) -> None:
         s, g, m = _triangle_state()
-        out = open_petal(s, g, m, PathRequest(high=1, low=0, parity="even"))
-        assert out.vertices == [0, 2, 1]
+        assert descend(s, g, m, 1, s.evenlevel[1], 0) == [1, 2, 0]
 
     def test_confinement_to_petal_members(self) -> None:
         g, m = support.deferred_bridge_graph()
@@ -90,12 +100,12 @@ class TestOpenPetal:
         petal = s.petals[0]
         allowed = set(petal.members) | {petal.bud}
         for v in sorted(petal.members):
-            for parity in ("even", "odd"):
-                out = open_petal(s, g, m, PathRequest(high=v, low=petal.bud, parity=parity))
-                assert set(out.vertices) <= allowed
-                assert out.vertices[0] == petal.bud and out.vertices[-1] == v
-                want = s.evenlevel[v] if parity == "even" else s.oddlevel[v]
-                assert len(out.vertices) - 1 == want
+            for want in (s.evenlevel[v], s.oddlevel[v]):
+                out = descend(s, g, m, v, want, petal.bud)
+                assert set(out) <= allowed
+                assert out[0] == v and out[-1] == petal.bud
+                assert len(out) - 1 == want
+                assert check_alternating(g, m, out) is None
 
 
 class TestRecursiveRemove:
@@ -173,8 +183,10 @@ class TestCollectMaximal:
     def test_collect_maximal_is_idempotent_after_phase(self) -> None:
         g, m = support.two_bridges_graph()
         result = run_phase(g, m)
-        again = collect_maximal(result.state, g, m)
-        assert [p.vertices for p in again] == [p.vertices for p in result.paths]
+        s = result.state
+        before = [p.vertices for p in s.found_paths]
+        _process_bridges(s, g, m, (int(s.l_m) - 1) // 2)
+        assert [p.vertices for p in s.found_paths] == before
 
 
 class TestPathSetProperties:
@@ -208,3 +220,79 @@ class TestPathSetProperties:
                     and not (set(p) & used)
                 ):
                     raise AssertionError(f"missed disjoint augmenting path {p}")
+
+
+def _run_shallow(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run `script` in a fresh interpreter whose recursion limit is 120:
+    room for the engine's fixed call depth, far below any input size, so
+    recursion that grows with the input fails."""
+    code = "import sys\nsys.setrecursionlimit(120)\n" + textwrap.dedent(script)
+    pythonpath = [
+        str(Path(mvmatching.__file__).resolve().parents[1]),  # the package
+        str(Path(__file__).parent),  # support.py
+    ]
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(pythonpath)},
+        timeout=600,
+    )
+
+
+class TestLongPaths:
+    def test_path_graph_inner_matching(self) -> None:
+        out = _run_shallow(
+            """
+            import support
+            from mvmatching.solver import maximum_matching
+            g, m = support.inner_matched_path(20000)
+            result, phases = maximum_matching(g, m)
+            print(result.size(), phases)
+            """
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["10000", "2"]
+
+    def test_verify_path_graph(self, tmp_path: Path) -> None:
+        g, inner = support.inner_matched_path(20000)
+        graph_file = tmp_path / "p.dimacs"
+        graph_file.write_text(serialize_dimacs(g))
+        script = """
+            from mvmatching.cli import main
+            sys.exit(main(["verify", *sys.argv[1:]]))
+            """
+        inner_file = tmp_path / "inner.txt"
+        inner_file.write_text(serialize_matching(inner))
+        out = _run_shallow(script, str(graph_file), str(inner_file))
+        assert out.returncode == 1, out.stderr
+        prefix = "not maximum: augmenting path "
+        assert out.stdout.startswith(prefix)
+        witness = [int(v) for v in out.stdout[len(prefix):].split("-")]
+        assert len(witness) - 1 == 19999
+        assert witness in (list(range(1, 20001)), list(range(20000, 0, -1)))
+
+        solved_file = tmp_path / "solved.txt"
+        solved = MatchingState(g.n, [(i, i + 1) for i in range(0, g.n, 2)])
+        solved_file.write_text(serialize_matching(solved))
+        out = _run_shallow(script, str(graph_file), str(solved_file))
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "valid maximum matching of size 10000"
+
+    def test_triangle_chain_path_crosses_every_petal(self) -> None:
+        out = _run_shallow(
+            """
+            import support
+            from mvmatching.phase import run_phase
+            from mvmatching.solver import maximum_matching
+            g, m = support.triangle_chain(10000)
+            phase = run_phase(g, m)
+            on_path = set(phase.paths[0].vertices)
+            crossed = all(p.members <= on_path for p in phase.state.petals)
+            print(len(phase.paths), len(phase.paths[0]), len(phase.state.petals), crossed)
+            result, phases = maximum_matching(g, m)
+            print(m.size(), result.size(), phases)
+            """
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == ["1", "39999", "5000", "True", "19999", "20000", "2"]

@@ -13,8 +13,8 @@ from mvmatching.phase import (
     BRIDGE,
     PROP,
     bud_star,
+    _AdapterView,
     init_phase,
-    layered_adapter,
     max_step,
     min_step,
     run_phase,
@@ -172,7 +172,7 @@ class TestLayeredAdapter:
         g, m = support.triangle()
         s = init_phase(g, m)
         min_step(s, g, m, 0)
-        view = layered_adapter(s, g)
+        view = _AdapterView(s)
         assert view.layer(0) == 0
         assert view.out_edges(0) == []
 
@@ -180,7 +180,7 @@ class TestLayeredAdapter:
         g, m = support.triangle()
         s = init_phase(g, m)
         min_step(s, g, m, 0)
-        view = layered_adapter(s, g)
+        view = _AdapterView(s)
         assert view.out_edges(1) == [0]
         assert view.out_edges(2) == [0]
 
@@ -191,7 +191,7 @@ class TestLayeredAdapter:
             min_step(s, g, m, i)
             max_step(s, g, m, i)
         # After the cycle petal, vertex 6's predecessor view of 1 is the bud 0.
-        view = layered_adapter(s, g)
+        view = _AdapterView(s)
         assert s.petal_of[1] is not None
         # Vertex 1 now has maxlevel 4; a successor reaching it contracts to 0.
         assert bud_star(s, 1) == 0
