@@ -9,8 +9,7 @@ paths reaching distinct layer-0 vertices.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Protocol
 
 RED = 0
@@ -40,19 +39,15 @@ class DdfsInternalError(RuntimeError):
 
 
 @dataclass
-class DdfsStats:
-    edge_explorations: Counter = field(default_factory=Counter)  # (vertex, out-index)
-    backtracks: Counter = field(default_factory=Counter)  # (vertex, tree)
-
-
-@dataclass
 class Bottleneck:
+    """The search ended at bottleneck b.  The maps are the search's own,
+    not copies: `color` gives the tree of every visited vertex, b
+    included, and each parent map links its tree's vertices to the root."""
+
     b: int
-    red_set: frozenset[int]
-    green_set: frozenset[int]
+    color: dict[int, int]
     red_tree: dict[int, Optional[int]]
     green_tree: dict[int, Optional[int]]
-    stats: DdfsStats
 
 
 @dataclass
@@ -61,31 +56,22 @@ class TwoPaths:
     g0: int
     red_path: list[int]
     green_path: list[int]
-    stats: DdfsStats
 
 
 @dataclass
 class EmptySupport:
-    stats: DdfsStats
+    """The roots coincide: nothing to search."""
 
 
 DdfsOutcome = Bottleneck | TwoPaths | EmptySupport
 
-TraceFn = Callable[[dict], None]
+TraceFn = Callable[[str], None]
 
 
 class _Ddfs:
-    def __init__(
-        self,
-        view: LayeredView,
-        r: int,
-        g: int,
-        trace: Optional[TraceFn],
-        collect_stats: bool = True,
-    ):
+    def __init__(self, view: LayeredView, r: int, g: int, trace: Optional[TraceFn]):
         self.view = view
         self.trace = trace
-        self.collect_stats = collect_stats
         self.roots = (r, g)
         self.color: dict[int, int] = {r: RED, g: GREEN}
         self.parent: tuple[dict[int, Optional[int]], dict[int, Optional[int]]] = (
@@ -102,7 +88,6 @@ class _Ddfs:
         self.contested: Optional[int] = None
         self.outs: dict[int, list[int]] = {}
         self.next_edge: dict[int, int] = {}
-        self.stats = DdfsStats()
 
     # -- view access -------------------------------------------------
 
@@ -123,14 +108,8 @@ class _Ddfs:
 
     def _emit(self, action: str, tree: Optional[int], vertex: int) -> None:
         if self.trace is not None:
-            self.trace(
-                {
-                    "action": action,
-                    "tree": _NAMES[tree] if tree is not None else "-",
-                    "vertex": vertex,
-                    "layer": self.view.layer(vertex),
-                }
-            )
+            name = _NAMES[tree] if tree is not None else "-"
+            self.trace(f"ddfs {action} {name} {vertex} {self.view.layer(vertex)}")
 
     # -- tree maintenance ---------------------------------------------
 
@@ -166,8 +145,6 @@ class _Ddfs:
             stack.extend(kids)
 
     def _backtrack(self, t: int, v: int) -> None:
-        if self.collect_stats:
-            self.stats.backtracks[(v, t)] += 1
         self.center[t] = self.parent[t][v]
         self._emit("backtrack", t, v)
 
@@ -176,7 +153,7 @@ class _Ddfs:
     def run(self) -> DdfsOutcome:
         r, g = self.roots
         if r == g:
-            return EmptySupport(self.stats)
+            return EmptySupport()
         while True:
             if self.mode == _NORMAL:
                 lr = self.view.layer(self.center[RED])
@@ -203,8 +180,6 @@ class _Ddfs:
             i = self.next_edge.get(c, 0)
             if i < len(outs):
                 self.next_edge[c] = i + 1
-                if self.collect_stats:
-                    self.stats.edge_explorations[(c, i)] += 1
                 u = outs[i]
                 owner = self.color.get(u)
                 if owner is None:
@@ -271,16 +246,7 @@ class _Ddfs:
 
     def _bottleneck(self, b: int) -> Bottleneck:
         self._emit("terminate", None, b)
-        red_set = frozenset(v for v, c in self.color.items() if c == RED and v != b)
-        green_set = frozenset(v for v, c in self.color.items() if c == GREEN and v != b)
-        return Bottleneck(
-            b=b,
-            red_set=red_set,
-            green_set=green_set,
-            red_tree=dict(self.parent[RED]),
-            green_tree=dict(self.parent[GREEN]),
-            stats=self.stats,
-        )
+        return Bottleneck(b, self.color, self.parent[RED], self.parent[GREEN])
 
     def _two_paths(self) -> TwoPaths:
         def chain(t: int) -> list[int]:
@@ -301,19 +267,13 @@ class _Ddfs:
             g0=self.center[GREEN],
             red_path=red_path,
             green_path=green_path,
-            stats=self.stats,
         )
 
 
 def run_ddfs(
-    view: LayeredView,
-    r: int,
-    g: int,
-    trace: Optional[TraceFn] = None,
-    collect_stats: bool = True,
+    view: LayeredView, r: int, g: int, trace: Optional[TraceFn] = None
 ) -> DdfsOutcome:
     """Run the double depth-first search from roots r (red) and g (green).
 
-    `collect_stats=False` skips the per-edge and per-backtrack counters
-    (used by the engine's hot path)."""
-    return _Ddfs(view, r, g, trace, collect_stats).run()
+    Each step is traced as `ddfs <action> <tree> <vertex> <layer>`."""
+    return _Ddfs(view, r, g, trace).run()

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from typing import Optional, Union
 
-from .ddfs import TwoPaths
+from .ddfs import GREEN, TwoPaths
 from .graph import AlternatingPath, Graph, MatchingState
-from .phase import INF, PhaseState
+from .phase import INF, PhaseState, bridge_side
 
 # A work item is a vertex or a segment (x, level, low, pid, rev): the path
 # from x, entered at `level`, down x's bud chain to `low` (excluded),
@@ -98,9 +98,9 @@ def _inner(s: PhaseState, g: Graph, m: MatchingState, x: int, pid: int) -> list[
     petal = s.petals[pid]
     c, d = g.edges[petal.bridge_eid]
     own, other = petal.red_tree, petal.green_tree
-    if x not in petal.red_set:
+    if petal.color[x] == GREEN:
         c, d, own, other = d, c, other, own
-    side = s.oddlevel if m.partner[c] == d else s.evenlevel
+    side = bridge_side(s, m, c, d)
     climb = _down(s, c, side[c], _tree_path(own, x), pid)
     return [x] + _flip(climb) + _down(s, d, side[d], _tree_path(other, petal.bud), pid)
 
@@ -138,7 +138,7 @@ def extract_path(
 ) -> AlternatingPath:
     """Recover the augmenting path certified by a TwoPaths outcome."""
     u, v = g.edges[bridge]
-    side = s.oddlevel if m.partner[u] == v else s.evenlevel
+    side = bridge_side(s, m, u, v)
     red, green = (
         _down(s, end, side[end], descent, len(s.petals)) + [descent[-1]]
         for end, descent in ((u, outcome.red_path), (v, outcome.green_path))

@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
-from .ddfs import Bottleneck, TwoPaths, run_ddfs
+from .ddfs import Bottleneck, TraceFn, TwoPaths, run_ddfs
 from .graph import AlternatingPath, Graph, MatchingState
 
 INF = math.inf
@@ -25,18 +25,16 @@ UNSCANNED = 0
 PROP = 1
 BRIDGE = 2
 
-TraceFn = Callable[[str], None]
-
 
 @dataclass
 class PetalNode:
     """Record of one formed petal: its bridge (red end first), bud,
-    members, the forming DDFS's red members and its parent maps."""
+    sorted members, and the forming DDFS's colour and parent maps."""
 
     bridge_eid: int
     bud: int
-    members: frozenset[int]
-    red_set: frozenset[int]
+    members: list[int]
+    color: dict[int, int]
     red_tree: dict[int, Optional[int]]
     green_tree: dict[int, Optional[int]]
 
@@ -61,7 +59,6 @@ class PhaseState:
     schedule: dict[int, list[int]]
     found_paths: list[AlternatingPath] = field(default_factory=list)
     l_m: float = INF
-    bridge_processed_at: dict[int, int] = field(default_factory=dict)
     trace: Optional[TraceFn] = None
 
     def minlevel(self, v: int) -> float:
@@ -72,10 +69,6 @@ class PhaseState:
 
     def tenacity(self, v: int) -> float:
         return self.evenlevel[v] + self.oddlevel[v]
-
-    def emit(self, line: str) -> None:
-        if self.trace is not None:
-            self.trace(line)
 
 
 @dataclass
@@ -131,16 +124,19 @@ def bud_star(s: PhaseState, v: int) -> int:
     return root
 
 
+def bridge_side(s: PhaseState, m: MatchingState, u: int, v: int) -> list[float]:
+    """The levels a bridge (u, v) joins: odd levels if it is matched, else
+    even levels.  Its tenacity is side[u] + side[v] + 1."""
+    return s.oddlevel if m.partner[u] == v else s.evenlevel
+
+
 def _try_file(s: PhaseState, g: Graph, m: MatchingState, eid: int) -> None:
     """File a classified bridge into Br(tenacity) once both relevant
     endpoint levels are known; otherwise defer on the unknown endpoints."""
     if s.bridge_filed[eid]:
         return
     u, v = g.edges[eid]
-    if m.partner[u] == v:
-        levels = s.oddlevel
-    else:
-        levels = s.evenlevel
+    levels = bridge_side(s, m, u, v)
     t = levels[u] + levels[v] + 1
     if t == INF:
         for x in (u, v):
@@ -150,7 +146,7 @@ def _try_file(s: PhaseState, g: Graph, m: MatchingState, eid: int) -> None:
     s.bridge_filed[eid] = True
     s.br.setdefault(int(t), deque()).append(eid)
     if s.trace is not None:
-        s.emit(f"bridge {u} {v} tenacity {int(t)}")
+        s.trace(f"bridge {u} {v} tenacity {int(t)}")
 
 
 def min_step(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
@@ -189,7 +185,7 @@ def min_step(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
                         next_sched = s.schedule.setdefault(nxt, [])
                     next_sched.append(v)
                     if s.trace is not None:
-                        s.emit(f"minlevel {v} {nxt}")
+                        s.trace(f"minlevel {v} {nxt}")
                 preds[v].append(u)
                 succs[u].append(v)
                 pred_alive[v] += 1
@@ -235,24 +231,17 @@ def _form_petal(
     outcome: Bottleneck,
     i: int,
 ) -> None:
-    members = sorted(set(outcome.red_set) | set(outcome.green_set))
-    members = [w for w in members if s.petal_of[w] is None]
+    b = outcome.b
+    members = sorted(w for w in outcome.color if w != b)
     pid = len(s.petals)
     s.petals.append(
-        PetalNode(
-            bridge_eid=eid,
-            bud=outcome.b,
-            members=frozenset(members),
-            red_set=outcome.red_set,
-            red_tree=outcome.red_tree,
-            green_tree=outcome.green_tree,
-        )
+        PetalNode(eid, b, members, outcome.color, outcome.red_tree, outcome.green_tree)
     )
     for w in members:
         s.petal_of[w] = pid
-        s.jump[w] = outcome.b
+        s.jump[w] = b
     if s.trace is not None:
-        s.emit(f"petal bud {outcome.b} members {','.join(map(str, members))}")
+        s.trace(f"petal bud {b} members {','.join(map(str, members))}")
     _assign_maxlevels(s, g, m, members, 2 * i + 1)
 
 
@@ -290,14 +279,8 @@ def _process_bridges(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
     t = 2 * i + 1
     queue = s.br.get(t)
     view = _AdapterView(s)
-    ddfs_trace = None
-    if s.trace is not None:
-        ddfs_trace = lambda rec: s.emit(
-            "ddfs {action} {tree} {vertex} {layer}".format(**rec)
-        )
     while queue:
         eid = queue.popleft()
-        s.bridge_processed_at.setdefault(eid, i)
         u, v = g.edges[eid]
         if s.removed[u] or s.removed[v]:
             continue
@@ -305,7 +288,7 @@ def _process_bridges(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
         if ru == rv or s.removed[ru] or s.removed[rv]:
             # Ends sharing a bud* have empty support: no petal, no path.
             continue
-        outcome = run_ddfs(view, ru, rv, trace=ddfs_trace, collect_stats=False)
+        outcome = run_ddfs(view, ru, rv, trace=s.trace)
         if isinstance(outcome, Bottleneck):
             _form_petal(s, g, m, eid, outcome, i)
             continue
@@ -315,7 +298,7 @@ def _process_bridges(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
         path = extract_path(s, g, m, outcome, eid)
         s.found_paths.append(path)
         if s.trace is not None:
-            s.emit("path " + "-".join(map(str, path.vertices)))
+            s.trace("path " + "-".join(map(str, path.vertices)))
         recursive_remove(s, g, m, set(path.vertices))
     s.br.pop(t, None)
 
@@ -343,7 +326,7 @@ def run_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> Ph
     cap = 2 * g.n + 4
     while i <= cap:
         if s.trace is not None:
-            s.emit(f"level {i}")
+            s.trace(f"level {i}")
         min_step(s, g, m, i)
         max_step(s, g, m, i)
         if s.found_paths:

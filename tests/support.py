@@ -1,16 +1,20 @@
 """Shared fixtures and reference analyses for the test suite.
 
 Everything here is deliberately independent of the engine's internals:
-named graphs are built edge-by-edge, layered views are plain dicts, and
-the DDFS reference analysis enumerates paths exhaustively.
+named graphs are built edge-by-edge, layered views are plain dicts, the
+DDFS reference analysis enumerates paths exhaustively, and the engine's
+work and bridge filing are read from its `mvtrace` events.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+from collections import Counter
 from typing import Optional
 
+from mvmatching.ddfs import GREEN, RED, Bottleneck, DdfsOutcome, run_ddfs
 from mvmatching.graph import Graph, MatchingState
 
 INF = math.inf
@@ -134,6 +138,48 @@ def triangle_chain(k: int) -> tuple[Graph, MatchingState]:
     return Graph.from_edges(4 * k, edges), MatchingState(4 * k, pairs)
 
 
+def nested_blossoms(depth: int) -> tuple[Graph, MatchingState]:
+    """`depth` petals, each bud inside the next, crossed by one augmenting
+    path of 10 * depth + 3 edges; about 2 * depth**2 vertices.
+
+    With D = depth, a stem 0-1=2-...=2D ('=' matched) starts at the free
+    vertex 0.  The innermost petal is a triangle on 2D with the matched
+    pair (x, y).  Outer petal k = 1..D-1 adds a matched pair (p, q), p
+    hanging off the previous petal's exit vertex, and an arm of matched
+    pairs climbing from the stem vertex b = 2D - 2k to the exit's level
+    and joined to q: its bridge (p, q) bottlenecks at b, so the previous
+    bud b + 2 is one of its members.  A tail of 4D matched pairs hangs
+    off x and ends at a second free vertex."""
+    d = depth
+    fresh = itertools.count(2 * d + 1)
+    edges = [(i, i + 1) for i in range(2 * d)]
+    pairs = [(2 * j - 1, 2 * j) for j in range(1, d + 1)]
+
+    def matched_chain(start: int, count: int) -> int:
+        """Hang `count` matched pairs off `start`; return the last vertex."""
+        prev = start
+        for _ in range(count):
+            u, w = next(fresh), next(fresh)
+            edges.extend([(prev, u), (u, w)])
+            pairs.append((u, w))
+            prev = w
+        return prev
+
+    x, y = next(fresh), next(fresh)
+    edges += [(2 * d, x), (2 * d, y), (x, y)]
+    pairs.append((x, y))
+    exit_, level = x, 2 * d + 2
+    for k in range(1, d):
+        b = 2 * d - 2 * k
+        p, q = next(fresh), next(fresh)
+        edges += [(exit_, p), (p, q), (matched_chain(b, (level - b) // 2), q)]
+        pairs.append((p, q))
+        exit_, level = p, level + 2
+    edges.append((matched_chain(x, 4 * d), next(fresh)))
+    n = next(fresh)
+    return Graph.from_edges(n, edges), MatchingState(n, pairs)
+
+
 def greedy_matching(g: Graph, seed: int, accept: float = 0.7) -> MatchingState:
     """Seeded greedy partial matching used for corpus instances."""
     rng = random.Random(seed)
@@ -146,6 +192,20 @@ def greedy_matching(g: Graph, seed: int, accept: float = 0.7) -> MatchingState:
             m.partner[u] = v
             m.partner[v] = u
     return m
+
+
+def filed_bridges(lines: list[str]) -> list[tuple[int, int, int, int]]:
+    """(u, v, tenacity, level) for each `bridge u v tenacity t` event of a
+    phase trace, where level is that of the last `level` line before it."""
+    filed: list[tuple[int, int, int, int]] = []
+    level = -1
+    for line in lines:
+        words = line.split()
+        if words[0] == "level":
+            level = int(words[1])
+        elif words[0] == "bridge":
+            filed.append((int(words[1]), int(words[2]), int(words[4]), level))
+    return filed
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +224,47 @@ class DictView:
 
     def out_edges(self, v: int) -> list[int]:
         return self.outs.get(v, [])
+
+
+class CountingView:
+    """Wraps a layered view and counts the out_edges fetches per vertex."""
+
+    def __init__(self, view: DictView):
+        self.view = view
+        self.fetches: Counter[int] = Counter()
+
+    def layer(self, v: int) -> int:
+        return self.view.layer(v)
+
+    def out_edges(self, v: int) -> list[int]:
+        self.fetches[v] += 1
+        return self.view.out_edges(v)
+
+
+def checked_ddfs(view: DictView, r: int, g: int) -> tuple[DdfsOutcome, list[str]]:
+    """Run the DDFS and read its work bounds from its trace and its view
+    accesses; returns the outcome and every bound it broke: each vertex's
+    out-edges fetched at most once, each vertex backtracked at most once
+    per tree, and at most one advance or meet per edge of the view."""
+    counting = CountingView(view)
+    lines: list[str] = []
+    out = run_ddfs(counting, r, g, trace=lines.append)
+    events = [line.split() for line in lines]
+    backtracks = Counter((tree, v) for _, action, tree, v, _ in events if action == "backtrack")
+    steps = sum(action in ("advance", "meet") for _, action, *_ in events)
+    edges = sum(len(view.out_edges(v)) for v in view.layers)
+    broken = [f"out_edges({v}) fetched {c} times" for v, c in counting.fetches.items() if c > 1]
+    broken += [f"{t} backtracked {v} {c} times" for (t, v), c in backtracks.items() if c > 1]
+    if steps > edges:
+        broken.append(f"{steps} advances and meets over {edges} edges")
+    return out, broken
+
+
+def color_sets(out: Bottleneck) -> tuple[set[int], set[int]]:
+    """A bottleneck's red and green vertices, the bottleneck excluded."""
+    red = {v for v, c in out.color.items() if c == RED and v != out.b}
+    green = {v for v, c in out.color.items() if c == GREEN and v != out.b}
+    return red, green
 
 
 def random_layered_view(seed: int, max_n: int = 10) -> tuple[DictView, int, int]:

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from mvmatching.ddfs import Bottleneck, EmptySupport, TwoPaths, run_ddfs
+from mvmatching.ddfs import Bottleneck, EmptySupport, TwoPaths
 from mvmatching.graph import (
     Graph,
     MatchingState,
@@ -32,7 +32,7 @@ from mvmatching.phase import bud_star, run_phase
 from mvmatching.solver import maximum_matching
 
 import support
-from support import expected_ddfs, random_layered_view
+from support import checked_ddfs, expected_ddfs, random_layered_view
 
 INF = math.inf
 
@@ -309,7 +309,7 @@ def test_criterion_9_ddfs_unit_suite():
     failures = 0
     for seed in range(500):
         view, r, g = random_layered_view(seed + 31000)
-        out = run_ddfs(view, r, g, collect_stats=True)
+        out, broken = checked_ddfs(view, r, g)
         kind, b = expected_ddfs(view, r, g)
         ok = (
             (kind == "empty" and isinstance(out, EmptySupport))
@@ -318,9 +318,7 @@ def test_criterion_9_ddfs_unit_suite():
         )
         if isinstance(out, TwoPaths) and (set(out.red_path) & set(out.green_path)):
             ok = False
-        if any(c > 1 for c in out.stats.edge_explorations.values()):
-            ok = False
-        if any(c > 1 for c in out.stats.backtracks.values()):
+        if broken:
             ok = False
         if not ok:
             failures += 1

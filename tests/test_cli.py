@@ -14,6 +14,75 @@ PETERSEN_DIMACS = serialize_dimacs(support.petersen())
 C5_DIMACS = serialize_dimacs(support.c5())
 TRIANGLE_DIMACS = serialize_dimacs(support.triangle()[0])
 DEFERRED_DIMACS = serialize_dimacs(support.deferred_bridge_graph()[0])
+# Triangle 1-2-3 with the pendant vertex 4 on 1.
+PAW_DIMACS = "p edge 4 4\ne 1 3\ne 1 4\ne 2 3\ne 1 2\n"
+
+# Full `solve --trace` streams, line for line.  The greedy seed leaves one
+# short augmenting path in the deferred-bridge graph; the five-cycle's
+# bridge forms a petal through meet, reassign and backtrack steps; the
+# paw's bridge ends its DDFS with a terminated seek.
+DEFERRED_TRACE = """\
+mvtrace 1
+level 0
+minlevel 3 1
+minlevel 0 1
+minlevel 5 1
+minlevel 1 1
+level 1
+minlevel 2 2
+bridge 0 1 tenacity 3
+minlevel 7 2
+ddfs advance red 4 0
+ddfs advance green 6 0
+ddfs terminate - 4 0
+path 4-0-1-6
+level 0
+phases 2
+"""
+C5_TRACE = """\
+mvtrace 1
+level 0
+minlevel 3 1
+minlevel 0 1
+level 1
+minlevel 2 2
+minlevel 1 2
+level 2
+bridge 1 2 tenacity 5
+ddfs advance red 0 1
+ddfs advance green 3 1
+ddfs advance red 4 0
+ddfs meet green 4 0
+ddfs backtrack red 4 0
+ddfs reassign green 4 0
+ddfs backtrack red 0 1
+ddfs reassign red 4 0
+ddfs backtrack green 4 0
+ddfs backtrack green 3 1
+ddfs terminate - 4 0
+petal bud 4 members 0,1,2,3
+level 3
+level 4
+phases 1
+"""
+PAW_TRACE = """\
+mvtrace 1
+level 0
+minlevel 2 1
+minlevel 0 1
+level 1
+bridge 0 2 tenacity 3
+ddfs advance red 1 0
+ddfs meet green 1 0
+ddfs backtrack red 1 0
+ddfs reassign green 1 0
+ddfs advance red 3 0
+ddfs terminate_seek red 3 0
+ddfs terminate - 3 0
+path 3-0-2-1
+level 0
+phases 2
+"""
 
 
 def _run(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -80,6 +149,22 @@ class TestSolve:
         assert lines[0] == TRACE_HEADER
         assert any(line.startswith("bridge ") for line in lines)
         assert any(line.startswith("path ") for line in lines)
+
+    @pytest.mark.parametrize(
+        "dimacs, expected",
+        [
+            (DEFERRED_DIMACS, DEFERRED_TRACE),
+            (C5_DIMACS, C5_TRACE),
+            (PAW_DIMACS, PAW_TRACE),
+        ],
+        ids=["deferred", "c5", "paw"],
+    )
+    def test_golden_trace(self, tmp_path, capsys, dimacs, expected) -> None:
+        f = tmp_path / "g.dimacs"
+        f.write_text(dimacs)
+        code, _, err = _run(capsys, ["solve", str(f), "--trace"])
+        assert code == 0
+        assert err.splitlines() == expected.splitlines()
 
     def test_deterministic_output(self, tmp_path, capsys) -> None:
         f = tmp_path / "g.dimacs"

@@ -15,7 +15,14 @@ from mvmatching.ddfs import (
 )
 
 import support
-from support import DictView, expected_ddfs, has_disjoint_pair, random_layered_view
+from support import (
+    DictView,
+    checked_ddfs,
+    color_sets,
+    expected_ddfs,
+    has_disjoint_pair,
+    random_layered_view,
+)
 
 PROPERTY_SETTINGS = settings(
     max_examples=300,
@@ -33,8 +40,7 @@ class TestNamedViews:
         out = run_ddfs(view, 1, 2)
         assert isinstance(out, Bottleneck)
         assert out.b == 0
-        assert out.red_set == frozenset({1})
-        assert out.green_set == frozenset({2})
+        assert color_sets(out) == ({1}, {2})
 
     def test_disjoint_chains_give_two_paths(self) -> None:
         view = DictView({0: 0, 1: 0, 2: 1, 3: 1}, {2: [0], 3: [1]})
@@ -54,9 +60,10 @@ class TestNamedViews:
         out = run_ddfs(view, 4, 5)
         assert isinstance(out, Bottleneck)
         assert out.b == 0
-        assert out.red_set | out.green_set == {4, 5, 1, 2}
-        assert not (out.red_set & out.green_set)
-        assert 4 in out.red_set and 5 in out.green_set
+        red, green = color_sets(out)
+        assert red | green == {4, 5, 1, 2}
+        assert not (red & green)
+        assert 4 in red and 5 in green
 
     def test_coinciding_roots_give_empty_support(self) -> None:
         view = DictView({0: 0, 1: 1}, {1: [0]})
@@ -78,7 +85,7 @@ class TestViewValidation:
 
 class TestOutcomeShape:
     def _check(self, view: DictView, r: int, g: int) -> None:
-        out = run_ddfs(view, r, g, collect_stats=True)
+        out, broken = checked_ddfs(view, r, g)
         kind, b = expected_ddfs(view, r, g)
         if kind == "empty":
             assert isinstance(out, EmptySupport)
@@ -95,23 +102,22 @@ class TestOutcomeShape:
                     assert view.layer(c) < view.layer(a)
         else:
             assert isinstance(out, Bottleneck)
-            assert out.b == b
-            assert out.b not in out.red_set | out.green_set
-            assert not (out.red_set & out.green_set)
+            assert out.b == b and out.b in out.color
+            red, green = color_sets(out)
+            assert not (red & green)
             if r != out.b:
-                assert r in out.red_set
+                assert r in red
             if g != out.b:
-                assert g in out.green_set
+                assert g in green
             # Certificate: every red vertex admits a descent from r
             # disjoint from some green descent to b, and vice versa.
-            for v in out.red_set:
+            for v in red:
                 assert has_disjoint_pair(view, r, g, v, out.b), (v, "red")
-            for v in out.green_set:
+            for v in green:
                 assert has_disjoint_pair(view, g, r, v, out.b), (v, "green")
-        # Work bounds: each edge explored at most once, each vertex
-        # backtracked at most once per tree.
-        assert all(c <= 1 for c in out.stats.edge_explorations.values())
-        assert all(c <= 1 for c in out.stats.backtracks.values())
+        # Work bounds: each vertex's out-edges fetched once, each vertex
+        # backtracked at most once per tree, each edge taken at most once.
+        assert broken == []
 
     @PROPERTY_SETTINGS
     @given(seed=_SEED)
@@ -127,11 +133,7 @@ class TestOutcomeShape:
         second = run_ddfs(view, r, g)
         assert type(first) is type(second)
         if isinstance(first, Bottleneck):
-            assert (first.b, first.red_set, first.green_set) == (
-                second.b,
-                second.red_set,
-                second.green_set,
-            )
+            assert (first.b, color_sets(first)) == (second.b, color_sets(second))
         elif isinstance(first, TwoPaths):
             assert first.red_path == second.red_path
             assert first.green_path == second.green_path
@@ -145,10 +147,8 @@ class TestTreeRecords:
         out = run_ddfs(view, r, g)
         if not isinstance(out, Bottleneck):
             return
-        for tree, members, root in (
-            (out.red_tree, out.red_set, r),
-            (out.green_tree, out.green_set, g),
-        ):
+        red, green = color_sets(out)
+        for tree, members, root in ((out.red_tree, red, r), (out.green_tree, green, g)):
             for v in members:
                 # Walk to the root; every hop stays in members ∪ {b}.
                 cur = v

@@ -288,7 +288,7 @@ class TestLongPaths:
             g, m = support.triangle_chain(10000)
             phase = run_phase(g, m)
             on_path = set(phase.paths[0].vertices)
-            crossed = all(p.members <= on_path for p in phase.state.petals)
+            crossed = all(set(p.members) <= on_path for p in phase.state.petals)
             print(len(phase.paths), len(phase.paths[0]), len(phase.state.petals), crossed)
             result, phases = maximum_matching(g, m)
             print(m.size(), result.size(), phases)
@@ -296,3 +296,31 @@ class TestLongPaths:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.split() == ["1", "39999", "5000", "True", "19999", "20000", "2"]
+
+    def test_nested_blossoms_of_depth_300(self) -> None:
+        out = _run_shallow(
+            """
+            import support
+            from mvmatching.graph import check_alternating
+            from mvmatching.phase import run_phase
+            from mvmatching.solver import maximum_matching
+            g, m = support.nested_blossoms(300)
+            phase = run_phase(g, m)
+            s, petals = phase.state, phase.state.petals
+            path = phase.paths[0].vertices
+            on_path = set(path)
+            nested = all(s.petal_of[p.bud] == k + 1 for k, p in enumerate(petals[:-1]))
+            outermost = s.petal_of[petals[-1].bud] is None
+            touched = all(on_path.intersection(p.members) for p in petals)
+            print(g.n, len(phase.paths), len(path) - 1, len(petals))
+            print(nested, outermost, touched, check_alternating(g, m, path))
+            result, phases = maximum_matching(g, m)
+            print(m.size(), result.size(), phases)
+            """
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.split() == [
+            "183002", "1", "3003", "300",
+            "True", "True", "True", "None",
+            "91500", "91501", "2",
+        ]

@@ -12,6 +12,7 @@ from mvmatching.oracle import compute_profile
 from mvmatching.phase import (
     BRIDGE,
     PROP,
+    bridge_side,
     bud_star,
     _AdapterView,
     init_phase,
@@ -100,7 +101,7 @@ class TestMaxStep:
         assert len(s.petals) == 1
         petal = s.petals[0]
         assert petal.bud == 0
-        assert petal.members == frozenset({1, 2})
+        assert set(petal.members) == {1, 2}
         assert s.evenlevel[1] == s.evenlevel[2] == 2  # maxlevels 2i+1 - 1
 
     def test_p4_two_paths(self) -> None:
@@ -185,16 +186,16 @@ class TestLayeredAdapter:
         assert view.out_edges(2) == [0]
 
     def test_edges_into_petal_map_to_bud(self) -> None:
-        g, m = support.deferred_bridge_graph()
+        # The triangle {1, 2} becomes a petal with bud 0 at level 1; vertex
+        # 3 then gets its minlevel from 2, a prop edge into the petal.
+        g, m = support.nested_blossom_graph()
         s = init_phase(g, m)
-        for i in range(3):
+        for i in range(2):
             min_step(s, g, m, i)
             max_step(s, g, m, i)
-        # After the cycle petal, vertex 6's predecessor view of 1 is the bud 0.
-        view = _AdapterView(s)
-        assert s.petal_of[1] is not None
-        # Vertex 1 now has maxlevel 4; a successor reaching it contracts to 0.
-        assert bud_star(s, 1) == 0
+        min_step(s, g, m, 2)
+        assert s.preds[3] == [2]
+        assert _AdapterView(s).out_edges(3) == [0]
 
 
 class TestRunPhase:
@@ -228,14 +229,17 @@ class TestRunPhase:
 
     def test_empty_support_bridge_skipped(self) -> None:
         g, m = support.empty_support_graph()
-        result = run_phase(g, m)
+        lines: list[str] = []
+        result = run_phase(g, m, trace=lines.append)
         assert result.paths == []
         assert result.l_m == INF
-        eid = g.edge_index[(1, 4)]
-        # The tenacity-13 bridge was filed and reached, but its roots
-        # coincide at the bud, so no petal and no path came of it.
-        assert result.state.bridge_filed[eid]
-        assert result.state.bridge_processed_at[eid] == 6
+        # The tenacity-13 bridge was filed and its level 6 reached, but its
+        # roots coincide at the bud, so no petal and no path came of it.
+        filed = {(u, v): (t, level) for u, v, t, level in support.filed_bridges(lines)}
+        t, level = filed[(1, 4)]
+        assert t == 13 and level <= 6
+        assert "level 6" in lines
+        assert len(result.state.petals) == 1
 
 
 class TestSynchronizationSafety:
@@ -245,15 +249,16 @@ class TestSynchronizationSafety:
         self, inst: tuple[Graph, MatchingState]
     ) -> None:
         g, m = inst
-        result = run_phase(g, m)
-        s = result.state
-        for eid, level in s.bridge_processed_at.items():
-            u, v = g.edges[eid]
-            if m.partner[u] == v:
-                t = s.oddlevel[u] + s.oddlevel[v] + 1
-            else:
-                t = s.evenlevel[u] + s.evenlevel[v] + 1
-            assert t == 2 * level + 1
+        lines: list[str] = []
+        s = run_phase(g, m, trace=lines.append).state
+        filed = support.filed_bridges(lines)
+        assert len({(u, v) for u, v, _, _ in filed}) == len(filed)
+        for u, v, t, level in filed:
+            # Filed no later than the level that drains Br(t), at the
+            # tenacity its final levels give.
+            assert t % 2 == 1 and level <= (t - 1) // 2
+            side = bridge_side(s, m, u, v)
+            assert t == side[u] + side[v] + 1
 
 
 class TestEngineAgainstOracle:
@@ -276,8 +281,9 @@ class TestEngineAgainstOracle:
     ) -> None:
         g, m = inst
         profile = compute_profile(g, m, deep=False)
-        result = run_phase(g, m)
-        s = result.state
+        lines: list[str] = []
+        run_phase(g, m, trace=lines.append)
+        filed = support.filed_bridges(lines)
         for t in range(1, 2 * g.n, 2):
             if t >= profile.l_m:
                 break
@@ -288,11 +294,13 @@ class TestEngineAgainstOracle:
                 and profile.edge_tenacity[eid] == t
             }
             engine_set = {
-                eid
-                for eid in range(g.m)
-                if s.bridge_filed[eid] and s.bridge_processed_at.get(eid) == (t - 1) // 2
+                g.edge_index[(min(u, v), max(u, v))]
+                for u, v, tenacity, level in filed
+                if tenacity == t and level <= (t - 1) // 2
             }
             assert engine_set == oracle_set, t
+            if oracle_set:
+                assert f"level {(t - 1) // 2}" in lines, t
 
     @PROPERTY_SETTINGS
     @given(inst=_small_instance())
@@ -313,7 +321,12 @@ class TestEngineAgainstOracle:
             t = s.tenacity(v)
             if t == INF or t >= profile.l_m:
                 continue
-            b = bud_star(s, v)
+            # v's base at its own tenacity: its bud chain through petals
+            # of tenacity t.  A petal of higher tenacity can take in the
+            # bud later, which moves bud*(v) but not the oracle's base.
+            b = v
+            while s.petal_of[b] is not None and s.tenacity(b) == t:
+                b = s.petals[s.petal_of[b]].bud
             if b != v:
                 engine_classes.setdefault((b, int(t)), set()).add(v)
         assert engine_classes == oracle_classes
