@@ -36,25 +36,20 @@ class Graph:
 
         Self-loops are rejected; duplicate undirected edges are merged.
         """
-        seen: set[tuple[int, int]] = set()
-        edge_list: list[tuple[int, int]] = []
+        index: dict[tuple[int, int], int] = {}
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"vertex index out of range: ({u}, {v})")
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}")
             key = (u, v) if u < v else (v, u)
-            if key in seen:
-                continue
-            seen.add(key)
-            edge_list.append(key)
+            if key not in index:
+                index[key] = len(index)
         adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        index: dict[tuple[int, int], int] = {}
-        for eid, (u, v) in enumerate(edge_list):
+        for eid, (u, v) in enumerate(index):
             adj[u].append((v, eid))
             adj[v].append((u, eid))
-            index[(u, v)] = eid
-        return Graph(n, tuple(edge_list), tuple(tuple(a) for a in adj), index)
+        return Graph(n, tuple(index), tuple(tuple(a) for a in adj), index)
 
     def has_edge(self, u: int, v: int) -> bool:
         key = (u, v) if u < v else (v, u)
@@ -181,10 +176,14 @@ def parse_matching(text: str | TextIO, n: int) -> MatchingState:
         if not line or line.startswith("c"):
             continue
         fields = line.split()
-        if fields[0] == "size" and len(fields) == 2:
-            declared = int(fields[1])
-        elif fields[0] == "matched" and len(fields) == 3:
-            u, v = int(fields[1]), int(fields[2])
+        try:
+            numbers = [int(f) for f in fields[1:]]
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: malformed line {line!r}")
+        if fields[0] == "size" and len(numbers) == 1:
+            declared = numbers[0]
+        elif fields[0] == "matched" and len(numbers) == 2:
+            u, v = numbers
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphFormatError(f"line {lineno}: vertex index out of range [1, {n}]")
             pairs.append((u - 1, v - 1))

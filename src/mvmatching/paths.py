@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 from .ddfs import GREEN, TwoPaths
 from .graph import AlternatingPath, Graph, MatchingState
-from .phase import INF, PhaseState, bridge_side
+from .phase import PROP, PhaseState, bridge_side
 
 # A work item is a vertex or a segment (x, level, low, pid, rev): the path
 # from x, entered at `level`, down x's bud chain to `low` (excluded),
@@ -151,33 +151,22 @@ def extract_path(
 
 
 def recursive_remove(s: PhaseState, g: Graph, m: MatchingState, seed: set[int]) -> None:
-    """Remove the seed vertices, then cascade: a leveled matched vertex
-    loses its last live predecessor and goes too; an unmatched vertex
-    goes only once isolated."""
-    removed = s.removed
-    succs, pred_alive, alive_deg = s.succs, s.pred_alive, s.alive_deg
+    """Remove the seed vertices, then cascade: a vertex goes once its last
+    live predecessor has gone.  The successors of w are the ends of its
+    PROP edges at a higher minlevel, since a prop always runs from the
+    lower minlevel to the higher; a free vertex is never a prop's head."""
+    removed, pred_alive, edge_state = s.removed, s.pred_alive, s.edge_state
     even, odd = s.evenlevel, s.oddlevel
-    partner = m.partner
     stack = [v for v in seed if not removed[v]]
     for v in stack:
         removed[v] = True
     while stack:
         w = stack.pop()
-        for z in succs[w]:
-            if removed[z]:
+        low = min(even[w], odd[w])
+        for z, eid in g.adj[w]:
+            if edge_state[eid] != PROP or removed[z] or min(even[z], odd[z]) <= low:
                 continue
             pred_alive[z] -= 1
-            if (
-                pred_alive[z] == 0
-                and partner[z] is not None
-                and (even[z] != INF or odd[z] != INF)
-            ):
-                removed[z] = True
-                stack.append(z)
-        for z, _eid in g.adj[w]:
-            if removed[z]:
-                continue
-            alive_deg[z] -= 1
-            if alive_deg[z] == 0 and partner[z] is None:
+            if pred_alive[z] == 0:
                 removed[z] = True
                 stack.append(z)

@@ -24,6 +24,7 @@ INF = math.inf
 UNSCANNED = 0
 PROP = 1
 BRIDGE = 2
+FILED = 3
 
 
 @dataclass
@@ -41,21 +42,23 @@ class PetalNode:
 
 @dataclass
 class PhaseState:
+    """Per-phase search state, each fact held once.  `preds[v]` lists the
+    tails of v's props in scan order and `pred_alive[v]` counts the live
+    ones; successors are derived (see `paths.recursive_remove`).
+    `edge_state` is UNSCANNED, PROP, BRIDGE or FILED (queued in `br`)."""
+
     n: int
     evenlevel: list[float]
     oddlevel: list[float]
     preds: list[list[int]]
-    succs: list[list[int]]
     pred_alive: list[int]
     edge_state: list[int]
-    bridge_filed: list[bool]
     br: dict[int, deque[int]]
     deferred_at: dict[int, list[int]]
     petal_of: list[Optional[int]]
     petals: list[PetalNode]
     jump: list[int]
     removed: list[bool]
-    alive_deg: list[int]
     schedule: dict[int, list[int]]
     found_paths: list[AlternatingPath] = field(default_factory=list)
     l_m: float = INF
@@ -98,17 +101,14 @@ def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> P
         evenlevel=evenlevel,
         oddlevel=oddlevel,
         preds=[[] for _ in range(n)],
-        succs=[[] for _ in range(n)],
         pred_alive=[0] * n,
         edge_state=[UNSCANNED] * g.m,
-        bridge_filed=[False] * g.m,
         br={},
         deferred_at={},
         petal_of=[None] * n,
         petals=[],
         jump=list(range(n)),
         removed=[False] * n,
-        alive_deg=[len(a) for a in g.adj],
         schedule=schedule,
         trace=trace,
     )
@@ -133,7 +133,7 @@ def bridge_side(s: PhaseState, m: MatchingState, u: int, v: int) -> list[float]:
 def _try_file(s: PhaseState, g: Graph, m: MatchingState, eid: int) -> None:
     """File a classified bridge into Br(tenacity) once both relevant
     endpoint levels are known; otherwise defer on the unknown endpoints."""
-    if s.bridge_filed[eid]:
+    if s.edge_state[eid] == FILED:
         return
     u, v = g.edges[eid]
     levels = bridge_side(s, m, u, v)
@@ -143,7 +143,7 @@ def _try_file(s: PhaseState, g: Graph, m: MatchingState, eid: int) -> None:
             if levels[x] == INF:
                 s.deferred_at.setdefault(x, []).append(eid)
         return
-    s.bridge_filed[eid] = True
+    s.edge_state[eid] = FILED
     s.br.setdefault(int(t), deque()).append(eid)
     if s.trace is not None:
         s.trace(f"bridge {u} {v} tenacity {int(t)}")
@@ -156,7 +156,7 @@ def min_step(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
     target_levels = s.evenlevel if (i + 1) % 2 == 0 else s.oddlevel
     even, odd = s.evenlevel, s.oddlevel
     removed, edge_state = s.removed, s.edge_state
-    preds, succs, pred_alive = s.preds, s.succs, s.pred_alive
+    preds, pred_alive = s.preds, s.pred_alive
     partner = m.partner
     even_scan = i % 2 == 0
     nxt = i + 1
@@ -187,7 +187,6 @@ def min_step(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
                     if s.trace is not None:
                         s.trace(f"minlevel {v} {nxt}")
                 preds[v].append(u)
-                succs[u].append(v)
                 pred_alive[v] += 1
             else:
                 edge_state[eid] = BRIDGE
@@ -212,7 +211,7 @@ def _assign_maxlevels(
             # Newly resolved inner vertex: non-prop incident edges whose
             # bridge status is already forced can now be filed.
             for x, eid in g.adj[w]:
-                if s.edge_state[eid] == PROP or s.bridge_filed[eid]:
+                if s.edge_state[eid] in (PROP, FILED):
                     continue
                 if s.edge_state[eid] == BRIDGE:
                     _try_file(s, g, m, eid)
@@ -308,16 +307,6 @@ def max_step(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
     _process_bridges(s, g, m, i)
 
 
-def _pending_beyond(s: PhaseState, i: int) -> bool:
-    for level, verts in s.schedule.items():
-        if level > i and verts:
-            return True
-    for t, queue in s.br.items():
-        if t > 2 * i + 1 and queue:
-            return True
-    return False
-
-
 def run_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> PhaseResult:
     """Run one full phase; returns a maximal set of vertex-disjoint
     minimum-length augmenting paths (possibly empty) and l_m."""
@@ -329,9 +318,7 @@ def run_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> Ph
             s.trace(f"level {i}")
         min_step(s, g, m, i)
         max_step(s, g, m, i)
-        if s.found_paths:
-            break
-        if not _pending_beyond(s, i):
+        if s.found_paths or not (s.schedule or s.br):
             break
         i += 1
     return PhaseResult(paths=s.found_paths, l_m=s.l_m, state=s, levels_run=i + 1)

@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the engine's internals:
 named graphs are built edge-by-edge, layered views are plain dicts, the
-DDFS reference analysis enumerates paths exhaustively, and the engine's
-work and bridge filing are read from its `mvtrace` events.
+DDFS reference analysis enumerates paths exhaustively, the engine's
+work and bridge filing are read from its `mvtrace` events, and its
+petal classes are read from a finished phase's petal records.
 """
 
 from __future__ import annotations
@@ -206,6 +207,36 @@ def filed_bridges(lines: list[str]) -> list[tuple[int, int, int, int]]:
         elif words[0] == "bridge":
             filed.append((int(words[1]), int(words[2]), int(words[4]), level))
     return filed
+
+
+def oracle_base_classes(profile) -> dict[tuple[int, int], set[int]]:
+    """The oracle's sets S_{b,t}: vertices of tenacity t with the single
+    base b, keyed by (b, t)."""
+    classes: dict[tuple[int, int], set[int]] = {}
+    for v, bases in profile.base_sets.items():
+        if len(bases) == 1:
+            key = (next(iter(bases)), int(profile.tenacity[v]))
+            classes.setdefault(key, set()).add(v)
+    return classes
+
+
+def engine_base_classes(s, l_m: float) -> dict[tuple[int, int], set[int]]:
+    """The same sets from a finished phase state `s`: each vertex of
+    tenacity t < l_m inside a petal, keyed by its base at its own
+    tenacity, the end of its bud chain through petals of tenacity t.  A
+    petal of higher tenacity can take in that base later, which moves
+    bud*(v) but not the base."""
+    classes: dict[tuple[int, int], set[int]] = {}
+    for v in range(s.n):
+        t = s.tenacity(v)
+        if t == INF or t >= l_m:
+            continue
+        b = v
+        while s.petal_of[b] is not None and s.tenacity(b) == t:
+            b = s.petals[s.petal_of[b]].bud
+        if b != v:
+            classes.setdefault((b, int(t)), set()).add(v)
+    return classes
 
 
 # ---------------------------------------------------------------------------

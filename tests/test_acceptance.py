@@ -28,7 +28,7 @@ from mvmatching.oracle import (
     compute_profile,
     check_structural_theorems,
 )
-from mvmatching.phase import bud_star, run_phase
+from mvmatching.phase import run_phase
 from mvmatching.solver import maximum_matching
 
 import support
@@ -181,21 +181,9 @@ def test_criterion_5_petal_blossom_correspondence(corpus):
     mismatches = 0
     for g, m, profile, result in corpus:
         state = result.state
-        # bud*-classes at tenacity t vs oracle S_{b,t}.
-        oracle_classes: dict[tuple[int, int], set[int]] = {}
-        for v, bases in profile.base_sets.items():
-            if len(bases) == 1:
-                key = (next(iter(bases)), int(profile.tenacity[v]))
-                oracle_classes.setdefault(key, set()).add(v)
-        engine_classes: dict[tuple[int, int], set[int]] = {}
-        for v in range(g.n):
-            t = state.tenacity(v)
-            if t == INF or t >= profile.l_m:
-                continue
-            b = bud_star(state, v)
-            if b != v:
-                engine_classes.setdefault((b, int(t)), set()).add(v)
-        if engine_classes != oracle_classes:
+        # Petal classes by base at their own tenacity vs oracle S_{b,t}.
+        engine_classes = support.engine_base_classes(state, profile.l_m)
+        if engine_classes != support.oracle_base_classes(profile):
             mismatches += 1
             continue
         # Petal unions (with nesting) vs oracle blossoms.

@@ -212,6 +212,16 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("line", ["size x", "matched 1 y"])
+    def test_non_integer_field_exits_2(self, tmp_path, capsys, line) -> None:
+        g = tmp_path / "g.dimacs"
+        g.write_text(P4_DIMACS)
+        m = tmp_path / "m.txt"
+        m.write_text(f"{line}\n")
+        code, _, err = _run(capsys, ["verify", str(g), str(m)])
+        assert code == 2
+        assert "error: line 1: malformed line" in err
+
 
 class TestGen:
     def test_deterministic(self, capsys) -> None:

@@ -17,7 +17,14 @@ from mvmatching.graph import Graph, MatchingState, check_alternating, generate_r
 from mvmatching.graph import serialize_dimacs, serialize_matching
 from mvmatching.oracle import _iter_alternating_paths, compute_profile
 from mvmatching.paths import _walk, recursive_remove
-from mvmatching.phase import _process_bridges, init_phase, max_step, min_step, run_phase
+from mvmatching.phase import (
+    PhaseResult,
+    _process_bridges,
+    init_phase,
+    max_step,
+    min_step,
+    run_phase,
+)
 
 import support
 
@@ -108,6 +115,33 @@ class TestOpenPetal:
                 assert check_alternating(g, m, out) is None
 
 
+def _check_path_set(g: Graph, m: MatchingState, result: PhaseResult) -> None:
+    """The phase's paths are augmenting, of length l_m, vertex-disjoint
+    and maximal: no augmenting path of length l_m misses them all."""
+    l_m = result.l_m
+    used: set[int] = set()
+    for p in result.paths:
+        assert len(p.vertices) - 1 == l_m
+        assert check_alternating(g, m, p.vertices) is None
+        assert not m.is_matched(p.vertices[0])
+        assert not m.is_matched(p.vertices[-1])
+        assert not (set(p.vertices) & used)
+        used |= set(p.vertices)
+    if l_m == INF:
+        return
+    for f in range(g.n):
+        if m.is_matched(f) or f in used:
+            continue
+        for p in _iter_alternating_paths(g, m, f, max_len=int(l_m)):
+            if (
+                len(p) - 1 == l_m
+                and len(p) > 1
+                and not m.is_matched(p[-1])
+                and not (set(p) & used)
+            ):
+                raise AssertionError(f"missed disjoint augmenting path {p}")
+
+
 class TestRecursiveRemove:
     def test_p4_total_removal(self) -> None:
         g, m = support.p4()
@@ -128,16 +162,19 @@ class TestRecursiveRemove:
         recursive_remove(s, g, m, {0, 1})
         assert s.removed[2]
 
-    def test_unmatched_vertex_survives_until_isolated(self) -> None:
-        # Star center 0 unmatched with two leaves: removing one leaf
-        # leaves 0 connected, removing both isolates it.
-        g = Graph.from_edges(3, [(0, 1), (0, 2)])
-        m = MatchingState(3)
+    def test_removal_follows_prop_edges_only(self) -> None:
+        # Path 0-1-2-3 with (1, 2) matched, and free 4 hanging off 0.
+        # Props run 0 -> 1 and 3 -> 2; (1, 2) is a bridge and (0, 4)
+        # joins two free vertices.  Removing 0 takes 1, its only
+        # predecessor gone, but neither 2 across the bridge nor 4, which
+        # is left without a live neighbour.
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 4)])
+        m = MatchingState(5, [(1, 2)])
         s = init_phase(g, m)
-        recursive_remove(s, g, m, {1})
-        assert not s.removed[0]
-        recursive_remove(s, g, m, {2})
-        assert s.removed[0]
+        for i in range(2):
+            min_step(s, g, m, i)
+        recursive_remove(s, g, m, {0})
+        assert s.removed == [True, True, False, False, False]
 
     def test_remaining_leveled_matched_vertices_keep_predecessors(self) -> None:
         g, m = support.two_bridges_graph()
@@ -180,6 +217,19 @@ class TestCollectMaximal:
         assert result.l_m == 3
         assert len(result.paths) == 1
 
+    def test_free_vertex_stranded_by_paths(self) -> None:
+        # Free 8 is adjacent only to 1 and 5, and the phase's two paths
+        # take both, so 8 stays free with no live neighbour.
+        g = Graph.from_edges(
+            9, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (8, 1), (8, 5)]
+        )
+        m = MatchingState(9, [(1, 2), (5, 6)])
+        result = run_phase(g, m)
+        _check_path_set(g, m, result)
+        assert len(result.paths) == 2
+        used = {v for p in result.paths for v in p.vertices}
+        assert 8 not in used and {1, 5} <= used
+
     def test_collect_maximal_is_idempotent_after_phase(self) -> None:
         g, m = support.two_bridges_graph()
         result = run_phase(g, m)
@@ -196,30 +246,7 @@ class TestPathSetProperties:
         self, inst: tuple[Graph, MatchingState]
     ) -> None:
         g, m = inst
-        result = run_phase(g, m)
-        profile_lm = result.l_m
-        used: set[int] = set()
-        for p in result.paths:
-            assert len(p.vertices) - 1 == profile_lm
-            assert check_alternating(g, m, p.vertices) is None
-            assert not m.is_matched(p.vertices[0])
-            assert not m.is_matched(p.vertices[-1])
-            assert not (set(p.vertices) & used)
-            used |= set(p.vertices)
-        if profile_lm == INF:
-            return
-        # Maximality: no equal-length augmenting path disjoint from the set.
-        for f in range(g.n):
-            if m.is_matched(f) or f in used:
-                continue
-            for p in _iter_alternating_paths(g, m, f, max_len=int(profile_lm)):
-                if (
-                    len(p) - 1 == profile_lm
-                    and len(p) > 1
-                    and not m.is_matched(p[-1])
-                    and not (set(p) & used)
-                ):
-                    raise AssertionError(f"missed disjoint augmenting path {p}")
+        _check_path_set(g, m, run_phase(g, m))
 
 
 def _run_shallow(script: str, *args: str) -> subprocess.CompletedProcess:

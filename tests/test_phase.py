@@ -11,6 +11,7 @@ from mvmatching.graph import Graph, MatchingState, generate_random_graph
 from mvmatching.oracle import compute_profile
 from mvmatching.phase import (
     BRIDGE,
+    FILED,
     PROP,
     bridge_side,
     bud_star,
@@ -78,7 +79,7 @@ class TestMinStep:
         min_step(s, g, m, 0)
         min_step(s, g, m, 1)
         eid = g.edge_index[(1, 2)]
-        assert s.edge_state[eid] == BRIDGE
+        assert s.edge_state[eid] == FILED
         assert list(s.br[3]) == [eid]
 
     def test_triangle_matched_bridge(self) -> None:
@@ -87,7 +88,7 @@ class TestMinStep:
         min_step(s, g, m, 0)
         min_step(s, g, m, 1)
         eid = g.edge_index[(1, 2)]
-        assert s.edge_state[eid] == BRIDGE
+        assert s.edge_state[eid] == FILED
         assert list(s.br[3]) == [eid]
 
 
@@ -124,11 +125,11 @@ class TestDeferredBridge:
         # Scanned at level 2 but vertex 1's evenlevel is still unknown:
         # classified bridge, deferred, not yet filed.
         assert s.edge_state[eid] == BRIDGE
-        assert not s.bridge_filed[eid]
+        assert all(eid not in queue for queue in s.br.values())
         assert eid in s.deferred_at.get(1, [])
         max_step(s, g, m, 2)  # forms the cycle petal, evenlevel(1) = 4
         assert s.evenlevel[1] == 4
-        assert s.bridge_filed[eid]
+        assert s.edge_state[eid] == FILED
         assert list(s.br[7]) == [eid]
 
     def test_full_phase_finds_length_7_path(self) -> None:
@@ -310,23 +311,6 @@ class TestEngineAgainstOracle:
         g, m = inst
         profile = compute_profile(g, m, deep=True)
         result = run_phase(g, m)
-        s = result.state
-        oracle_classes: dict[tuple[int, int], set[int]] = {}
-        for v, bases in profile.base_sets.items():
-            if len(bases) == 1:
-                key = (next(iter(bases)), int(profile.tenacity[v]))
-                oracle_classes.setdefault(key, set()).add(v)
-        engine_classes: dict[tuple[int, int], set[int]] = {}
-        for v in range(g.n):
-            t = s.tenacity(v)
-            if t == INF or t >= profile.l_m:
-                continue
-            # v's base at its own tenacity: its bud chain through petals
-            # of tenacity t.  A petal of higher tenacity can take in the
-            # bud later, which moves bud*(v) but not the oracle's base.
-            b = v
-            while s.petal_of[b] is not None and s.tenacity(b) == t:
-                b = s.petals[s.petal_of[b]].bud
-            if b != v:
-                engine_classes.setdefault((b, int(t)), set()).add(v)
-        assert engine_classes == oracle_classes
+        assert support.engine_base_classes(result.state, profile.l_m) == (
+            support.oracle_base_classes(profile)
+        )
