@@ -20,7 +20,7 @@ Run: python3 demos/blossom_walkthrough.py
 from __future__ import annotations
 
 from mvmatching import Graph, MatchingState
-from mvmatching.phase import run_phase
+from mvmatching.phase import levels_with_inf, run_phase
 
 
 def main() -> None:
@@ -38,10 +38,11 @@ def main() -> None:
         print("augmenting path:", "-".join(map(str, p.vertices)))
 
     s = result.state
+    even, odd = levels_with_inf(s.evenlevel), levels_with_inf(s.oddlevel)
     print()
     print("final levels (vertex: even/odd):")
     for v in range(g.n):
-        print(f"  {v}: {s.evenlevel[v]}/{s.oddlevel[v]}")
+        print(f"  {v}: {even[v]}/{odd[v]}")
     for petal in s.petals:
         print(f"petal: bud {petal.bud}, members {sorted(petal.members)}")
 

@@ -26,7 +26,7 @@ from .graph import (
     serialize_matching,
     validate_matching,
 )
-from .phase import run_phase
+from .phase import levels_with_inf, run_phase
 from .solver import maximum_matching
 
 TRACE_HEADER = "mvtrace 1"
@@ -142,8 +142,8 @@ def cmd_oracle_check(cfg: argparse.Namespace) -> int:
             print(f"matching {idx}: {v}")
             failures += 1
         result = run_phase(g, m)
-        even = list(result.state.evenlevel)
-        odd = list(result.state.oddlevel)
+        even = levels_with_inf(result.state.evenlevel)
+        odd = levels_with_inf(result.state.oddlevel)
         if cfg.fault_inject and g.n:
             even[0] += 2  # negative-control corruption
         for v in range(g.n):

@@ -11,8 +11,14 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, TextIO
 
 
+# The most vertices a graph may have.  Every array the engine keeps is
+# sized by n, so a larger n is refused before anything is allocated.
+MAX_VERTICES = 1 << 24
+
+
 class GraphFormatError(ValueError):
-    """Raised for malformed DIMACS input or out-of-range indices."""
+    """Raised for malformed DIMACS input, out-of-range indices or a
+    vertex count above MAX_VERTICES."""
 
 
 @dataclass(frozen=True)
@@ -34,8 +40,11 @@ class Graph:
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge iterable.
 
-        Self-loops are rejected; duplicate undirected edges are merged.
+        Self-loops and n above MAX_VERTICES are rejected; duplicate
+        undirected edges are merged.
         """
+        if n > MAX_VERTICES:
+            raise GraphFormatError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
         index: dict[tuple[int, int], int] = {}
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):

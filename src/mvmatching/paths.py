@@ -24,7 +24,7 @@ from .phase import PROP, PhaseState, bridge_side
 # A work item is a vertex or a segment (x, level, low, pid, rev): the path
 # from x, entered at `level`, down x's bud chain to `low` (excluded),
 # through petals formed before petal `pid` only; `rev` emits it backwards.
-Item = Union[int, tuple[int, float, int, int, bool]]
+Item = Union[int, tuple[int, int, int, int, bool]]
 
 
 class ExtractionError(RuntimeError):
@@ -47,7 +47,7 @@ def _anchor(s: PhaseState, x: int, pid: int) -> int:
     return x
 
 
-def _down(s: PhaseState, x: int, level: float, chain: list[int], pid: int) -> list[Item]:
+def _down(s: PhaseState, x: int, level: int, chain: list[int], pid: int) -> list[Item]:
     """Items for the path from x, entered at `level`, down its bud chain to
     chain[0], then along the contracted descent `chain` to chain[-1]
     (excluded).  Each hop a -> y takes the first live predecessor of a
@@ -154,17 +154,31 @@ def recursive_remove(s: PhaseState, g: Graph, m: MatchingState, seed: set[int]) 
     """Remove the seed vertices, then cascade: a vertex goes once its last
     live predecessor has gone.  The successors of w are the ends of its
     PROP edges at a higher minlevel, since a prop always runs from the
-    lower minlevel to the higher; a free vertex is never a prop's head."""
+    lower minlevel to the higher; a free vertex is never a prop's head.
+
+    Once l_m = 2i+1 is known the cascade stops at minlevel top = i: the
+    phase ends after level i's MAX, whose DDFS runs and path extractions
+    read `removed` at minlevels <= i only.  No vertex above top is
+    removed and no vertex at top is walked from.  While l_m is UNSET,
+    top lies above every level and nothing is capped."""
     removed, pred_alive, edge_state = s.removed, s.pred_alive, s.edge_state
     even, odd = s.evenlevel, s.oddlevel
+    top = (s.l_m - 1) // 2
     stack = [v for v in seed if not removed[v]]
     for v in stack:
         removed[v] = True
     while stack:
         w = stack.pop()
-        low = min(even[w], odd[w])
+        ew, ow = even[w], odd[w]
+        low = ew if ew < ow else ow
+        if low >= top:
+            continue
         for z, eid in g.adj[w]:
-            if edge_state[eid] != PROP or removed[z] or min(even[z], odd[z]) <= low:
+            if edge_state[eid] != PROP or removed[z]:
+                continue
+            ez, oz = even[z], odd[z]
+            lz = ez if ez < oz else oz
+            if lz <= low or lz > top:
                 continue
             pred_alive[z] -= 1
             if pred_alive[z] == 0:

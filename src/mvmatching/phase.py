@@ -12,7 +12,7 @@ work remains.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -20,6 +20,10 @@ from .ddfs import Bottleneck, TraceFn, TwoPaths, run_ddfs
 from .graph import AlternatingPath, Graph, MatchingState
 
 INF = math.inf
+# Level of a vertex not reached yet.  Every real level is at most
+# 4n + 9 (the level cap of `run_phase`), far below UNSET for any
+# n <= graph.MAX_VERTICES, so "unset" compares above every level.
+UNSET = 1 << 29
 
 UNSCANNED = 0
 PROP = 1
@@ -42,40 +46,44 @@ class PetalNode:
 
 @dataclass
 class PhaseState:
-    """Per-phase search state, each fact held once.  `preds[v]` lists the
+    """Per-phase search state, each fact held once.  `evenlevel` and
+    `oddlevel` hold ints, UNSET where a level is not assigned, and `l_m`
+    is UNSET until the phase finds its first path.  `preds[v]` lists the
     tails of v's props in scan order and `pred_alive[v]` counts the live
     ones; successors are derived (see `paths.recursive_remove`).
     `edge_state` is UNSCANNED, PROP, BRIDGE or FILED (queued in `br`)."""
 
     n: int
-    evenlevel: list[float]
-    oddlevel: list[float]
+    evenlevel: list[int]
+    oddlevel: list[int]
     preds: list[list[int]]
     pred_alive: list[int]
     edge_state: list[int]
-    br: dict[int, deque[int]]
-    deferred_at: dict[int, list[int]]
+    br: defaultdict[int, deque[int]]
+    deferred_at: defaultdict[int, list[int]]
     petal_of: list[Optional[int]]
     petals: list[PetalNode]
     jump: list[int]
     removed: list[bool]
-    schedule: dict[int, list[int]]
+    schedule: defaultdict[int, list[int]]
     found_paths: list[AlternatingPath] = field(default_factory=list)
-    l_m: float = INF
+    l_m: int = UNSET
     trace: Optional[TraceFn] = None
 
-    def minlevel(self, v: int) -> float:
+    def minlevel(self, v: int) -> int:
         return min(self.evenlevel[v], self.oddlevel[v])
 
-    def maxlevel(self, v: int) -> float:
+    def maxlevel(self, v: int) -> int:
         return max(self.evenlevel[v], self.oddlevel[v])
 
-    def tenacity(self, v: int) -> float:
+    def tenacity(self, v: int) -> int:
         return self.evenlevel[v] + self.oddlevel[v]
 
 
 @dataclass
 class PhaseResult:
+    """A phase's paths and their length l_m, math.inf when there are none."""
+
     paths: list[AlternatingPath]
     l_m: float
     state: PhaseState
@@ -86,9 +94,9 @@ def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> P
     """Fresh per-phase state: unmatched vertices at evenlevel 0, all else
     unassigned."""
     n = g.n
-    evenlevel = [INF] * n
-    oddlevel = [INF] * n
-    schedule: dict[int, list[int]] = {}
+    evenlevel = [UNSET] * n
+    oddlevel = [UNSET] * n
+    schedule: defaultdict[int, list[int]] = defaultdict(list)
     level0 = []
     for v, p in enumerate(m.partner):
         if p is None:
@@ -103,8 +111,8 @@ def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> P
         preds=[[] for _ in range(n)],
         pred_alive=[0] * n,
         edge_state=[UNSCANNED] * g.m,
-        br={},
-        deferred_at={},
+        br=defaultdict(deque),
+        deferred_at=defaultdict(list),
         petal_of=[None] * n,
         petals=[],
         jump=list(range(n)),
@@ -112,6 +120,12 @@ def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> P
         schedule=schedule,
         trace=trace,
     )
+
+
+def levels_with_inf(levels: list[int]) -> list[float]:
+    """The levels with UNSET written as math.inf, as the oracle and the
+    printed output have them."""
+    return [INF if x == UNSET else x for x in levels]
 
 
 def bud_star(s: PhaseState, v: int) -> int:
@@ -124,7 +138,7 @@ def bud_star(s: PhaseState, v: int) -> int:
     return root
 
 
-def bridge_side(s: PhaseState, m: MatchingState, u: int, v: int) -> list[float]:
+def bridge_side(s: PhaseState, m: MatchingState, u: int, v: int) -> list[int]:
     """The levels a bridge (u, v) joins: odd levels if it is matched, else
     even levels.  Its tenacity is side[u] + side[v] + 1."""
     return s.oddlevel if m.partner[u] == v else s.evenlevel
@@ -132,21 +146,25 @@ def bridge_side(s: PhaseState, m: MatchingState, u: int, v: int) -> list[float]:
 
 def _try_file(s: PhaseState, g: Graph, m: MatchingState, eid: int) -> None:
     """File a classified bridge into Br(tenacity) once both relevant
-    endpoint levels are known; otherwise defer on the unknown endpoints."""
+    endpoint levels are known; otherwise defer on the unknown endpoints.
+    Once l_m is known a bridge of higher tenacity is left unfiled: the
+    phase ends before its level."""
     if s.edge_state[eid] == FILED:
         return
     u, v = g.edges[eid]
     levels = bridge_side(s, m, u, v)
     t = levels[u] + levels[v] + 1
-    if t == INF:
+    if t > UNSET:  # an end's level is still UNSET
         for x in (u, v):
-            if levels[x] == INF:
-                s.deferred_at.setdefault(x, []).append(eid)
+            if levels[x] == UNSET:
+                s.deferred_at[x].append(eid)
+        return
+    if t > s.l_m:
         return
     s.edge_state[eid] = FILED
-    s.br.setdefault(int(t), deque()).append(eid)
+    s.br[t].append(eid)
     if s.trace is not None:
-        s.trace(f"bridge {u} {v} tenacity {int(t)}")
+        s.trace(f"bridge {u} {v} tenacity {t}")
 
 
 def min_step(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
@@ -179,10 +197,10 @@ def min_step(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
                 continue
             if even[v] >= nxt and odd[v] >= nxt:
                 edge_state[eid] = PROP
-                if target_levels[v] == INF:
+                if target_levels[v] == UNSET:
                     target_levels[v] = nxt
                     if next_sched is None:
-                        next_sched = s.schedule.setdefault(nxt, [])
+                        next_sched = s.schedule[nxt]
                     next_sched.append(v)
                     if s.trace is not None:
                         s.trace(f"minlevel {v} {nxt}")
@@ -198,27 +216,30 @@ def _assign_maxlevels(
 ) -> None:
     """Give each new petal member its maxlevel (2i+1 - minlevel) and
     resolve bridges whose tenacity becomes computable."""
+    even, odd = s.evenlevel, s.oddlevel
+    edge_state, removed, partner = s.edge_state, s.removed, m.partner
     for w in members:
-        maxl = t - int(s.minlevel(w))
-        target = s.evenlevel if maxl % 2 == 0 else s.oddlevel
-        if target[w] != INF:
+        ew, ow = even[w], odd[w]
+        maxl = t - (ew if ew < ow else ow)
+        target = even if maxl % 2 == 0 else odd
+        if target[w] != UNSET:
             continue
         target[w] = maxl
-        s.schedule.setdefault(maxl, []).append(w)
+        s.schedule[maxl].append(w)
         for eid in s.deferred_at.pop(w, ()):
             _try_file(s, g, m, eid)
         if maxl % 2 == 0:
-            # Newly resolved inner vertex: non-prop incident edges whose
-            # bridge status is already forced can now be filed.
+            # Newly resolved inner vertex: an unscanned unmatched edge to
+            # an already-leveled vertex can never become a prop, so it is
+            # a bridge whose tenacity is now known.
             for x, eid in g.adj[w]:
-                if s.edge_state[eid] in (PROP, FILED):
-                    continue
-                if s.edge_state[eid] == BRIDGE:
-                    _try_file(s, g, m, eid)
-                elif m.partner[w] != x and s.minlevel(x) != INF and not s.removed[x]:
-                    # Unscanned unmatched edge to an already-leveled vertex
-                    # can never become a prop.
-                    s.edge_state[eid] = BRIDGE
+                if (
+                    edge_state[eid] == UNSCANNED
+                    and partner[w] != x
+                    and (even[x] != UNSET or odd[x] != UNSET)
+                    and not removed[x]
+                ):
+                    edge_state[eid] = BRIDGE
                     _try_file(s, g, m, eid)
 
 
@@ -254,7 +275,9 @@ class _AdapterView:
         self.s = s
 
     def layer(self, v: int) -> int:
-        return int(self.s.minlevel(v))
+        s = self.s
+        e, o = s.evenlevel[v], s.oddlevel[v]
+        return e if e < o else o
 
     def out_edges(self, v: int) -> list[int]:
         s = self.s
@@ -278,13 +301,15 @@ def _process_bridges(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
     t = 2 * i + 1
     queue = s.br.get(t)
     view = _AdapterView(s)
+    jump, removed = s.jump, s.removed
     while queue:
         eid = queue.popleft()
         u, v = g.edges[eid]
-        if s.removed[u] or s.removed[v]:
+        if removed[u] or removed[v]:
             continue
-        ru, rv = bud_star(s, u), bud_star(s, v)
-        if ru == rv or s.removed[ru] or s.removed[rv]:
+        ru = u if jump[u] == u else bud_star(s, u)
+        rv = v if jump[v] == v else bud_star(s, v)
+        if ru == rv or removed[ru] or removed[rv]:
             # Ends sharing a bud* have empty support: no petal, no path.
             continue
         outcome = run_ddfs(view, ru, rv, trace=s.trace)
@@ -292,8 +317,7 @@ def _process_bridges(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
             _form_petal(s, g, m, eid, outcome, i)
             continue
         assert isinstance(outcome, TwoPaths)
-        if s.l_m == INF:
-            s.l_m = t
+        s.l_m = t
         path = extract_path(s, g, m, outcome, eid)
         s.found_paths.append(path)
         if s.trace is not None:
@@ -321,4 +345,5 @@ def run_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> Ph
         if s.found_paths or not (s.schedule or s.br):
             break
         i += 1
-    return PhaseResult(paths=s.found_paths, l_m=s.l_m, state=s, levels_run=i + 1)
+    l_m = s.l_m if s.found_paths else INF
+    return PhaseResult(paths=s.found_paths, l_m=l_m, state=s, levels_run=i + 1)

@@ -10,15 +10,13 @@ petal classes are read from a finished phase's petal records.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from collections import Counter
 from typing import Optional
 
 from mvmatching.ddfs import GREEN, RED, Bottleneck, DdfsOutcome, run_ddfs
 from mvmatching.graph import Graph, MatchingState
-
-INF = math.inf
+from mvmatching.phase import UNSET
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +227,7 @@ def engine_base_classes(s, l_m: float) -> dict[tuple[int, int], set[int]]:
     classes: dict[tuple[int, int], set[int]] = {}
     for v in range(s.n):
         t = s.tenacity(v)
-        if t == INF or t >= l_m:
+        if UNSET in (s.evenlevel[v], s.oddlevel[v]) or t >= l_m:
             continue
         b = v
         while s.petal_of[b] is not None and s.tenacity(b) == t:

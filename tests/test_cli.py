@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import mvmatching
 from mvmatching.cli import TRACE_HEADER, main
 from mvmatching.graph import parse_dimacs, parse_matching, serialize_dimacs
 
@@ -290,6 +296,35 @@ class TestBench:
         code, out, _ = _run(capsys, ["bench", "--n", "5", "--m", "0"])
         assert code == 0
         assert out.splitlines()[1].startswith("5 0 1 ")
+
+
+class TestInputLimits:
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_huge_vertex_count_exits_2_under_memory_cap(self, tmp_path, command) -> None:
+        # A one-line input that declares 10^9 vertices, read from stdin by
+        # a child process limited to 1.5 GB of address space.
+        resource = pytest.importorskip("resource")
+        cap = 1_500_000 * 1024
+
+        def limit_memory() -> None:
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        matching = tmp_path / "m.txt"
+        matching.write_text("size 0\n")
+        extra = [str(matching)] if command == "verify" else []
+        src = str(Path(mvmatching.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-m", "mvmatching.cli", command, "-", *extra],
+            input="p edge 1000000000 0\n",
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=limit_memory,
+            timeout=120,
+        )
+        assert out.returncode == 2, out.stderr
+        assert out.stderr.startswith("error:") and "limit" in out.stderr
+        assert "Traceback" not in out.stderr
 
 
 class TestUsage:

@@ -10,12 +10,12 @@ from pathlib import Path
 import pytest
 
 import mvmatching
+from mvmatching.phase import UNSET
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(demo: Path) -> None:
+def _run_demo(demo: Path) -> str:
     src = str(Path(mvmatching.__file__).resolve().parents[1])
     out = subprocess.run(
         [sys.executable, str(demo)],
@@ -25,4 +25,17 @@ def test_demo_runs(demo: Path) -> None:
         timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout
+    return out.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_runs(demo: Path) -> None:
+    assert _run_demo(demo)
+
+
+def test_walkthrough_prints_unset_levels_as_inf() -> None:
+    (walkthrough,) = [d for d in DEMOS if d.name == "blossom_walkthrough.py"]
+    out = _run_demo(walkthrough)
+    # The free vertex 0 never gets an oddlevel.
+    assert "  0: 0/inf\n" in out
+    assert str(UNSET) not in out

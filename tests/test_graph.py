@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mvmatching.graph import (
+    MAX_VERTICES,
     AlternatingPath,
     Graph,
     GraphFormatError,
@@ -77,6 +78,10 @@ class TestParseDimacs:
     def test_parallel_edges_merged(self) -> None:
         g = parse_dimacs("p edge 3 3\ne 1 2\ne 2 1\ne 1 2")
         assert g.edges == ((0, 1),)
+
+    def test_vertex_count_above_limit(self) -> None:
+        with pytest.raises(GraphFormatError, match="limit"):
+            parse_dimacs(f"p edge {MAX_VERTICES + 1} 0")
 
 
 class TestValidateMatching:

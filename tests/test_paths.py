@@ -18,7 +18,9 @@ from mvmatching.graph import serialize_dimacs, serialize_matching
 from mvmatching.oracle import _iter_alternating_paths, compute_profile
 from mvmatching.paths import _walk, recursive_remove
 from mvmatching.phase import (
+    UNSET,
     PhaseResult,
+    PhaseState,
     _process_bridges,
     init_phase,
     max_step,
@@ -163,18 +165,21 @@ class TestRecursiveRemove:
         assert s.removed[2]
 
     def test_removal_follows_prop_edges_only(self) -> None:
-        # Path 0-1-2-3 with (1, 2) matched, and free 4 hanging off 0.
-        # Props run 0 -> 1 and 3 -> 2; (1, 2) is a bridge and (0, 4)
-        # joins two free vertices.  Removing 0 takes 1, its only
-        # predecessor gone, but neither 2 across the bridge nor 4, which
-        # is left without a live neighbour.
-        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (0, 4)])
-        m = MatchingState(5, [(1, 2)])
-        s = init_phase(g, m)
-        for i in range(2):
-            min_step(s, g, m, i)
-        recursive_remove(s, g, m, {0})
-        assert s.removed == [True, True, False, False, False]
+        # 0-1=2-5=6-3 ('=' matched) with free 0, 3 and 4, and 4 hanging
+        # off 0.  Props run 0 -> 1 -> 2 and 3 -> 6 -> 5; (2, 5) is not a
+        # prop and (0, 4) joins two free vertices.  Removing 0 takes 1
+        # and then 2, each losing its only predecessor, but neither 5
+        # across (2, 5) nor 4.  Once l_m = 3 is known the cascade stops
+        # at minlevel 1, so 2 stays.
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (2, 5), (5, 6), (6, 3), (0, 4)])
+        m = MatchingState(7, [(1, 2), (5, 6)])
+        for l_m, gone in ((UNSET, [0, 1, 2]), (3, [0, 1])):
+            s = init_phase(g, m)
+            for i in range(2):
+                min_step(s, g, m, i)
+            s.l_m = l_m
+            recursive_remove(s, g, m, {0})
+            assert [v for v in range(g.n) if s.removed[v]] == gone, l_m
 
     def test_remaining_leveled_matched_vertices_keep_predecessors(self) -> None:
         g, m = support.two_bridges_graph()
@@ -183,9 +188,59 @@ class TestRecursiveRemove:
         for v in range(g.n):
             if s.removed[v] or not m.is_matched(v):
                 continue
-            if min(s.evenlevel[v], s.oddlevel[v]) == INF:
+            if min(s.evenlevel[v], s.oddlevel[v]) == UNSET:
                 continue
             assert s.pred_alive[v] >= 1, v
+
+
+def _uncapped_removal(s: PhaseState, seeds: set[int]) -> set[int]:
+    """The vertices the cascade removes with no cap: the seeds, then, in
+    minlevel order, every vertex with predecessors once all are gone."""
+    gone = set(seeds)
+    for z in sorted(range(s.n), key=s.minlevel):
+        if z not in gone and s.preds[z] and gone.issuperset(s.preds[z]):
+            gone.add(z)
+    return gone
+
+
+def _check_removal_cap(result: PhaseResult) -> set[int]:
+    """After a phase whose paths have length l_m = 2i+1, no vertex of
+    minlevel above i is removed, and removal at minlevel <= i is the
+    uncapped cascade from the path vertices.  Returns that cascade."""
+    s = result.state
+    top = (result.l_m - 1) // 2
+    uncapped = _uncapped_removal(s, {v for p in result.paths for v in p.vertices})
+    for v in range(s.n):
+        if s.minlevel(v) > top:
+            assert not s.removed[v], v
+        else:
+            assert s.removed[v] == (v in uncapped), v
+    return uncapped
+
+
+class TestRemovalCap:
+    def test_no_removal_above_last_level(self) -> None:
+        # Path 0-1=2-3 plus the matched arm 0-5=4.  The phase's path
+        # 0-1-2-3 has l_m = 3, so i = 1: 5 (minlevel 1) loses its only
+        # predecessor 0 and goes, but 4 (minlevel 2) stays, though the
+        # uncapped cascade would take it through 5.
+        g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 5), (5, 4)])
+        m = MatchingState(6, [(1, 2), (5, 4)])
+        result = run_phase(g, m)
+        assert result.l_m == 3
+        uncapped = _check_removal_cap(result)
+        assert result.state.removed[5] and not result.state.removed[4]
+        assert 4 in uncapped
+
+    @PROPERTY_SETTINGS
+    @given(inst=_small_instance())
+    def test_removal_capped_at_last_level(
+        self, inst: tuple[Graph, MatchingState]
+    ) -> None:
+        g, m = inst
+        result = run_phase(g, m)
+        if result.paths:
+            _check_removal_cap(result)
 
 
 class TestCollectMaximal:
@@ -235,7 +290,7 @@ class TestCollectMaximal:
         result = run_phase(g, m)
         s = result.state
         before = [p.vertices for p in s.found_paths]
-        _process_bridges(s, g, m, (int(s.l_m) - 1) // 2)
+        _process_bridges(s, g, m, (s.l_m - 1) // 2)
         assert [p.vertices for p in s.found_paths] == before
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -13,6 +14,7 @@ from mvmatching.phase import (
     BRIDGE,
     FILED,
     PROP,
+    UNSET,
     bridge_side,
     bud_star,
     _AdapterView,
@@ -21,6 +23,7 @@ from mvmatching.phase import (
     min_step,
     run_phase,
 )
+from mvmatching.solver import maximum_matching
 
 import support
 
@@ -48,13 +51,13 @@ class TestInitPhase:
         g = support.k4()
         s = init_phase(g, MatchingState(4))
         assert s.evenlevel == [0, 0, 0, 0]
-        assert s.oddlevel == [INF] * 4
+        assert s.oddlevel == [UNSET] * 4
 
     def test_p4_middle_edge(self) -> None:
         g, m = support.p4()
         s = init_phase(g, m)
-        assert s.evenlevel == [0, INF, INF, 0]
-        assert s.oddlevel == [INF] * 4
+        assert s.evenlevel == [0, UNSET, UNSET, 0]
+        assert s.oddlevel == [UNSET] * 4
 
     def test_perfectly_matched_k2_terminates_immediately(self) -> None:
         g = Graph.from_edges(2, [(0, 1)])
@@ -260,6 +263,47 @@ class TestSynchronizationSafety:
             assert t % 2 == 1 and level <= (t - 1) // 2
             side = bridge_side(s, m, u, v)
             assert t == side[u] + side[v] + 1
+
+
+class TestLevelsAreInts:
+    @PROPERTY_SETTINGS
+    @given(inst=_small_instance())
+    def test_finished_phases_hold_int_levels(
+        self, inst: tuple[Graph, MatchingState]
+    ) -> None:
+        g, m = inst
+        final, _ = maximum_matching(g, m)
+        # The phase on the given matching and the certifying phase.
+        for start in (m, final):
+            s = run_phase(g, start).state
+            assert all(type(x) is int for x in s.evenlevel + s.oddlevel)
+            assert type(s.l_m) is int
+
+
+class TestFilingStopsAtLm:
+    def test_no_bridge_above_lm_after_first_path(self) -> None:
+        # Once a phase has found a path of length l_m it ends at that
+        # level, so a bridge of higher tenacity is never filed after it.
+        rng = random.Random(6006)
+        phases_with_paths = 0
+        for k in range(300):
+            n = rng.randint(2, 40)
+            edges = rng.randint(0, min(n * (n - 1) // 2, 4 * n))
+            g = generate_random_graph(n, edges, rng.randrange(2**32))
+            start = MatchingState(n) if k % 2 else None
+            lines: list[str] = []
+            maximum_matching(g, start, trace=lines.append)
+            l_m = None
+            for line in lines:
+                words = line.split()
+                if words[:2] == ["level", "0"]:
+                    l_m = None
+                elif words[0] == "path" and l_m is None:
+                    l_m = len(words[1].split("-")) - 1
+                    phases_with_paths += 1
+                elif words[0] == "bridge" and l_m is not None:
+                    assert int(words[4]) <= l_m, (k, line)
+        assert phases_with_paths > 300
 
 
 class TestEngineAgainstOracle:
