@@ -10,7 +10,6 @@ from .graph import (
     Graph,
     GraphFormatError,
     MatchingState,
-    augment,
     generate_random_graph,
     parse_dimacs,
     parse_matching,
@@ -27,7 +26,6 @@ __all__ = [
     "GraphFormatError",
     "MatchingState",
     "PhaseResult",
-    "augment",
     "generate_random_graph",
     "maximum_matching",
     "parse_dimacs",

@@ -1,27 +1,20 @@
 """Double depth-first search over an abstract layered structure.
 
-Two coordinated DFS trees (red rooted at r, green rooted at g) descend a
-layered DAG.  The search ends either at the highest bottleneck vertex --
-a vertex every root-to-layer-0 path must cross -- together with a
-red/green partition of the visited vertices, or with two vertex-disjoint
-paths reaching distinct layer-0 vertices.
+Two coordinated DFS trees (red rooted at r, green rooted at g, r != g)
+descend a layered DAG.  The search ends either at the highest bottleneck
+vertex -- a vertex every root-to-layer-0 path must cross -- together with
+a red/green partition of the visited vertices, or with two
+vertex-disjoint paths reaching distinct layer-0 vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Protocol
+from typing import Callable, Iterator, Optional, Protocol
 
 RED = 0
 GREEN = 1
 _NAMES = ("red", "green")
-
-# Coordination modes: NORMAL alternates the trees by the keep-ahead rule;
-# in SEEK_RED / SEEK_GREEN one tree must find a vertex at or below the
-# contested vertex's layer while the other waits.
-_NORMAL = 0
-_SEEK_RED = 1
-_SEEK_GREEN = 2
 
 
 class LayeredView(Protocol):
@@ -52,27 +45,30 @@ class Bottleneck:
 
 @dataclass
 class TwoPaths:
-    r0: int
-    g0: int
+    """Vertex-disjoint descents from the red and the green root to two
+    distinct layer-0 vertices, each listed root first."""
+
     red_path: list[int]
     green_path: list[int]
 
 
-@dataclass
-class EmptySupport:
-    """The roots coincide: nothing to search."""
-
-
-DdfsOutcome = Bottleneck | TwoPaths | EmptySupport
+DdfsOutcome = Bottleneck | TwoPaths
 
 TraceFn = Callable[[str], None]
+
+
+def tree_path(parent: dict[int, Optional[int]], v: int) -> list[int]:
+    """The path from the root of a DDFS parent map down to v."""
+    path = [v]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 class _Ddfs:
     def __init__(self, view: LayeredView, r: int, g: int, trace: Optional[TraceFn]):
         self.view = view
         self.trace = trace
-        self.roots = (r, g)
         self.color: dict[int, int] = {r: RED, g: GREEN}
         self.parent: tuple[dict[int, Optional[int]], dict[int, Optional[int]]] = (
             {r: None},
@@ -84,27 +80,30 @@ class _Ddfs:
         )
         self.center = [r, g]
         self.barrier = [r, g]
-        self.mode = _NORMAL
+        # None while the trees alternate by the keep-ahead rule; else the
+        # tree that must find a vertex at or below the contested vertex's
+        # layer while the other waits.
+        self.seeker: Optional[int] = None
         self.contested: Optional[int] = None
-        self.outs: dict[int, list[int]] = {}
-        self.next_edge: dict[int, int] = {}
+        # Each visited vertex's out-edges not yet taken.
+        self.pending: dict[int, Iterator[int]] = {}
 
     # -- view access -------------------------------------------------
 
-    def _out_edges(self, v: int) -> list[int]:
-        cached = self.outs.get(v)
-        if cached is None:
-            cached = list(self.view.out_edges(v))
+    def _pending(self, v: int) -> Iterator[int]:
+        edges = self.pending.get(v)
+        if edges is None:
+            outs = list(self.view.out_edges(v))
             lv = self.view.layer(v)
-            for u in cached:
+            for u in outs:
                 if self.view.layer(u) >= lv:
                     raise LayeredViewError(
                         f"edge ({v}, {u}) does not strictly decrease layer"
                     )
-            if not cached and lv > 0:
+            if not outs and lv > 0:
                 raise LayeredViewError(f"dead end at {v} (layer {lv})")
-            self.outs[v] = cached
-        return cached
+            edges = self.pending[v] = iter(outs)
+        return edges
 
     def _emit(self, action: str, tree: Optional[int], vertex: int) -> None:
         if self.trace is not None:
@@ -120,12 +119,9 @@ class _Ddfs:
         self.children[t].setdefault(c, []).append(u)
         self.center[t] = u
         self._emit("advance", t, u)
-        if (
-            (self.mode == _SEEK_RED and t == RED)
-            or (self.mode == _SEEK_GREEN and t == GREEN)
-        ) and self.view.layer(u) <= self.view.layer(self.contested):
+        if self.seeker == t and self.view.layer(u) <= self.view.layer(self.contested):
             self._emit("terminate_seek", t, u)
-            self.mode = _NORMAL
+            self.seeker = None
             self.contested = None
 
     def _transfer_subtree(self, v: int, from_t: int, to_t: int) -> None:
@@ -151,11 +147,9 @@ class _Ddfs:
     # -- coordination -------------------------------------------------
 
     def run(self) -> DdfsOutcome:
-        r, g = self.roots
-        if r == g:
-            return EmptySupport()
         while True:
-            if self.mode == _NORMAL:
+            t = self.seeker
+            if t is None:
                 lr = self.view.layer(self.center[RED])
                 lg = self.view.layer(self.center[GREEN])
                 if lr >= lg and lr > 0:
@@ -164,43 +158,30 @@ class _Ddfs:
                     t = GREEN
                 else:
                     return self._two_paths()
-            elif self.mode == _SEEK_RED:
-                t = RED
-            else:
-                t = GREEN
             outcome = self._step(t)
             if outcome is not None:
                 return outcome
 
     def _step(self, t: int) -> Optional[DdfsOutcome]:
-        o = 1 - t
         c = self.center[t]
-        outs = self._out_edges(c)
-        while True:
-            i = self.next_edge.get(c, 0)
-            if i < len(outs):
-                self.next_edge[c] = i + 1
-                u = outs[i]
-                owner = self.color.get(u)
-                if owner is None:
-                    self._claim(t, u)
-                    return None
-                if u == self.contested:
-                    continue
-                if self.mode == _NORMAL and u == self.center[o]:
-                    return self._meet(t, u)
-                continue  # interior of a tree: skip
-            # Out-edges exhausted: back up or resolve the contest.
-            if c != self.barrier[t]:
-                self._backtrack(t, c)
+        for u in self._pending(c):
+            if u not in self.color:
+                self._claim(t, u)
                 return None
-            if self.mode == _SEEK_RED and t == RED:
-                return self._concede_red()
-            if self.mode == _SEEK_GREEN and t == GREEN:
-                return self._bottleneck(self.contested)
+            if u == self.contested:
+                continue
+            if self.seeker is None and u == self.center[1 - t]:
+                return self._meet(t, u)
+            # interior of a tree: skip
+        # Out-edges exhausted: back up or resolve the contest.
+        if c != self.barrier[t]:
+            self._backtrack(t, c)
+            return None
+        if self.seeker != t:
             raise DdfsInternalError(
                 f"{_NAMES[t]} starved at barrier {c} outside a contest"
             )
+        return self._concede_red() if t == RED else self._bottleneck(self.contested)
 
     def _meet(self, prober: int, v: int) -> Optional[DdfsOutcome]:
         """The prober reached the other tree's center: contest v.
@@ -211,11 +192,11 @@ class _Ddfs:
         self.parent[prober][v] = self.center[prober]
         self.children[prober].setdefault(self.center[prober], []).append(v)
         self._emit("meet", prober, v)
+        self.contested = v
         if self.barrier[RED] == v:
             # Red already won v once and may not rescind: green (the
             # prober) concedes the vertex immediately and must seek.
-            self.mode = _SEEK_GREEN
-            self.contested = v
+            self.seeker = GREEN
             self._emit("reassign", RED, v)
             return None
         if self.color[v] == RED:
@@ -224,8 +205,7 @@ class _Ddfs:
             self.color[v] = GREEN
         if prober == GREEN:
             self.center[GREEN] = v
-        self.mode = _SEEK_RED
-        self.contested = v
+        self.seeker = RED
         self._emit("reassign", GREEN, v)
         return None
 
@@ -241,7 +221,7 @@ class _Ddfs:
         if self.parent[GREEN].get(v) is None or v == self.barrier[GREEN]:
             return self._bottleneck(v)
         self._backtrack(GREEN, v)
-        self.mode = _SEEK_GREEN
+        self.seeker = GREEN
         return None
 
     def _bottleneck(self, b: int) -> Bottleneck:
@@ -249,31 +229,20 @@ class _Ddfs:
         return Bottleneck(b, self.color, self.parent[RED], self.parent[GREEN])
 
     def _two_paths(self) -> TwoPaths:
-        def chain(t: int) -> list[int]:
-            path = [self.center[t]]
-            while True:
-                p = self.parent[t][path[-1]]
-                if p is None:
-                    break
-                path.append(p)
-            path.reverse()
-            return path
-
-        red_path = chain(RED)
-        green_path = chain(GREEN)
+        red_path = tree_path(self.parent[RED], self.center[RED])
+        green_path = tree_path(self.parent[GREEN], self.center[GREEN])
         self._emit("terminate", None, self.center[RED])
-        return TwoPaths(
-            r0=self.center[RED],
-            g0=self.center[GREEN],
-            red_path=red_path,
-            green_path=green_path,
-        )
+        return TwoPaths(red_path, green_path)
 
 
 def run_ddfs(
     view: LayeredView, r: int, g: int, trace: Optional[TraceFn] = None
 ) -> DdfsOutcome:
-    """Run the double depth-first search from roots r (red) and g (green).
+    """Run the double depth-first search from distinct roots r (red) and
+    g (green); raises ValueError when r == g, since coinciding roots
+    leave nothing to search.
 
     Each step is traced as `ddfs <action> <tree> <vertex> <layer>`."""
+    if r == g:
+        raise ValueError(f"DDFS roots coincide at {r}")
     return _Ddfs(view, r, g, trace).run()

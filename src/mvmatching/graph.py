@@ -12,8 +12,9 @@ from typing import Iterable, Optional, TextIO
 
 
 # The most vertices a graph may have.  Every array the engine keeps is
-# sized by n, so a larger n is refused before anything is allocated.
-MAX_VERTICES = 1 << 24
+# sized by n, about 200 bytes a vertex in all, so 2^22 vertices stay near
+# 1 GB; a larger n is refused before anything is allocated.
+MAX_VERTICES = 1 << 22
 
 
 class GraphFormatError(ValueError):
@@ -255,21 +256,11 @@ def check_alternating(g: Graph, m: MatchingState, path: list[int]) -> Optional[s
     return None
 
 
-def augment(m: MatchingState, g: Graph, p: AlternatingPath) -> MatchingState:
-    """Flip the matched/unmatched edges along an augmenting path.
+def augment_in_place(m: MatchingState, g: Graph, p: AlternatingPath) -> None:
+    """Flip the matched/unmatched edges of m along an augmenting path.
 
     Raises ValueError unless p is a simple alternating path between two
-    unmatched vertices starting and ending with unmatched edges.
-    Returns a new MatchingState; see augment_in_place for the mutating
-    variant.
-    """
-    out = m.copy()
-    augment_in_place(out, g, p)
-    return out
-
-
-def augment_in_place(m: MatchingState, g: Graph, p: AlternatingPath) -> None:
-    """Validate and apply an augmenting path directly to m."""
+    unmatched vertices starting and ending with unmatched edges."""
     path = p.vertices
     if len(path) < 2:
         raise ValueError(f"augmenting path must have at least 2 vertices, got {len(path)}")
@@ -289,6 +280,8 @@ def augment_in_place(m: MatchingState, g: Graph, p: AlternatingPath) -> None:
 
 def generate_random_graph(n: int, m: int, seed: int) -> Graph:
     """Deterministically sample a simple graph with exactly m distinct edges."""
+    if n < 0:
+        raise ValueError(f"n = {n} is negative")
     cap = n * (n - 1) // 2
     if m > cap:
         raise ValueError(f"m = {m} exceeds simple-graph capacity {cap} for n = {n}")

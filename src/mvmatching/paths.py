@@ -15,9 +15,9 @@ is built.
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
-from .ddfs import GREEN, TwoPaths
+from .ddfs import GREEN, TwoPaths, tree_path
 from .graph import AlternatingPath, Graph, MatchingState
 from .phase import PROP, PhaseState, bridge_side
 
@@ -63,14 +63,6 @@ def _down(s: PhaseState, x: int, level: int, chain: list[int], pid: int) -> list
     return items
 
 
-def _tree_path(tree: dict[int, Optional[int]], v: int) -> list[int]:
-    """Contracted descent from the root of a DDFS parent map down to v."""
-    chain = [v]
-    while tree[chain[-1]] is not None:
-        chain.append(tree[chain[-1]])
-    return chain[::-1]
-
-
 def _search(s: PhaseState, x: int, bud: int, pid: int) -> list[int]:
     """Contracted descent [x, ..., bud] of an outer member x of petal
     `pid`: depth-first over the petal's members, each visited once."""
@@ -101,8 +93,8 @@ def _inner(s: PhaseState, g: Graph, m: MatchingState, x: int, pid: int) -> list[
     if petal.color[x] == GREEN:
         c, d, own, other = d, c, other, own
     side = bridge_side(s, m, c, d)
-    climb = _down(s, c, side[c], _tree_path(own, x), pid)
-    return [x] + _flip(climb) + _down(s, d, side[d], _tree_path(other, petal.bud), pid)
+    climb = _down(s, c, side[c], tree_path(own, x), pid)
+    return [x] + _flip(climb) + _down(s, d, side[d], tree_path(other, petal.bud), pid)
 
 
 def _walk(s: PhaseState, g: Graph, m: MatchingState, items: list[Item]) -> list[int]:
@@ -150,7 +142,7 @@ def extract_path(
     return AlternatingPath(path)
 
 
-def recursive_remove(s: PhaseState, g: Graph, m: MatchingState, seed: set[int]) -> None:
+def recursive_remove(s: PhaseState, g: Graph, seed: set[int]) -> None:
     """Remove the seed vertices, then cascade: a vertex goes once its last
     live predecessor has gone.  The successors of w are the ends of its
     PROP edges at a higher minlevel, since a prop always runs from the

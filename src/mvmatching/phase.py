@@ -12,11 +12,11 @@ work remains.
 from __future__ import annotations
 
 import math
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .ddfs import Bottleneck, TraceFn, TwoPaths, run_ddfs
+from .ddfs import Bottleneck, TraceFn, run_ddfs
 from .graph import AlternatingPath, Graph, MatchingState
 
 INF = math.inf
@@ -59,7 +59,7 @@ class PhaseState:
     preds: list[list[int]]
     pred_alive: list[int]
     edge_state: list[int]
-    br: defaultdict[int, deque[int]]
+    br: defaultdict[int, list[int]]
     deferred_at: defaultdict[int, list[int]]
     petal_of: list[Optional[int]]
     petals: list[PetalNode]
@@ -111,7 +111,7 @@ def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> P
         preds=[[] for _ in range(n)],
         pred_alive=[0] * n,
         edge_state=[UNSCANNED] * g.m,
-        br=defaultdict(deque),
+        br=defaultdict(list),
         deferred_at=defaultdict(list),
         petal_of=[None] * n,
         petals=[],
@@ -294,16 +294,16 @@ class _AdapterView:
         return out
 
 
-def _process_bridges(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
-    """Drain Br(2i+1) in FIFO order, running DDFS per bridge."""
+def max_step(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
+    """MAX at search level i: run DDFS on each tenacity-(2i+1) bridge in
+    filing order, those filed meanwhile included, and form a petal or
+    take a path from each."""
     from .paths import extract_path, recursive_remove
 
     t = 2 * i + 1
-    queue = s.br.get(t)
     view = _AdapterView(s)
     jump, removed = s.jump, s.removed
-    while queue:
-        eid = queue.popleft()
+    for eid in s.br.get(t, ()):
         u, v = g.edges[eid]
         if removed[u] or removed[v]:
             continue
@@ -316,19 +316,13 @@ def _process_bridges(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
         if isinstance(outcome, Bottleneck):
             _form_petal(s, g, m, eid, outcome, i)
             continue
-        assert isinstance(outcome, TwoPaths)
         s.l_m = t
         path = extract_path(s, g, m, outcome, eid)
         s.found_paths.append(path)
         if s.trace is not None:
             s.trace("path " + "-".join(map(str, path.vertices)))
-        recursive_remove(s, g, m, set(path.vertices))
+        recursive_remove(s, g, set(path.vertices))
     s.br.pop(t, None)
-
-
-def max_step(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
-    """MAX at search level i: process every tenacity-(2i+1) bridge."""
-    _process_bridges(s, g, m, i)
 
 
 def run_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> PhaseResult:

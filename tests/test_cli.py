@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import mvmatching
+from mvmatching import cli
 from mvmatching.cli import TRACE_HEADER, main
-from mvmatching.graph import parse_dimacs, parse_matching, serialize_dimacs
+from mvmatching.graph import MAX_VERTICES, parse_dimacs, parse_matching, serialize_dimacs
 
 import support
 
@@ -242,6 +243,11 @@ class TestGen:
         assert code == 2
         assert "error:" in err
 
+    def test_negative_vertex_count_exits_2(self, capsys) -> None:
+        code, out, err = _run(capsys, ["gen", "-3", "0"])
+        assert code == 2
+        assert err.startswith("error:") and out == ""
+
     def test_roundtrips_with_solve(self, tmp_path, capsys) -> None:
         dest = tmp_path / "g.dimacs"
         code, _, _ = _run(capsys, ["gen", "10", "15", "--seed", "3", "--out", str(dest)])
@@ -266,14 +272,21 @@ class TestOracleCheck:
         assert code == 2
         assert "guard" in err
 
-    def test_fault_injection_detected(self, tmp_path, capsys) -> None:
+    def test_fault_injection_detected(self, tmp_path, capsys, monkeypatch) -> None:
         f = tmp_path / "g.dimacs"
         f.write_text(TRIANGLE_DIMACS)
         code, out, _ = _run(capsys, ["oracle-check", str(f), "--seed", "0"])
         assert code == 0
-        code, out, _ = _run(
-            capsys, ["oracle-check", str(f), "--seed", "0", "--fault-inject"]
-        )
+
+        run_phase = cli.run_phase
+
+        def faulty_run_phase(g, m):
+            result = run_phase(g, m)
+            result.state.evenlevel[0] += 2  # negative-control corruption
+            return result
+
+        monkeypatch.setattr(cli, "run_phase", faulty_run_phase)
+        code, out, _ = _run(capsys, ["oracle-check", str(f), "--seed", "0"])
         assert code == 1
         assert "disagreement" in out
 
@@ -297,12 +310,21 @@ class TestBench:
         assert code == 0
         assert out.splitlines()[1].startswith("5 0 1 ")
 
+    @pytest.mark.parametrize(
+        "n, m", [(5, 100), (-3, 0), (20_000_000, 0)], ids=["capacity", "negative", "limit"]
+    )
+    def test_bad_size_exits_2(self, capsys, n, m) -> None:
+        code, _, err = _run(capsys, ["bench", "--n", str(n), "--m", str(m)])
+        assert code == 2
+        assert err.startswith("error:")
+
 
 class TestInputLimits:
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_huge_vertex_count_exits_2_under_memory_cap(self, tmp_path, command) -> None:
-        # A one-line input that declares 10^9 vertices, read from stdin by
-        # a child process limited to 1.5 GB of address space.
+        # One-line inputs that declare 10^9 vertices and one vertex over
+        # the limit, each read from stdin by a child process limited to
+        # 1.5 GB of address space.
         resource = pytest.importorskip("resource")
         cap = 1_500_000 * 1024
 
@@ -313,18 +335,19 @@ class TestInputLimits:
         matching.write_text("size 0\n")
         extra = [str(matching)] if command == "verify" else []
         src = str(Path(mvmatching.__file__).resolve().parents[1])
-        out = subprocess.run(
-            [sys.executable, "-m", "mvmatching.cli", command, "-", *extra],
-            input="p edge 1000000000 0\n",
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src},
-            preexec_fn=limit_memory,
-            timeout=120,
-        )
-        assert out.returncode == 2, out.stderr
-        assert out.stderr.startswith("error:") and "limit" in out.stderr
-        assert "Traceback" not in out.stderr
+        for n in (10**9, MAX_VERTICES + 1):
+            out = subprocess.run(
+                [sys.executable, "-m", "mvmatching.cli", command, "-", *extra],
+                input=f"p edge {n} 0\n",
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONPATH": src},
+                preexec_fn=limit_memory,
+                timeout=120,
+            )
+            assert out.returncode == 2, (n, out.stderr)
+            assert out.stderr.startswith("error:") and "limit" in out.stderr
+            assert "Traceback" not in out.stderr
 
 
 class TestUsage:

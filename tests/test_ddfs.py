@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mvmatching.ddfs import (
     Bottleneck,
-    EmptySupport,
     LayeredViewError,
     TwoPaths,
     run_ddfs,
@@ -46,7 +45,7 @@ class TestNamedViews:
         view = DictView({0: 0, 1: 0, 2: 1, 3: 1}, {2: [0], 3: [1]})
         out = run_ddfs(view, 2, 3)
         assert isinstance(out, TwoPaths)
-        assert {out.r0, out.g0} == {0, 1}
+        assert {out.red_path[-1], out.green_path[-1]} == {0, 1}
         assert out.red_path == [2, 0]
         assert out.green_path == [3, 1]
 
@@ -67,7 +66,8 @@ class TestNamedViews:
 
     def test_coinciding_roots_give_empty_support(self) -> None:
         view = DictView({0: 0, 1: 1}, {1: [0]})
-        assert isinstance(run_ddfs(view, 1, 1), EmptySupport)
+        with pytest.raises(ValueError, match="coincide"):
+            run_ddfs(view, 1, 1)
 
 
 class TestViewValidation:
@@ -85,16 +85,18 @@ class TestViewValidation:
 
 class TestOutcomeShape:
     def _check(self, view: DictView, r: int, g: int) -> None:
-        out, broken = checked_ddfs(view, r, g)
         kind, b = expected_ddfs(view, r, g)
         if kind == "empty":
-            assert isinstance(out, EmptySupport)
-        elif kind == "paths":
+            with pytest.raises(ValueError, match="coincide"):
+                run_ddfs(view, r, g)
+            return
+        out, broken = checked_ddfs(view, r, g)
+        if kind == "paths":
             assert isinstance(out, TwoPaths)
+            r0, g0 = out.red_path[-1], out.green_path[-1]
             assert out.red_path[0] == r and out.green_path[0] == g
-            assert out.red_path[-1] == out.r0 and out.green_path[-1] == out.g0
-            assert view.layer(out.r0) == 0 and view.layer(out.g0) == 0
-            assert out.r0 != out.g0
+            assert view.layer(r0) == 0 and view.layer(g0) == 0
+            assert r0 != g0
             assert not (set(out.red_path) & set(out.green_path))
             for path in (out.red_path, out.green_path):
                 for a, c in zip(path, path[1:]):
@@ -129,6 +131,8 @@ class TestOutcomeShape:
     @given(seed=_SEED)
     def test_deterministic(self, seed: int) -> None:
         view, r, g = random_layered_view(seed)
+        if r == g:
+            return
         first = run_ddfs(view, r, g)
         second = run_ddfs(view, r, g)
         assert type(first) is type(second)
@@ -144,6 +148,8 @@ class TestTreeRecords:
     @given(seed=_SEED)
     def test_bottleneck_trees_stay_inside_their_color(self, seed: int) -> None:
         view, r, g = random_layered_view(seed)
+        if r == g:
+            return
         out = run_ddfs(view, r, g)
         if not isinstance(out, Bottleneck):
             return

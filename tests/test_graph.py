@@ -12,7 +12,7 @@ from mvmatching.graph import (
     Graph,
     GraphFormatError,
     MatchingState,
-    augment,
+    augment_in_place,
     check_alternating,
     generate_random_graph,
     parse_dimacs,
@@ -115,12 +115,14 @@ class TestValidateMatching:
 class TestAugment:
     def test_single_edge_from_empty_matching(self) -> None:
         g = Graph.from_edges(2, [(0, 1)])
-        m = augment(MatchingState(2), g, AlternatingPath([0, 1]))
+        m = MatchingState(2)
+        augment_in_place(m, g, AlternatingPath([0, 1]))
         assert m.pairs() == [(0, 1)]
 
     def test_p4_full_flip(self) -> None:
         g, m = support.p4()
-        out = augment(m, g, AlternatingPath([0, 1, 2, 3]))
+        out = m.copy()
+        augment_in_place(out, g, AlternatingPath([0, 1, 2, 3]))
         assert out.pairs() == [(0, 1), (2, 3)]
         assert out.size() == m.size() + 1
         assert m.pairs() == [(1, 2)]  # input untouched
@@ -128,12 +130,12 @@ class TestAugment:
     def test_matched_endpoint_rejected(self) -> None:
         g, m = support.p4()
         with pytest.raises(ValueError, match="endpoint 2 matched"):
-            augment(m, g, AlternatingPath([0, 1, 2]))
+            augment_in_place(m.copy(), g, AlternatingPath([0, 1, 2]))
 
     def test_non_alternating_rejected(self) -> None:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(ValueError, match="alternate"):
-            augment(MatchingState(4), g, AlternatingPath([0, 1, 2, 3]))
+            augment_in_place(MatchingState(4), g, AlternatingPath([0, 1, 2, 3]))
 
 
 class TestSerialization:
@@ -212,7 +214,8 @@ class TestGraphProperties:
         path = _find_augmenting_path(g, m)
         if path is None:
             return
-        out = augment(m, g, AlternatingPath(path))
+        out = m.copy()
+        augment_in_place(out, g, AlternatingPath(path))
         assert out.size() == m.size() + 1
         assert validate_matching(g, out) == []
 

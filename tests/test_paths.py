@@ -21,7 +21,6 @@ from mvmatching.phase import (
     UNSET,
     PhaseResult,
     PhaseState,
-    _process_bridges,
     init_phase,
     max_step,
     min_step,
@@ -150,7 +149,7 @@ class TestRecursiveRemove:
         s = init_phase(g, m)
         for i in range(2):
             min_step(s, g, m, i)
-        recursive_remove(s, g, m, {0, 1, 2, 3})
+        recursive_remove(s, g, {0, 1, 2, 3})
         assert all(s.removed)
 
     def test_pendant_matched_pair_cascades(self) -> None:
@@ -161,7 +160,7 @@ class TestRecursiveRemove:
         s = init_phase(g, m)
         for i in range(4):
             min_step(s, g, m, i)
-        recursive_remove(s, g, m, {0, 1})
+        recursive_remove(s, g, {0, 1})
         assert s.removed[2]
 
     def test_removal_follows_prop_edges_only(self) -> None:
@@ -178,7 +177,7 @@ class TestRecursiveRemove:
             for i in range(2):
                 min_step(s, g, m, i)
             s.l_m = l_m
-            recursive_remove(s, g, m, {0})
+            recursive_remove(s, g, {0})
             assert [v for v in range(g.n) if s.removed[v]] == gone, l_m
 
     def test_remaining_leveled_matched_vertices_keep_predecessors(self) -> None:
@@ -290,7 +289,7 @@ class TestCollectMaximal:
         result = run_phase(g, m)
         s = result.state
         before = [p.vertices for p in s.found_paths]
-        _process_bridges(s, g, m, (s.l_m - 1) // 2)
+        max_step(s, g, m, (s.l_m - 1) // 2)
         assert [p.vertices for p in s.found_paths] == before
 
 
