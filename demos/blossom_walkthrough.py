@@ -31,13 +31,12 @@ def main() -> None:
     print("matched pairs:", m.pairs())
     print()
 
-    result = run_phase(g, m, trace=lambda line: print("  " + line))
+    s = run_phase(g, m, trace=lambda line: print("  " + line))
     print()
-    print(f"l_m = {result.l_m}")
-    for p in result.paths:
-        print("augmenting path:", "-".join(map(str, p.vertices)))
+    print(f"l_m = {s.l_m}")
+    for p in s.paths:
+        print("augmenting path:", "-".join(map(str, p)))
 
-    s = result.state
     even, odd = levels_with_inf(s.evenlevel), levels_with_inf(s.oddlevel)
     print()
     print("final levels (vertex: even/odd):")

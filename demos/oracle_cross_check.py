@@ -10,6 +10,7 @@ Run: python3 demos/oracle_cross_check.py [count] [seed]
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 
@@ -47,12 +48,13 @@ def main() -> None:
         for line in violations:
             print(f"instance {k}: {line}")
 
-        result = run_phase(g, m)
-        assert result.l_m == profile.l_m, f"instance {k}: l_m disagrees"
+        s = run_phase(g, m)
+        l_m = s.l_m if s.paths else math.inf
+        assert l_m == profile.l_m, f"instance {k}: l_m disagrees"
         for v in range(g.n):
             if profile.tenacity[v] < profile.l_m:
-                assert result.state.evenlevel[v] == profile.evenlevel[v]
-                assert result.state.oddlevel[v] == profile.oddlevel[v]
+                assert s.evenlevel[v] == profile.evenlevel[v]
+                assert s.oddlevel[v] == profile.oddlevel[v]
                 level_checks += 1
 
     print(f"{count} instances: {level_checks} level comparisons, "

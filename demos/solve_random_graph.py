@@ -29,8 +29,8 @@ def main() -> None:
     print(f"validation: {'ok' if not violations else violations}")
 
     # Maximality certificate: one more phase must find no augmenting path.
-    result = run_phase(g, matching)
-    assert not result.paths, "matching is not maximum!"
+    s = run_phase(g, matching)
+    assert not s.paths, "matching is not maximum!"
     print("certificate: no augmenting path remains (l_m = infinity)")
 
 

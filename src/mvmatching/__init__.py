@@ -6,7 +6,6 @@ structural oracle for small instances.
 """
 
 from .graph import (
-    AlternatingPath,
     Graph,
     GraphFormatError,
     MatchingState,
@@ -17,15 +16,14 @@ from .graph import (
     serialize_matching,
     validate_matching,
 )
-from .phase import PhaseResult, run_phase
+from .phase import PhaseState, run_phase
 from .solver import maximum_matching
 
 __all__ = [
-    "AlternatingPath",
     "Graph",
     "GraphFormatError",
     "MatchingState",
-    "PhaseResult",
+    "PhaseState",
     "generate_random_graph",
     "maximum_matching",
     "parse_dimacs",

@@ -85,9 +85,9 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
         for v in violations:
             print(f"invalid: {v}")
         return 1
-    result = run_phase(g, m)
-    if result.paths:
-        witness = "-".join(str(v + 1) for v in result.paths[0].vertices)
+    s = run_phase(g, m)
+    if s.paths:
+        witness = "-".join(str(v + 1) for v in s.paths[0])
         print(f"not maximum: augmenting path {witness}")
         return 1
     print(f"valid maximum matching of size {m.size()}")
@@ -140,9 +140,9 @@ def cmd_oracle_check(cfg: argparse.Namespace) -> int:
         for v in violations:
             print(f"matching {idx}: {v}")
             failures += 1
-        result = run_phase(g, m)
-        even = levels_with_inf(result.state.evenlevel)
-        odd = levels_with_inf(result.state.oddlevel)
+        s = run_phase(g, m)
+        even = levels_with_inf(s.evenlevel)
+        odd = levels_with_inf(s.oddlevel)
         for v in range(g.n):
             if profile.tenacity[v] >= profile.l_m:
                 continue
@@ -153,7 +153,7 @@ def cmd_oracle_check(cfg: argparse.Namespace) -> int:
                     f"({profile.evenlevel[v]}, {profile.oddlevel[v]})"
                 )
                 failures += 1
-        engine_lm = result.l_m
+        engine_lm = s.l_m if s.paths else math.inf
         if engine_lm != profile.l_m:
             print(f"matching {idx}: engine l_m {engine_lm} != oracle {profile.l_m}")
             failures += 1

@@ -7,7 +7,7 @@ is used only at the I/O boundary.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO
 
 
@@ -16,10 +16,16 @@ from typing import Iterable, Optional, TextIO
 # 1 GB; a larger n is refused before anything is allocated.
 MAX_VERTICES = 1 << 22
 
+# The most edges `generate_random_graph` samples; a larger m is refused
+# before anything is allocated.  Its memory grows with m: `mvmatch gen`
+# and `mvmatch bench` at 10^6 edges peaked near 540 MB (n = 2*10^5, or
+# n = 2,000 when dense), well within a 1.5 GB address space.
+MAX_EDGES = 10**6
+
 
 class GraphFormatError(ValueError):
     """Raised for malformed DIMACS input, out-of-range indices or a
-    vertex count above MAX_VERTICES."""
+    vertex count below 0 or above MAX_VERTICES."""
 
 
 @dataclass(frozen=True)
@@ -41,9 +47,11 @@ class Graph:
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge iterable.
 
-        Self-loops and n above MAX_VERTICES are rejected; duplicate
-        undirected edges are merged.
+        Self-loops and n below 0 or above MAX_VERTICES are rejected;
+        duplicate undirected edges are merged.
         """
+        if n < 0:
+            raise GraphFormatError(f"vertex count {n} is negative")
         if n > MAX_VERTICES:
             raise GraphFormatError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
         index: dict[tuple[int, int], int] = {}
@@ -209,19 +217,6 @@ def parse_matching(text: str | TextIO, n: int) -> MatchingState:
     return MatchingState(n, pairs)
 
 
-@dataclass
-class AlternatingPath:
-    """Ordered vertex sequence; alternation is relative to a MatchingState."""
-
-    vertices: list[int] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return max(0, len(self.vertices) - 1)
-
-    def __iter__(self):
-        return iter(self.vertices)
-
-
 def validate_matching(g: Graph, m: MatchingState) -> list[str]:
     """Return a list of violation descriptions; empty means valid."""
     violations: list[str] = []
@@ -256,12 +251,11 @@ def check_alternating(g: Graph, m: MatchingState, path: list[int]) -> Optional[s
     return None
 
 
-def augment_in_place(m: MatchingState, g: Graph, p: AlternatingPath) -> None:
+def augment_in_place(m: MatchingState, g: Graph, path: list[int]) -> None:
     """Flip the matched/unmatched edges of m along an augmenting path.
 
-    Raises ValueError unless p is a simple alternating path between two
-    unmatched vertices starting and ending with unmatched edges."""
-    path = p.vertices
+    Raises ValueError unless the vertex list is a simple alternating path
+    between two unmatched vertices starting and ending with unmatched edges."""
     if len(path) < 2:
         raise ValueError(f"augmenting path must have at least 2 vertices, got {len(path)}")
     defect = check_alternating(g, m, path)
@@ -282,12 +276,14 @@ def generate_random_graph(n: int, m: int, seed: int) -> Graph:
     """Deterministically sample a simple graph with exactly m distinct edges."""
     if n < 0:
         raise ValueError(f"n = {n} is negative")
+    if m > MAX_EDGES:
+        raise ValueError(f"m = {m} exceeds the limit of {MAX_EDGES} edges")
     cap = n * (n - 1) // 2
     if m > cap:
         raise ValueError(f"m = {m} exceeds simple-graph capacity {cap} for n = {n}")
     rng = random.Random(seed)
     if cap and m > cap // 2:
-        # Dense regime: sample from the explicit pair list to avoid rejection stalls.
+        # Dense regime: sample from the explicit list of cap < 2m pairs to avoid rejection stalls.
         all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
         chosen = rng.sample(all_pairs, m)
         return Graph.from_edges(n, chosen)

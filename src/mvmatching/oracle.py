@@ -182,7 +182,6 @@ class OracleProfile:
     blossoms: dict[tuple[int, int], tuple[frozenset[int], frozenset[int]]] = field(
         default_factory=dict
     )
-    supports: dict[int, frozenset[int]] = field(default_factory=dict)
 
     def minlevel(self, v: int) -> float:
         return min(self.evenlevel[v], self.oddlevel[v])
@@ -219,7 +218,7 @@ def _compute_props(g: Graph, m: MatchingState, even: list[float], odd: list[floa
 def compute_profile(
     g: Graph, m: MatchingState, deep: bool = True, guard: bool = True
 ) -> OracleProfile:
-    """Compute an OracleProfile; `deep` adds bases, blossoms, and supports."""
+    """Compute an OracleProfile; `deep` adds base sets and blossoms."""
     even, odd = brute_levels(g, m, guard=guard)
     tenacity = [even[v] + odd[v] for v in range(g.n)]
     l_m = brute_min_augmenting_length(g, m, guard=guard)
@@ -247,9 +246,6 @@ def compute_profile(
         for v in profile.eligible_vertices():
             profile.base_sets[v] = brute_base_set(g, m, profile, v, guard=guard)
         profile.blossoms = brute_blossoms(g, m, profile, guard=guard)
-        for eid in range(g.m):
-            if edge_class[eid] == "bridge" and edge_tenacity[eid] != INF and edge_tenacity[eid] <= l_m:
-                profile.supports[eid] = brute_support(g, m, profile, eid, guard=guard)
     return profile
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 from typing import Union
 
 from .ddfs import GREEN, TwoPaths, tree_path
-from .graph import AlternatingPath, Graph, MatchingState
 from .phase import PROP, PhaseState, bridge_side
 
 # A work item is a vertex or a segment (x, level, low, pid, rev): the path
@@ -83,21 +82,21 @@ def _search(s: PhaseState, x: int, bud: int, pid: int) -> list[int]:
     raise ExtractionError(f"no descent from {x} to bud {bud} inside petal {pid}")
 
 
-def _inner(s: PhaseState, g: Graph, m: MatchingState, x: int, pid: int) -> list[Item]:
+def _inner(s: PhaseState, x: int, pid: int) -> list[Item]:
     """Items for [x, bud) for an inner member x of petal `pid`: up x's
     colour tree to its bridge end, across the bridge, down the other
     colour's tree to the bud."""
     petal = s.petals[pid]
-    c, d = g.edges[petal.bridge_eid]
+    c, d = s.g.edges[petal.bridge_eid]
     own, other = petal.red_tree, petal.green_tree
     if petal.color[x] == GREEN:
         c, d, own, other = d, c, other, own
-    side = bridge_side(s, m, c, d)
+    side = bridge_side(s, c, d)
     climb = _down(s, c, side[c], tree_path(own, x), pid)
     return [x] + _flip(climb) + _down(s, d, side[d], tree_path(other, petal.bud), pid)
 
 
-def _walk(s: PhaseState, g: Graph, m: MatchingState, items: list[Item]) -> list[int]:
+def _walk(s: PhaseState, items: list[Item]) -> list[int]:
     """Expand work items into the vertices they stand for, in order: each
     segment opens x's petal down to its bud, then goes on down the chain."""
     out: list[int] = []
@@ -117,7 +116,7 @@ def _walk(s: PhaseState, g: Graph, m: MatchingState, items: list[Item]) -> list[
         if level == s.minlevel(x):
             sub = _down(s, x, level, _search(s, x, bud, q), q)
         elif level == s.maxlevel(x):
-            sub = _inner(s, g, m, x, q)
+            sub = _inner(s, x, q)
         else:
             raise ExtractionError(f"vertex {x} has no level {level}")
         sub.append((bud, s.minlevel(bud), low, pid, False))
@@ -125,24 +124,23 @@ def _walk(s: PhaseState, g: Graph, m: MatchingState, items: list[Item]) -> list[
     return out
 
 
-def extract_path(
-    s: PhaseState, g: Graph, m: MatchingState, outcome: TwoPaths, bridge: int
-) -> AlternatingPath:
-    """Recover the augmenting path certified by a TwoPaths outcome."""
-    u, v = g.edges[bridge]
-    side = bridge_side(s, m, u, v)
+def extract_path(s: PhaseState, outcome: TwoPaths, bridge: int) -> list[int]:
+    """Recover the augmenting path certified by a TwoPaths outcome, as
+    its vertex list."""
+    u, v = s.g.edges[bridge]
+    side = bridge_side(s, u, v)
     red, green = (
         _down(s, end, side[end], descent, len(s.petals)) + [descent[-1]]
         for end, descent in ((u, outcome.red_path), (v, outcome.green_path))
     )
-    path = _walk(s, g, m, _flip(red) + green)
-    free_ends = not (m.is_matched(path[0]) or m.is_matched(path[-1]))
+    path = _walk(s, _flip(red) + green)
+    free_ends = not (s.m.is_matched(path[0]) or s.m.is_matched(path[-1]))
     if len(path) - 1 != side[u] + side[v] + 1 or not free_ends:
-        raise ExtractionError(f"no augmenting path through bridge {g.edges[bridge]}")
-    return AlternatingPath(path)
+        raise ExtractionError(f"no augmenting path through bridge {(u, v)}")
+    return path
 
 
-def recursive_remove(s: PhaseState, g: Graph, seed: set[int]) -> None:
+def recursive_remove(s: PhaseState, seed: set[int]) -> None:
     """Remove the seed vertices, then cascade: a vertex goes once its last
     live predecessor has gone.  The successors of w are the ends of its
     PROP edges at a higher minlevel, since a prop always runs from the
@@ -153,7 +151,7 @@ def recursive_remove(s: PhaseState, g: Graph, seed: set[int]) -> None:
     read `removed` at minlevels <= i only.  No vertex above top is
     removed and no vertex at top is walked from.  While l_m is UNSET,
     top lies above every level and nothing is capped."""
-    removed, pred_alive, edge_state = s.removed, s.pred_alive, s.edge_state
+    adj, removed, pred_alive, edge_state = s.g.adj, s.removed, s.pred_alive, s.edge_state
     even, odd = s.evenlevel, s.oddlevel
     top = (s.l_m - 1) // 2
     stack = [v for v in seed if not removed[v]]
@@ -165,7 +163,7 @@ def recursive_remove(s: PhaseState, g: Graph, seed: set[int]) -> None:
         low = ew if ew < ow else ow
         if low >= top:
             continue
-        for z, eid in g.adj[w]:
+        for z, eid in adj[w]:
             if edge_state[eid] != PROP or removed[z]:
                 continue
             ez, oz = even[z], odd[z]

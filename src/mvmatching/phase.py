@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .ddfs import Bottleneck, TraceFn, run_ddfs
-from .graph import AlternatingPath, Graph, MatchingState
+from .graph import Graph, MatchingState
 
-INF = math.inf
 # Level of a vertex not reached yet.  Every real level is at most
 # 4n + 9 (the level cap of `run_phase`), far below UNSET for any
 # n <= graph.MAX_VERTICES, so "unset" compares above every level.
@@ -46,14 +45,16 @@ class PetalNode:
 
 @dataclass
 class PhaseState:
-    """Per-phase search state, each fact held once.  `evenlevel` and
-    `oddlevel` hold ints, UNSET where a level is not assigned, and `l_m`
-    is UNSET until the phase finds its first path.  `preds[v]` lists the
-    tails of v's props in scan order and `pred_alive[v]` counts the live
-    ones; successors are derived (see `paths.recursive_remove`).
-    `edge_state` is UNSCANNED, PROP, BRIDGE or FILED (queued in `br`)."""
+    """One phase's search of graph `g` relative to matching `m`, each fact
+    held once.  `evenlevel` and `oddlevel` hold ints, UNSET where a level
+    is not assigned.  `paths` are vertex lists of `l_m` edges; `l_m` is
+    UNSET until the first path.  `preds[v]` lists the tails of v's props
+    in scan order and `pred_alive[v]` counts the live ones; successors
+    are derived (see `paths.recursive_remove`).  `edge_state` is
+    UNSCANNED, PROP, BRIDGE or FILED (queued in `br`)."""
 
-    n: int
+    g: Graph
+    m: MatchingState
     evenlevel: list[int]
     oddlevel: list[int]
     preds: list[list[int]]
@@ -66,7 +67,7 @@ class PhaseState:
     jump: list[int]
     removed: list[bool]
     schedule: defaultdict[int, list[int]]
-    found_paths: list[AlternatingPath] = field(default_factory=list)
+    paths: list[list[int]] = field(default_factory=list)
     l_m: int = UNSET
     trace: Optional[TraceFn] = None
 
@@ -78,16 +79,6 @@ class PhaseState:
 
     def tenacity(self, v: int) -> int:
         return self.evenlevel[v] + self.oddlevel[v]
-
-
-@dataclass
-class PhaseResult:
-    """A phase's paths and their length l_m, math.inf when there are none."""
-
-    paths: list[AlternatingPath]
-    l_m: float
-    state: PhaseState
-    levels_run: int
 
 
 def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> PhaseState:
@@ -105,7 +96,8 @@ def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> P
     if level0:
         schedule[0] = level0
     return PhaseState(
-        n=n,
+        g=g,
+        m=m,
         evenlevel=evenlevel,
         oddlevel=oddlevel,
         preds=[[] for _ in range(n)],
@@ -125,7 +117,7 @@ def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> P
 def levels_with_inf(levels: list[int]) -> list[float]:
     """The levels with UNSET written as math.inf, as the oracle and the
     printed output have them."""
-    return [INF if x == UNSET else x for x in levels]
+    return [math.inf if x == UNSET else x for x in levels]
 
 
 def bud_star(s: PhaseState, v: int) -> int:
@@ -138,21 +130,21 @@ def bud_star(s: PhaseState, v: int) -> int:
     return root
 
 
-def bridge_side(s: PhaseState, m: MatchingState, u: int, v: int) -> list[int]:
+def bridge_side(s: PhaseState, u: int, v: int) -> list[int]:
     """The levels a bridge (u, v) joins: odd levels if it is matched, else
     even levels.  Its tenacity is side[u] + side[v] + 1."""
-    return s.oddlevel if m.partner[u] == v else s.evenlevel
+    return s.oddlevel if s.m.partner[u] == v else s.evenlevel
 
 
-def _try_file(s: PhaseState, g: Graph, m: MatchingState, eid: int) -> None:
+def _try_file(s: PhaseState, eid: int) -> None:
     """File a classified bridge into Br(tenacity) once both relevant
     endpoint levels are known; otherwise defer on the unknown endpoints.
     Once l_m is known a bridge of higher tenacity is left unfiled: the
     phase ends before its level."""
     if s.edge_state[eid] == FILED:
         return
-    u, v = g.edges[eid]
-    levels = bridge_side(s, m, u, v)
+    u, v = s.g.edges[eid]
+    levels = bridge_side(s, u, v)
     t = levels[u] + levels[v] + 1
     if t > UNSET:  # an end's level is still UNSET
         for x in (u, v):
@@ -167,7 +159,7 @@ def _try_file(s: PhaseState, g: Graph, m: MatchingState, eid: int) -> None:
         s.trace(f"bridge {u} {v} tenacity {t}")
 
 
-def min_step(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
+def min_step(s: PhaseState, i: int) -> None:
     """MIN at search level i: extend minlevel assignments to i+1 and
     classify newly scanned edges."""
     sources = s.schedule.pop(i, [])
@@ -175,7 +167,7 @@ def min_step(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
     even, odd = s.evenlevel, s.oddlevel
     removed, edge_state = s.removed, s.edge_state
     preds, pred_alive = s.preds, s.pred_alive
-    partner = m.partner
+    adj, edge_index, partner = s.g.adj, s.g.edge_index, s.m.partner
     even_scan = i % 2 == 0
     nxt = i + 1
     next_sched: Optional[list[int]] = None
@@ -183,13 +175,13 @@ def min_step(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
         if removed[u]:
             continue
         if even_scan:
-            scan = g.adj[u]
+            scan = adj[u]
         else:
             p = partner[u]
             if p is None:
                 continue
             key = (u, p) if u < p else (p, u)
-            scan = ((p, g.edge_index[key]),)
+            scan = ((p, edge_index[key]),)
         for v, eid in scan:
             if even_scan and partner[u] == v:
                 continue
@@ -208,16 +200,14 @@ def min_step(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
                 pred_alive[v] += 1
             else:
                 edge_state[eid] = BRIDGE
-                _try_file(s, g, m, eid)
+                _try_file(s, eid)
 
 
-def _assign_maxlevels(
-    s: PhaseState, g: Graph, m: MatchingState, members: list[int], t: int
-) -> None:
+def _assign_maxlevels(s: PhaseState, members: list[int], t: int) -> None:
     """Give each new petal member its maxlevel (2i+1 - minlevel) and
     resolve bridges whose tenacity becomes computable."""
     even, odd = s.evenlevel, s.oddlevel
-    edge_state, removed, partner = s.edge_state, s.removed, m.partner
+    edge_state, removed, partner = s.edge_state, s.removed, s.m.partner
     for w in members:
         ew, ow = even[w], odd[w]
         maxl = t - (ew if ew < ow else ow)
@@ -227,12 +217,12 @@ def _assign_maxlevels(
         target[w] = maxl
         s.schedule[maxl].append(w)
         for eid in s.deferred_at.pop(w, ()):
-            _try_file(s, g, m, eid)
+            _try_file(s, eid)
         if maxl % 2 == 0:
             # Newly resolved inner vertex: an unscanned unmatched edge to
             # an already-leveled vertex can never become a prop, so it is
             # a bridge whose tenacity is now known.
-            for x, eid in g.adj[w]:
+            for x, eid in s.g.adj[w]:
                 if (
                     edge_state[eid] == UNSCANNED
                     and partner[w] != x
@@ -240,17 +230,10 @@ def _assign_maxlevels(
                     and not removed[x]
                 ):
                     edge_state[eid] = BRIDGE
-                    _try_file(s, g, m, eid)
+                    _try_file(s, eid)
 
 
-def _form_petal(
-    s: PhaseState,
-    g: Graph,
-    m: MatchingState,
-    eid: int,
-    outcome: Bottleneck,
-    i: int,
-) -> None:
+def _form_petal(s: PhaseState, eid: int, outcome: Bottleneck, i: int) -> None:
     b = outcome.b
     members = sorted(w for w in outcome.color if w != b)
     pid = len(s.petals)
@@ -262,7 +245,7 @@ def _form_petal(
         s.jump[w] = b
     if s.trace is not None:
         s.trace(f"petal bud {b} members {','.join(map(str, members))}")
-    _assign_maxlevels(s, g, m, members, 2 * i + 1)
+    _assign_maxlevels(s, members, 2 * i + 1)
 
 
 class _AdapterView:
@@ -294,7 +277,7 @@ class _AdapterView:
         return out
 
 
-def max_step(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
+def max_step(s: PhaseState, i: int) -> None:
     """MAX at search level i: run DDFS on each tenacity-(2i+1) bridge in
     filing order, those filed meanwhile included, and form a petal or
     take a path from each."""
@@ -302,9 +285,9 @@ def max_step(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
 
     t = 2 * i + 1
     view = _AdapterView(s)
-    jump, removed = s.jump, s.removed
+    edges, jump, removed = s.g.edges, s.jump, s.removed
     for eid in s.br.get(t, ()):
-        u, v = g.edges[eid]
+        u, v = edges[eid]
         if removed[u] or removed[v]:
             continue
         ru = u if jump[u] == u else bud_star(s, u)
@@ -314,30 +297,30 @@ def max_step(s: PhaseState, g: Graph, m: MatchingState, i: int) -> None:
             continue
         outcome = run_ddfs(view, ru, rv, trace=s.trace)
         if isinstance(outcome, Bottleneck):
-            _form_petal(s, g, m, eid, outcome, i)
+            _form_petal(s, eid, outcome, i)
             continue
         s.l_m = t
-        path = extract_path(s, g, m, outcome, eid)
-        s.found_paths.append(path)
+        path = extract_path(s, outcome, eid)
+        s.paths.append(path)
         if s.trace is not None:
-            s.trace("path " + "-".join(map(str, path.vertices)))
-        recursive_remove(s, g, set(path.vertices))
+            s.trace("path " + "-".join(map(str, path)))
+        recursive_remove(s, set(path))
     s.br.pop(t, None)
 
 
-def run_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> PhaseResult:
-    """Run one full phase; returns a maximal set of vertex-disjoint
-    minimum-length augmenting paths (possibly empty) and l_m."""
+def run_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> PhaseState:
+    """Run one full phase and return its finished state, whose `paths`
+    are a maximal set of vertex-disjoint augmenting paths of the minimum
+    length `l_m` (none, with `l_m` UNSET, when m is maximum)."""
     s = init_phase(g, m, trace=trace)
     i = 0
     cap = 2 * g.n + 4
     while i <= cap:
         if s.trace is not None:
             s.trace(f"level {i}")
-        min_step(s, g, m, i)
-        max_step(s, g, m, i)
-        if s.found_paths or not (s.schedule or s.br):
+        min_step(s, i)
+        max_step(s, i)
+        if s.paths or not (s.schedule or s.br):
             break
         i += 1
-    l_m = s.l_m if s.found_paths else INF
-    return PhaseResult(paths=s.found_paths, l_m=l_m, state=s, levels_run=i + 1)
+    return s

@@ -32,9 +32,9 @@ def maximum_matching(
                 partner[v] = u
     phases = 0
     while True:
-        result = run_phase(g, matching, trace=trace)
+        s = run_phase(g, matching, trace=trace)
         phases += 1
-        if not result.paths:
+        if not s.paths:
             return matching, phases
-        for path in result.paths:
+        for path in s.paths:
             augment_in_place(matching, g, path)

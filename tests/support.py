@@ -225,7 +225,7 @@ def engine_base_classes(s, l_m: float) -> dict[tuple[int, int], set[int]]:
     petal of higher tenacity can take in that base later, which moves
     bud*(v) but not the base."""
     classes: dict[tuple[int, int], set[int]] = {}
-    for v in range(s.n):
+    for v in range(s.g.n):
         t = s.tenacity(v)
         if UNSET in (s.evenlevel[v], s.oddlevel[v]) or t >= l_m:
             continue

@@ -34,7 +34,6 @@ from mvmatching.solver import maximum_matching
 import support
 from support import checked_ddfs, expected_ddfs, random_layered_view
 
-INF = math.inf
 
 CORPUS_SIZE = 1000
 CORPUS_MAX_N = 10
@@ -60,8 +59,7 @@ def corpus():
         g = generate_random_graph(n, m_edges, rng.randrange(2**32))
         m = support.greedy_matching(g, rng.randrange(2**32))
         profile = compute_profile(g, m, deep=True)
-        result = run_phase(g, m)
-        instances.append((g, m, profile, result))
+        instances.append((g, m, profile, run_phase(g, m)))
     return instances
 
 
@@ -115,13 +113,13 @@ def test_criterion_1_exactness():
 
 def test_criterion_2_level_correctness(corpus):
     mismatches = 0
-    for g, m, profile, result in corpus:
+    for g, m, profile, s in corpus:
         for v in range(g.n):
             if profile.tenacity[v] >= profile.l_m:
                 continue
             if (
-                result.state.evenlevel[v] != profile.evenlevel[v]
-                or result.state.oddlevel[v] != profile.oddlevel[v]
+                s.evenlevel[v] != profile.evenlevel[v]
+                or s.oddlevel[v] != profile.oddlevel[v]
             ):
                 mismatches += 1
     _report(
@@ -161,7 +159,7 @@ def test_criterion_4_blossom_equivalence(corpus):
 def _engine_blossom(state, b: int, t: int, l_m: float) -> set[int]:
     """Vertices whose petal-bud chain first exceeds tenacity t at b."""
     out: set[int] = set()
-    for v in range(state.n):
+    for v in range(state.g.n):
         t_v = state.tenacity(v)
         if UNSET in (state.evenlevel[v], state.oddlevel[v]) or t_v > t or t_v >= l_m:
             continue
@@ -179,8 +177,7 @@ def _engine_blossom(state, b: int, t: int, l_m: float) -> set[int]:
 
 def test_criterion_5_petal_blossom_correspondence(corpus):
     mismatches = 0
-    for g, m, profile, result in corpus:
-        state = result.state
+    for g, m, profile, state in corpus:
         # Petal classes by base at their own tenacity vs oracle S_{b,t}.
         engine_classes = support.engine_base_classes(state, profile.l_m)
         if engine_classes != support.oracle_base_classes(profile):
@@ -203,26 +200,26 @@ def test_criterion_5_petal_blossom_correspondence(corpus):
 
 def test_criterion_6_maximality(corpus):
     violations = 0
-    for g, m, profile, result in corpus:
+    for g, m, profile, s in corpus:
         used: set[int] = set()
         bad = False
-        for p in result.paths:
+        for p in s.paths:
             if (
-                len(p.vertices) - 1 != result.l_m
-                or check_alternating(g, m, p.vertices) is not None
-                or m.is_matched(p.vertices[0])
-                or m.is_matched(p.vertices[-1])
-                or (set(p.vertices) & used)
+                len(p) - 1 != s.l_m
+                or check_alternating(g, m, p) is not None
+                or m.is_matched(p[0])
+                or m.is_matched(p[-1])
+                or (set(p) & used)
             ):
                 bad = True
-            used |= set(p.vertices)
-        if result.l_m != INF and not bad:
+            used |= set(p)
+        if s.paths and not bad:
             for f in range(g.n):
                 if m.is_matched(f) or f in used or bad:
                     continue
-                for p in _iter_alternating_paths(g, m, f, max_len=int(result.l_m)):
+                for p in _iter_alternating_paths(g, m, f, max_len=s.l_m):
                     if (
-                        len(p) - 1 == result.l_m
+                        len(p) - 1 == s.l_m
                         and len(p) > 1
                         and not m.is_matched(p[-1])
                         and not (set(p) & used)

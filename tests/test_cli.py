@@ -12,7 +12,13 @@ import pytest
 import mvmatching
 from mvmatching import cli
 from mvmatching.cli import TRACE_HEADER, main
-from mvmatching.graph import MAX_VERTICES, parse_dimacs, parse_matching, serialize_dimacs
+from mvmatching.graph import (
+    MAX_EDGES,
+    MAX_VERTICES,
+    parse_dimacs,
+    parse_matching,
+    serialize_dimacs,
+)
 
 import support
 
@@ -281,9 +287,9 @@ class TestOracleCheck:
         run_phase = cli.run_phase
 
         def faulty_run_phase(g, m):
-            result = run_phase(g, m)
-            result.state.evenlevel[0] += 2  # negative-control corruption
-            return result
+            s = run_phase(g, m)
+            s.evenlevel[0] += 2  # negative-control corruption
+            return s
 
         monkeypatch.setattr(cli, "run_phase", faulty_run_phase)
         code, out, _ = _run(capsys, ["oracle-check", str(f), "--seed", "0"])
@@ -319,35 +325,54 @@ class TestBench:
         assert err.startswith("error:")
 
 
+def _run_under_memory_cap(args: list[str], stdin: str = "") -> subprocess.CompletedProcess:
+    """Run `mvmatch args` in a child process whose address space alone is
+    limited to 1.5 GB."""
+    resource = pytest.importorskip("resource")
+    cap = 1_500_000 * 1024
+
+    def limit_memory() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(mvmatching.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-m", "mvmatching.cli", *args],
+        input=stdin,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=limit_memory,
+        timeout=120,
+    )
+
+
+def _assert_limit_error(out: subprocess.CompletedProcess) -> None:
+    assert out.returncode == 2, out.stderr
+    assert out.stderr.startswith("error:") and "limit" in out.stderr
+    assert "Traceback" not in out.stderr
+
+
 class TestInputLimits:
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_huge_vertex_count_exits_2_under_memory_cap(self, tmp_path, command) -> None:
         # One-line inputs that declare 10^9 vertices and one vertex over
-        # the limit, each read from stdin by a child process limited to
-        # 1.5 GB of address space.
-        resource = pytest.importorskip("resource")
-        cap = 1_500_000 * 1024
-
-        def limit_memory() -> None:
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
+        # the limit, each read from stdin.
         matching = tmp_path / "m.txt"
         matching.write_text("size 0\n")
         extra = [str(matching)] if command == "verify" else []
-        src = str(Path(mvmatching.__file__).resolve().parents[1])
         for n in (10**9, MAX_VERTICES + 1):
-            out = subprocess.run(
-                [sys.executable, "-m", "mvmatching.cli", command, "-", *extra],
-                input=f"p edge {n} 0\n",
-                capture_output=True,
-                text=True,
-                env={**os.environ, "PYTHONPATH": src},
-                preexec_fn=limit_memory,
-                timeout=120,
-            )
-            assert out.returncode == 2, (n, out.stderr)
-            assert out.stderr.startswith("error:") and "limit" in out.stderr
-            assert "Traceback" not in out.stderr
+            _assert_limit_error(_run_under_memory_cap([command, "-", *extra], f"p edge {n} 0\n"))
+
+    @pytest.mark.parametrize("command", ["gen", "bench"])
+    def test_huge_edge_count_exits_2_under_memory_cap(self, command) -> None:
+        # 1.5 * 10^8 of the 2 * 10^8 pairs on 20,000 vertices, and one
+        # edge over the limit at 2 * 10^5 vertices.
+        for n, m in ((20000, 150_000_000), (200_000, MAX_EDGES + 1)):
+            if command == "gen":
+                args = ["gen", str(n), str(m)]
+            else:
+                args = ["bench", "--n", str(n), "--m", str(m)]
+            _assert_limit_error(_run_under_memory_cap(args))
 
 
 class TestUsage:

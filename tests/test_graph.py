@@ -7,8 +7,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mvmatching.graph import (
+    MAX_EDGES,
     MAX_VERTICES,
-    AlternatingPath,
     Graph,
     GraphFormatError,
     MatchingState,
@@ -83,6 +83,10 @@ class TestParseDimacs:
         with pytest.raises(GraphFormatError, match="limit"):
             parse_dimacs(f"p edge {MAX_VERTICES + 1} 0")
 
+    def test_negative_vertex_count(self) -> None:
+        with pytest.raises(GraphFormatError, match="negative"):
+            Graph.from_edges(-1, [])
+
 
 class TestValidateMatching:
     def test_p4_middle_edge_valid(self) -> None:
@@ -116,13 +120,13 @@ class TestAugment:
     def test_single_edge_from_empty_matching(self) -> None:
         g = Graph.from_edges(2, [(0, 1)])
         m = MatchingState(2)
-        augment_in_place(m, g, AlternatingPath([0, 1]))
+        augment_in_place(m, g, [0, 1])
         assert m.pairs() == [(0, 1)]
 
     def test_p4_full_flip(self) -> None:
         g, m = support.p4()
         out = m.copy()
-        augment_in_place(out, g, AlternatingPath([0, 1, 2, 3]))
+        augment_in_place(out, g, [0, 1, 2, 3])
         assert out.pairs() == [(0, 1), (2, 3)]
         assert out.size() == m.size() + 1
         assert m.pairs() == [(1, 2)]  # input untouched
@@ -130,12 +134,12 @@ class TestAugment:
     def test_matched_endpoint_rejected(self) -> None:
         g, m = support.p4()
         with pytest.raises(ValueError, match="endpoint 2 matched"):
-            augment_in_place(m.copy(), g, AlternatingPath([0, 1, 2]))
+            augment_in_place(m.copy(), g, [0, 1, 2])
 
     def test_non_alternating_rejected(self) -> None:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(ValueError, match="alternate"):
-            augment_in_place(MatchingState(4), g, AlternatingPath([0, 1, 2, 3]))
+            augment_in_place(MatchingState(4), g, [0, 1, 2, 3])
 
 
 class TestSerialization:
@@ -169,6 +173,10 @@ class TestGenerateRandomGraph:
     def test_capacity_exceeded(self) -> None:
         with pytest.raises(ValueError, match="capacity"):
             generate_random_graph(3, 4, 0)
+
+    def test_edge_count_above_limit(self) -> None:
+        with pytest.raises(ValueError, match="limit"):
+            generate_random_graph(10**6, MAX_EDGES + 1, 0)
 
     @PROPERTY_SETTINGS
     @given(
@@ -215,7 +223,7 @@ class TestGraphProperties:
         if path is None:
             return
         out = m.copy()
-        augment_in_place(out, g, AlternatingPath(path))
+        augment_in_place(out, g, path)
         assert out.size() == m.size() + 1
         assert validate_matching(g, out) == []
 

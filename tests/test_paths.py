@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 import os
 import subprocess
 import sys
@@ -19,7 +18,6 @@ from mvmatching.oracle import _iter_alternating_paths, compute_profile
 from mvmatching.paths import _walk, recursive_remove
 from mvmatching.phase import (
     UNSET,
-    PhaseResult,
     PhaseState,
     init_phase,
     max_step,
@@ -28,8 +26,6 @@ from mvmatching.phase import (
 )
 
 import support
-
-INF = math.inf
 
 PROPERTY_SETTINGS = settings(
     max_examples=150,
@@ -48,39 +44,39 @@ def _small_instance(draw: st.DrawFn) -> tuple[Graph, MatchingState]:
     return g, support.greedy_matching(g, draw(_SEED))
 
 
-def _triangle_state():
+def _triangle_state() -> PhaseState:
     g, m = support.triangle()
     s = init_phase(g, m)
     for i in range(2):
-        min_step(s, g, m, i)
-        max_step(s, g, m, i)
-    return s, g, m
+        min_step(s, i)
+        max_step(s, i)
+    return s
 
 
-def descend(s, g, m, x: int, level: float, low: int) -> list[int]:
+def descend(s: PhaseState, x: int, level: float, low: int) -> list[int]:
     """The walker's alternating path [x, ..., low] from x, entered at
     `level`, down its bud chain to `low`: one segment work item."""
-    return _walk(s, g, m, [(x, level, low, len(s.petals), False), low])
+    return _walk(s, [(x, level, low, len(s.petals), False), low])
 
 
 class TestExtractPath:
     def test_p4_bridge_yields_unique_path(self) -> None:
         g, m = support.p4()
-        result = run_phase(g, m)
-        assert [sorted(p.vertices) for p in result.paths] == [[0, 1, 2, 3]]
-        assert check_alternating(g, m, result.paths[0].vertices) is None
+        s = run_phase(g, m)
+        assert [sorted(p) for p in s.paths] == [[0, 1, 2, 3]]
+        assert check_alternating(g, m, s.paths[0]) is None
 
     def test_length_one_case(self) -> None:
         g = Graph.from_edges(2, [(0, 1)])
-        result = run_phase(g, MatchingState(2))
-        assert result.l_m == 1
-        assert [p.vertices for p in result.paths] in ([[0, 1]], [[1, 0]])
+        s = run_phase(g, MatchingState(2))
+        assert s.l_m == 1
+        assert [p for p in s.paths] in ([[0, 1]], [[1, 0]])
 
     def test_two_bridges_path_jumps_through_bud(self) -> None:
         g, m = support.two_bridges_graph()
-        result = run_phase(g, m)
-        assert len(result.paths) == 1
-        path = result.paths[0].vertices
+        s = run_phase(g, m)
+        assert len(s.paths) == 1
+        path = s.paths[0]
         assert len(path) == 8
         assert check_alternating(g, m, path) is None
         assert not m.is_matched(path[0]) and not m.is_matched(path[-1])
@@ -88,52 +84,52 @@ class TestExtractPath:
 
 class TestOpenPetal:
     def test_high_equals_low(self) -> None:
-        s, g, m = _triangle_state()
-        assert descend(s, g, m, 0, 0, 0) == [0]
+        s = _triangle_state()
+        assert descend(s, 0, 0, 0) == [0]
 
     def test_triangle_odd_path_avoids_bridge(self) -> None:
-        s, g, m = _triangle_state()
-        assert descend(s, g, m, 1, s.oddlevel[1], 0) == [1, 0]
+        s = _triangle_state()
+        assert descend(s, 1, s.oddlevel[1], 0) == [1, 0]
 
     def test_triangle_even_path_uses_bridge(self) -> None:
-        s, g, m = _triangle_state()
-        assert descend(s, g, m, 1, s.evenlevel[1], 0) == [1, 2, 0]
+        s = _triangle_state()
+        assert descend(s, 1, s.evenlevel[1], 0) == [1, 2, 0]
 
     def test_confinement_to_petal_members(self) -> None:
         g, m = support.deferred_bridge_graph()
         s = init_phase(g, m)
         for i in range(3):
-            min_step(s, g, m, i)
-            max_step(s, g, m, i)
+            min_step(s, i)
+            max_step(s, i)
         petal = s.petals[0]
         allowed = set(petal.members) | {petal.bud}
         for v in sorted(petal.members):
             for want in (s.evenlevel[v], s.oddlevel[v]):
-                out = descend(s, g, m, v, want, petal.bud)
+                out = descend(s, v, want, petal.bud)
                 assert set(out) <= allowed
                 assert out[0] == v and out[-1] == petal.bud
                 assert len(out) - 1 == want
                 assert check_alternating(g, m, out) is None
 
 
-def _check_path_set(g: Graph, m: MatchingState, result: PhaseResult) -> None:
+def _check_path_set(s: PhaseState) -> None:
     """The phase's paths are augmenting, of length l_m, vertex-disjoint
     and maximal: no augmenting path of length l_m misses them all."""
-    l_m = result.l_m
+    g, m, l_m = s.g, s.m, s.l_m
     used: set[int] = set()
-    for p in result.paths:
-        assert len(p.vertices) - 1 == l_m
-        assert check_alternating(g, m, p.vertices) is None
-        assert not m.is_matched(p.vertices[0])
-        assert not m.is_matched(p.vertices[-1])
-        assert not (set(p.vertices) & used)
-        used |= set(p.vertices)
-    if l_m == INF:
+    for p in s.paths:
+        assert len(p) - 1 == l_m
+        assert check_alternating(g, m, p) is None
+        assert not m.is_matched(p[0])
+        assert not m.is_matched(p[-1])
+        assert not (set(p) & used)
+        used |= set(p)
+    if l_m == UNSET:
         return
     for f in range(g.n):
         if m.is_matched(f) or f in used:
             continue
-        for p in _iter_alternating_paths(g, m, f, max_len=int(l_m)):
+        for p in _iter_alternating_paths(g, m, f, max_len=l_m):
             if (
                 len(p) - 1 == l_m
                 and len(p) > 1
@@ -148,8 +144,8 @@ class TestRecursiveRemove:
         g, m = support.p4()
         s = init_phase(g, m)
         for i in range(2):
-            min_step(s, g, m, i)
-        recursive_remove(s, g, {0, 1, 2, 3})
+            min_step(s, i)
+        recursive_remove(s, {0, 1, 2, 3})
         assert all(s.removed)
 
     def test_pendant_matched_pair_cascades(self) -> None:
@@ -159,8 +155,8 @@ class TestRecursiveRemove:
         m = MatchingState(4, [(2, 3)])
         s = init_phase(g, m)
         for i in range(4):
-            min_step(s, g, m, i)
-        recursive_remove(s, g, {0, 1})
+            min_step(s, i)
+        recursive_remove(s, {0, 1})
         assert s.removed[2]
 
     def test_removal_follows_prop_edges_only(self) -> None:
@@ -175,15 +171,14 @@ class TestRecursiveRemove:
         for l_m, gone in ((UNSET, [0, 1, 2]), (3, [0, 1])):
             s = init_phase(g, m)
             for i in range(2):
-                min_step(s, g, m, i)
+                min_step(s, i)
             s.l_m = l_m
-            recursive_remove(s, g, {0})
+            recursive_remove(s, {0})
             assert [v for v in range(g.n) if s.removed[v]] == gone, l_m
 
     def test_remaining_leveled_matched_vertices_keep_predecessors(self) -> None:
         g, m = support.two_bridges_graph()
-        result = run_phase(g, m)
-        s = result.state
+        s = run_phase(g, m)
         for v in range(g.n):
             if s.removed[v] or not m.is_matched(v):
                 continue
@@ -196,20 +191,19 @@ def _uncapped_removal(s: PhaseState, seeds: set[int]) -> set[int]:
     """The vertices the cascade removes with no cap: the seeds, then, in
     minlevel order, every vertex with predecessors once all are gone."""
     gone = set(seeds)
-    for z in sorted(range(s.n), key=s.minlevel):
+    for z in sorted(range(s.g.n), key=s.minlevel):
         if z not in gone and s.preds[z] and gone.issuperset(s.preds[z]):
             gone.add(z)
     return gone
 
 
-def _check_removal_cap(result: PhaseResult) -> set[int]:
+def _check_removal_cap(s: PhaseState) -> set[int]:
     """After a phase whose paths have length l_m = 2i+1, no vertex of
     minlevel above i is removed, and removal at minlevel <= i is the
     uncapped cascade from the path vertices.  Returns that cascade."""
-    s = result.state
-    top = (result.l_m - 1) // 2
-    uncapped = _uncapped_removal(s, {v for p in result.paths for v in p.vertices})
-    for v in range(s.n):
+    top = (s.l_m - 1) // 2
+    uncapped = _uncapped_removal(s, {v for p in s.paths for v in p})
+    for v in range(s.g.n):
         if s.minlevel(v) > top:
             assert not s.removed[v], v
         else:
@@ -225,10 +219,10 @@ class TestRemovalCap:
         # uncapped cascade would take it through 5.
         g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (0, 5), (5, 4)])
         m = MatchingState(6, [(1, 2), (5, 4)])
-        result = run_phase(g, m)
-        assert result.l_m == 3
-        uncapped = _check_removal_cap(result)
-        assert result.state.removed[5] and not result.state.removed[4]
+        s = run_phase(g, m)
+        assert s.l_m == 3
+        uncapped = _check_removal_cap(s)
+        assert s.removed[5] and not s.removed[4]
         assert 4 in uncapped
 
     @PROPERTY_SETTINGS
@@ -237,9 +231,9 @@ class TestRemovalCap:
         self, inst: tuple[Graph, MatchingState]
     ) -> None:
         g, m = inst
-        result = run_phase(g, m)
-        if result.paths:
-            _check_removal_cap(result)
+        s = run_phase(g, m)
+        if s.paths:
+            _check_removal_cap(s)
 
 
 class TestCollectMaximal:
@@ -252,24 +246,24 @@ class TestCollectMaximal:
             pairs.append((base + 1, base + 2))
         g = Graph.from_edges(12, edges)
         m = MatchingState(12, pairs)
-        result = run_phase(g, m)
-        assert result.l_m == 3
-        assert len(result.paths) == 3
-        covered = [v for p in result.paths for v in p.vertices]
+        s = run_phase(g, m)
+        assert s.l_m == 3
+        assert len(s.paths) == 3
+        covered = [v for p in s.paths for v in p]
         assert len(covered) == len(set(covered))
 
     def test_two_bridges_exactly_one_path(self) -> None:
         g, m = support.two_bridges_graph()
-        result = run_phase(g, m)
-        assert len(result.paths) == 1
+        s = run_phase(g, m)
+        assert len(s.paths) == 1
 
     def test_shared_vertices_give_one_path(self) -> None:
         # Two would-be paths overlapping on the middle edge: only one fits.
         g = Graph.from_edges(6, [(0, 2), (1, 2), (2, 3), (3, 4), (3, 5)])
         m = MatchingState(6, [(2, 3)])
-        result = run_phase(g, m)
-        assert result.l_m == 3
-        assert len(result.paths) == 1
+        s = run_phase(g, m)
+        assert s.l_m == 3
+        assert len(s.paths) == 1
 
     def test_free_vertex_stranded_by_paths(self) -> None:
         # Free 8 is adjacent only to 1 and 5, and the phase's two paths
@@ -278,19 +272,18 @@ class TestCollectMaximal:
             9, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (8, 1), (8, 5)]
         )
         m = MatchingState(9, [(1, 2), (5, 6)])
-        result = run_phase(g, m)
-        _check_path_set(g, m, result)
-        assert len(result.paths) == 2
-        used = {v for p in result.paths for v in p.vertices}
+        s = run_phase(g, m)
+        _check_path_set(s)
+        assert len(s.paths) == 2
+        used = {v for p in s.paths for v in p}
         assert 8 not in used and {1, 5} <= used
 
     def test_collect_maximal_is_idempotent_after_phase(self) -> None:
         g, m = support.two_bridges_graph()
-        result = run_phase(g, m)
-        s = result.state
-        before = [p.vertices for p in s.found_paths]
-        max_step(s, g, m, (s.l_m - 1) // 2)
-        assert [p.vertices for p in s.found_paths] == before
+        s = run_phase(g, m)
+        before = [list(p) for p in s.paths]
+        max_step(s, (s.l_m - 1) // 2)
+        assert s.paths == before
 
 
 class TestPathSetProperties:
@@ -300,7 +293,7 @@ class TestPathSetProperties:
         self, inst: tuple[Graph, MatchingState]
     ) -> None:
         g, m = inst
-        _check_path_set(g, m, run_phase(g, m))
+        _check_path_set(run_phase(g, m))
 
 
 def _run_shallow(script: str, *args: str) -> subprocess.CompletedProcess:
@@ -367,10 +360,10 @@ class TestLongPaths:
             from mvmatching.phase import run_phase
             from mvmatching.solver import maximum_matching
             g, m = support.triangle_chain(10000)
-            phase = run_phase(g, m)
-            on_path = set(phase.paths[0].vertices)
-            crossed = all(set(p.members) <= on_path for p in phase.state.petals)
-            print(len(phase.paths), len(phase.paths[0]), len(phase.state.petals), crossed)
+            s = run_phase(g, m)
+            on_path = set(s.paths[0])
+            crossed = all(set(p.members) <= on_path for p in s.petals)
+            print(len(s.paths), len(s.paths[0]) - 1, len(s.petals), crossed)
             result, phases = maximum_matching(g, m)
             print(m.size(), result.size(), phases)
             """
@@ -386,14 +379,14 @@ class TestLongPaths:
             from mvmatching.phase import run_phase
             from mvmatching.solver import maximum_matching
             g, m = support.nested_blossoms(300)
-            phase = run_phase(g, m)
-            s, petals = phase.state, phase.state.petals
-            path = phase.paths[0].vertices
+            s = run_phase(g, m)
+            petals = s.petals
+            path = s.paths[0]
             on_path = set(path)
             nested = all(s.petal_of[p.bud] == k + 1 for k, p in enumerate(petals[:-1]))
             outermost = s.petal_of[petals[-1].bud] is None
             touched = all(on_path.intersection(p.members) for p in petals)
-            print(g.n, len(phase.paths), len(path) - 1, len(petals))
+            print(g.n, len(s.paths), len(path) - 1, len(petals))
             print(nested, outermost, touched, check_alternating(g, m, path))
             result, phases = maximum_matching(g, m)
             print(m.size(), result.size(), phases)

@@ -15,6 +15,7 @@ from mvmatching.phase import (
     FILED,
     PROP,
     UNSET,
+    PhaseState,
     bridge_side,
     bud_star,
     _AdapterView,
@@ -61,17 +62,18 @@ class TestInitPhase:
 
     def test_perfectly_matched_k2_terminates_immediately(self) -> None:
         g = Graph.from_edges(2, [(0, 1)])
-        result = run_phase(g, MatchingState(2, [(0, 1)]))
-        assert result.paths == []
-        assert result.l_m == INF
-        assert result.levels_run == 1
+        lines: list[str] = []
+        s = run_phase(g, MatchingState(2, [(0, 1)]), trace=lines.append)
+        assert s.paths == []
+        assert s.l_m == UNSET
+        assert [line for line in lines if line.startswith("level ")] == ["level 0"]
 
 
 class TestMinStep:
     def test_p4_level_0_assigns_minlevel_1(self) -> None:
         g, m = support.p4()
         s = init_phase(g, m)
-        min_step(s, g, m, 0)
+        min_step(s, 0)
         assert s.oddlevel[1] == 1 and s.oddlevel[2] == 1
         assert s.edge_state[g.edge_index[(0, 1)]] == PROP
         assert s.edge_state[g.edge_index[(2, 3)]] == PROP
@@ -79,8 +81,8 @@ class TestMinStep:
     def test_p4_level_1_files_matched_bridge(self) -> None:
         g, m = support.p4()
         s = init_phase(g, m)
-        min_step(s, g, m, 0)
-        min_step(s, g, m, 1)
+        min_step(s, 0)
+        min_step(s, 1)
         eid = g.edge_index[(1, 2)]
         assert s.edge_state[eid] == FILED
         assert list(s.br[3]) == [eid]
@@ -88,8 +90,8 @@ class TestMinStep:
     def test_triangle_matched_bridge(self) -> None:
         g, m = support.triangle()
         s = init_phase(g, m)
-        min_step(s, g, m, 0)
-        min_step(s, g, m, 1)
+        min_step(s, 0)
+        min_step(s, 1)
         eid = g.edge_index[(1, 2)]
         assert s.edge_state[eid] == FILED
         assert list(s.br[3]) == [eid]
@@ -100,8 +102,8 @@ class TestMaxStep:
         g, m = support.triangle()
         s = init_phase(g, m)
         for i in range(2):
-            min_step(s, g, m, i)
-            max_step(s, g, m, i)
+            min_step(s, i)
+            max_step(s, i)
         assert len(s.petals) == 1
         petal = s.petals[0]
         assert petal.bud == 0
@@ -112,10 +114,10 @@ class TestMaxStep:
         g, m = support.p4()
         s = init_phase(g, m)
         for i in range(2):
-            min_step(s, g, m, i)
-            max_step(s, g, m, i)
+            min_step(s, i)
+            max_step(s, i)
         assert s.l_m == 3
-        assert [p.vertices for p in s.found_paths] in ([[0, 1, 2, 3]], [[3, 2, 1, 0]])
+        assert s.paths in ([[0, 1, 2, 3]], [[3, 2, 1, 0]])
 
 
 class TestDeferredBridge:
@@ -124,23 +126,23 @@ class TestDeferredBridge:
         eid = g.edge_index[(1, 6)]
         s = init_phase(g, m)
         for i in range(3):
-            min_step(s, g, m, i)
+            min_step(s, i)
         # Scanned at level 2 but vertex 1's evenlevel is still unknown:
         # classified bridge, deferred, not yet filed.
         assert s.edge_state[eid] == BRIDGE
         assert all(eid not in queue for queue in s.br.values())
         assert eid in s.deferred_at.get(1, [])
-        max_step(s, g, m, 2)  # forms the cycle petal, evenlevel(1) = 4
+        max_step(s, 2)  # forms the cycle petal, evenlevel(1) = 4
         assert s.evenlevel[1] == 4
         assert s.edge_state[eid] == FILED
         assert list(s.br[7]) == [eid]
 
     def test_full_phase_finds_length_7_path(self) -> None:
         g, m = support.deferred_bridge_graph()
-        result = run_phase(g, m)
-        assert result.l_m == 7
-        assert len(result.paths) == 1
-        assert sorted(result.paths[0].vertices) == list(range(8))
+        s = run_phase(g, m)
+        assert s.l_m == 7
+        assert len(s.paths) == 1
+        assert sorted(s.paths[0]) == list(range(8))
 
 
 class TestBudStar:
@@ -151,14 +153,14 @@ class TestBudStar:
 
     def test_triangle_single_petal(self) -> None:
         g, m = support.triangle()
-        result = run_phase(g, m)
-        assert bud_star(result.state, 1) == 0
-        assert bud_star(result.state, 2) == 0
+        s = run_phase(g, m)
+        assert bud_star(s, 1) == 0
+        assert bud_star(s, 2) == 0
 
     def test_two_step_chain(self) -> None:
         # Outer blossom's bud chain passes through the inner blossom.
         g, m = support.nested_blossom_graph()
-        s = run_phase(g, m).state
+        s = run_phase(g, m)
         assert s.jump[3] in (0, 1, 2)  # direct bud of the second petal
         assert bud_star(s, 3) == 0
         assert bud_star(s, 4) == 0
@@ -166,7 +168,7 @@ class TestBudStar:
 
     def test_compression_keeps_roots(self) -> None:
         g, m = support.empty_support_graph()
-        s = run_phase(g, m).state
+        s = run_phase(g, m)
         first = [bud_star(s, v) for v in range(g.n)]
         second = [bud_star(s, v) for v in range(g.n)]
         assert first == second
@@ -176,7 +178,7 @@ class TestLayeredAdapter:
     def test_unmatched_vertex_is_layer_0_sink(self) -> None:
         g, m = support.triangle()
         s = init_phase(g, m)
-        min_step(s, g, m, 0)
+        min_step(s, 0)
         view = _AdapterView(s)
         assert view.layer(0) == 0
         assert view.out_edges(0) == []
@@ -184,7 +186,7 @@ class TestLayeredAdapter:
     def test_prepetal_out_edges_follow_props(self) -> None:
         g, m = support.triangle()
         s = init_phase(g, m)
-        min_step(s, g, m, 0)
+        min_step(s, 0)
         view = _AdapterView(s)
         assert view.out_edges(1) == [0]
         assert view.out_edges(2) == [0]
@@ -195,9 +197,9 @@ class TestLayeredAdapter:
         g, m = support.nested_blossom_graph()
         s = init_phase(g, m)
         for i in range(2):
-            min_step(s, g, m, i)
-            max_step(s, g, m, i)
-        min_step(s, g, m, 2)
+            min_step(s, i)
+            max_step(s, i)
+        min_step(s, 2)
         assert s.preds[3] == [2]
         assert _AdapterView(s).out_edges(3) == [0]
 
@@ -205,45 +207,45 @@ class TestLayeredAdapter:
 class TestRunPhase:
     def test_p4(self) -> None:
         g, m = support.p4()
-        result = run_phase(g, m)
-        assert result.l_m == 3
-        assert len(result.paths) == 1
+        s = run_phase(g, m)
+        assert s.l_m == 3
+        assert len(s.paths) == 1
 
     def test_triangle_no_paths(self) -> None:
         g, m = support.triangle()
-        result = run_phase(g, m)
-        assert result.paths == []
-        assert result.l_m == INF
+        s = run_phase(g, m)
+        assert s.paths == []
+        assert s.l_m == UNSET
 
     def test_two_disjoint_edges_lm_1(self) -> None:
         g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        result = run_phase(g, MatchingState(4))
-        assert result.l_m == 1
-        assert len(result.paths) == 2
+        s = run_phase(g, MatchingState(4))
+        assert s.l_m == 1
+        assert len(s.paths) == 2
 
     def test_two_bridges_single_path(self) -> None:
         g, m = support.two_bridges_graph()
-        result = run_phase(g, m)
-        assert result.l_m == 7
-        assert len(result.paths) == 1
-        path = result.paths[0].vertices
+        s = run_phase(g, m)
+        assert s.l_m == 7
+        assert len(s.paths) == 1
+        path = s.paths[0]
         assert path in ([0, 1, 2, 7, 8, 10, 9, 11], [11, 9, 10, 8, 7, 2, 1, 0])
         # The first bridge bottlenecked into a petal with bud 0.
-        assert any(p.bud == 0 for p in result.state.petals)
+        assert any(p.bud == 0 for p in s.petals)
 
     def test_empty_support_bridge_skipped(self) -> None:
         g, m = support.empty_support_graph()
         lines: list[str] = []
-        result = run_phase(g, m, trace=lines.append)
-        assert result.paths == []
-        assert result.l_m == INF
+        s = run_phase(g, m, trace=lines.append)
+        assert s.paths == []
+        assert s.l_m == UNSET
         # The tenacity-13 bridge was filed and its level 6 reached, but its
         # roots coincide at the bud, so no petal and no path came of it.
         filed = {(u, v): (t, level) for u, v, t, level in support.filed_bridges(lines)}
         t, level = filed[(1, 4)]
         assert t == 13 and level <= 6
         assert "level 6" in lines
-        assert len(result.state.petals) == 1
+        assert len(s.petals) == 1
 
 
 class TestSynchronizationSafety:
@@ -254,14 +256,14 @@ class TestSynchronizationSafety:
     ) -> None:
         g, m = inst
         lines: list[str] = []
-        s = run_phase(g, m, trace=lines.append).state
+        s = run_phase(g, m, trace=lines.append)
         filed = support.filed_bridges(lines)
         assert len({(u, v) for u, v, _, _ in filed}) == len(filed)
         for u, v, t, level in filed:
             # Filed no later than the level that drains Br(t), at the
             # tenacity its final levels give.
             assert t % 2 == 1 and level <= (t - 1) // 2
-            side = bridge_side(s, m, u, v)
+            side = bridge_side(s, u, v)
             assert t == side[u] + side[v] + 1
 
 
@@ -275,9 +277,16 @@ class TestLevelsAreInts:
         final, _ = maximum_matching(g, m)
         # The phase on the given matching and the certifying phase.
         for start in (m, final):
-            s = run_phase(g, start).state
+            s = run_phase(g, start)
+            assert isinstance(s, PhaseState) and s.g is g and s.m is start
             assert all(type(x) is int for x in s.evenlevel + s.oddlevel)
             assert type(s.l_m) is int
+            # Paths are plain vertex lists of l_m edges; l_m is UNSET
+            # exactly when the phase found none.
+            assert (s.l_m == UNSET) == (s.paths == [])
+            for path in s.paths:
+                assert type(path) is list and all(type(v) is int for v in path)
+                assert len(path) - 1 == s.l_m
 
 
 class TestFilingStopsAtLm:
@@ -312,12 +321,12 @@ class TestEngineAgainstOracle:
     def test_levels_and_lm(self, inst: tuple[Graph, MatchingState]) -> None:
         g, m = inst
         profile = compute_profile(g, m, deep=False)
-        result = run_phase(g, m)
-        assert result.l_m == profile.l_m
+        s = run_phase(g, m)
+        assert (s.l_m if s.paths else INF) == profile.l_m
         for v in range(g.n):
             if profile.tenacity[v] < profile.l_m:
-                assert result.state.evenlevel[v] == profile.evenlevel[v]
-                assert result.state.oddlevel[v] == profile.oddlevel[v]
+                assert s.evenlevel[v] == profile.evenlevel[v]
+                assert s.oddlevel[v] == profile.oddlevel[v]
 
     @PROPERTY_SETTINGS
     @given(inst=_small_instance())
@@ -354,7 +363,7 @@ class TestEngineAgainstOracle:
     ) -> None:
         g, m = inst
         profile = compute_profile(g, m, deep=True)
-        result = run_phase(g, m)
-        assert support.engine_base_classes(result.state, profile.l_m) == (
+        s = run_phase(g, m)
+        assert support.engine_base_classes(s, profile.l_m) == (
             support.oracle_base_classes(profile)
         )

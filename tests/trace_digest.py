@@ -1,0 +1,75 @@
+"""Print one sha256 over the engine's observable behaviour on a fixed corpus.
+
+A refactor that must not change behaviour should print the same count and
+digest before and after.  Each solve adds, in order: the `mvtrace` lines of
+`maximum_matching`, the matching size and phase count, then the trace of one
+more `run_phase` on the final matching (the certifying phase) and that
+phase's final even and odd levels.
+
+The corpus: 3,000 seeded random graphs with n < 60, started from no
+matching (the solver's greedy seed), the empty matching, or a seeded greedy
+partial matching in turn; `triangle_chain(200)`, `nested_blossoms(12)` and
+`inner_matched_path(2000)`; and every named graph of `support.py`.
+
+Not collected by pytest.  Run from the repository root:
+
+    python tests/trace_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import support  # noqa: E402
+from mvmatching import Graph, MatchingState, generate_random_graph, maximum_matching  # noqa: E402
+from mvmatching.phase import run_phase  # noqa: E402
+
+
+def corpus():
+    rng = random.Random(20240601)
+    for k in range(3000):
+        n = rng.randint(1, 59)
+        g = generate_random_graph(n, rng.randint(0, min(n * (n - 1) // 2, 3 * n)), k)
+        start = (None, MatchingState(n), support.greedy_matching(g, k))[k % 3]
+        yield g, start
+    yield support.triangle_chain(200)
+    yield support.nested_blossoms(12)
+    yield support.inner_matched_path(2000)
+    for make in (
+        support.p4, support.triangle, support.deferred_bridge_graph,
+        support.two_bridges_graph, support.empty_support_graph,
+        support.nested_blossom_graph,
+    ):
+        yield make()
+    for make in (support.k4, support.c5, support.petersen):
+        yield make(), None
+
+
+def digest_one(h, g: Graph, start) -> None:
+    lines: list[str] = []
+    m, phases = maximum_matching(g, start, trace=lines.append)
+    lines.append(f"size {m.size()} phases {phases}")
+    result = run_phase(g, m, trace=lines.append)
+    # Older engines return a wrapper that holds the phase state in `.state`.
+    s = getattr(result, "state", result)
+    lines.append(f"even {s.evenlevel}")
+    lines.append(f"odd {s.oddlevel}")
+    h.update(("\n".join(lines) + "\n").encode())
+
+
+def main() -> None:
+    h = hashlib.sha256()
+    count = 0
+    for g, start in corpus():
+        digest_one(h, g, start)
+        count += 1
+    print(f"{count} solves sha256 {h.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
