@@ -43,7 +43,7 @@ def main() -> None:
     for v in range(g.n):
         print(f"  {v}: {even[v]}/{odd[v]}")
     for petal in s.petals:
-        print(f"petal: bud {petal.bud}, members {sorted(petal.members)}")
+        print(f"petal: bud {petal.bud}, members {sorted(set(petal.color) - {petal.bud})}")
 
 
 if __name__ == "__main__":

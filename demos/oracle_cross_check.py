@@ -42,7 +42,7 @@ def main() -> None:
         g = generate_random_graph(n, rng.randint(0, n * (n - 1) // 2), rng.randrange(2**32))
         m = greedy(g, rng)
 
-        profile = compute_profile(g, m, deep=True)
+        profile = compute_profile(g, m)
         violations = check_structural_theorems(g, m, profile)
         violation_count += len(violations)
         for line in violations:

@@ -135,7 +135,7 @@ def cmd_oracle_check(cfg: argparse.Namespace) -> int:
     failures = 0
     matchings = [MatchingState(g.n)] + [_greedy_matching(g, cfg.seed + k) for k in range(3)]
     for idx, m in enumerate(matchings):
-        profile = oracle.compute_profile(g, m, deep=True, guard=guard)
+        profile = oracle.compute_profile(g, m, guard=guard)
         violations = oracle.check_structural_theorems(g, m, profile, guard=guard)
         for v in violations:
             print(f"matching {idx}: {v}")

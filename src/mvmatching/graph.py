@@ -276,6 +276,8 @@ def generate_random_graph(n: int, m: int, seed: int) -> Graph:
     """Deterministically sample a simple graph with exactly m distinct edges."""
     if n < 0:
         raise ValueError(f"n = {n} is negative")
+    if m < 0:
+        raise ValueError(f"m = {m} is negative")
     if m > MAX_EDGES:
         raise ValueError(f"m = {m} exceeds the limit of {MAX_EDGES} edges")
     cap = n * (n - 1) // 2

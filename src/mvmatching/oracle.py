@@ -215,10 +215,8 @@ def _compute_props(g: Graph, m: MatchingState, even: list[float], odd: list[floa
     return ["prop" if f else "bridge" for f in is_prop]
 
 
-def compute_profile(
-    g: Graph, m: MatchingState, deep: bool = True, guard: bool = True
-) -> OracleProfile:
-    """Compute an OracleProfile; `deep` adds base sets and blossoms."""
+def compute_profile(g: Graph, m: MatchingState, guard: bool = True) -> OracleProfile:
+    """Compute an OracleProfile, base sets and blossoms included."""
     even, odd = brute_levels(g, m, guard=guard)
     tenacity = [even[v] + odd[v] for v in range(g.n)]
     l_m = brute_min_augmenting_length(g, m, guard=guard)
@@ -242,10 +240,9 @@ def compute_profile(
         t_m=t_m,
         l_m=l_m,
     )
-    if deep:
-        for v in profile.eligible_vertices():
-            profile.base_sets[v] = brute_base_set(g, m, profile, v, guard=guard)
-        profile.blossoms = brute_blossoms(g, m, profile, guard=guard)
+    for v in profile.eligible_vertices():
+        profile.base_sets[v] = brute_base_set(g, m, profile, v, guard=guard)
+    profile.blossoms = brute_blossoms(g, m, profile, guard=guard)
     return profile
 
 
@@ -434,9 +431,7 @@ def check_structural_theorems(
 
     # (c) Singleton base for every eligible vertex.
     for v in profile.eligible_vertices():
-        s = profile.base_sets.get(v)
-        if s is None:
-            s = brute_base_set(g, m, profile, v, guard=guard)
+        s = profile.base_sets[v]
         if len(s) != 1:
             violations.append(f"base of eligible vertex {v} is {sorted(s)}, not a singleton")
 

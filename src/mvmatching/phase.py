@@ -27,17 +27,16 @@ UNSET = 1 << 29
 UNSCANNED = 0
 PROP = 1
 BRIDGE = 2
-FILED = 3
 
 
 @dataclass
 class PetalNode:
-    """Record of one formed petal: its bridge (red end first), bud,
-    sorted members, and the forming DDFS's colour and parent maps."""
+    """Record of one formed petal: its bridge (red end first), bud, and
+    the forming DDFS's colour and parent maps.  The members are the
+    colour keys other than the bud."""
 
     bridge_eid: int
     bud: int
-    members: list[int]
     color: dict[int, int]
     red_tree: dict[int, Optional[int]]
     green_tree: dict[int, Optional[int]]
@@ -51,7 +50,11 @@ class PhaseState:
     UNSET until the first path.  `preds[v]` lists the tails of v's props
     in scan order and `pred_alive[v]` counts the live ones; successors
     are derived (see `paths.recursive_remove`).  `edge_state` is
-    UNSCANNED, PROP, BRIDGE or FILED (queued in `br`)."""
+    UNSCANNED, PROP or BRIDGE; `br[t]` queues the bridges filed at
+    tenacity t.  A bridge is filed once both its relevant end levels are
+    known.  Only an unmatched bridge waits, on an inner end whose
+    evenlevel is still UNSET; it stays in state BRIDGE until MAX gives
+    that end an even maxlevel (`_assign_maxlevels`)."""
 
     g: Graph
     m: MatchingState
@@ -61,7 +64,6 @@ class PhaseState:
     pred_alive: list[int]
     edge_state: list[int]
     br: defaultdict[int, list[int]]
-    deferred_at: defaultdict[int, list[int]]
     petal_of: list[Optional[int]]
     petals: list[PetalNode]
     jump: list[int]
@@ -104,7 +106,6 @@ def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> P
         pred_alive=[0] * n,
         edge_state=[UNSCANNED] * g.m,
         br=defaultdict(list),
-        deferred_at=defaultdict(list),
         petal_of=[None] * n,
         petals=[],
         jump=list(range(n)),
@@ -137,23 +138,16 @@ def bridge_side(s: PhaseState, u: int, v: int) -> list[int]:
 
 
 def _try_file(s: PhaseState, eid: int) -> None:
-    """File a classified bridge into Br(tenacity) once both relevant
-    endpoint levels are known; otherwise defer on the unknown endpoints.
-    Once l_m is known a bridge of higher tenacity is left unfiled: the
-    phase ends before its level."""
-    if s.edge_state[eid] == FILED:
-        return
+    """File a bridge into Br(tenacity) if its tenacity is at most l_m.
+    An UNSET end makes the tenacity exceed every l_m, so the bridge waits
+    in state BRIDGE for `_assign_maxlevels` to retry it.  Once l_m is
+    known a bridge of higher tenacity is left unfiled: the phase ends
+    before its level."""
     u, v = s.g.edges[eid]
     levels = bridge_side(s, u, v)
     t = levels[u] + levels[v] + 1
-    if t > UNSET:  # an end's level is still UNSET
-        for x in (u, v):
-            if levels[x] == UNSET:
-                s.deferred_at[x].append(eid)
-        return
     if t > s.l_m:
         return
-    s.edge_state[eid] = FILED
     s.br[t].append(eid)
     if s.trace is not None:
         s.trace(f"bridge {u} {v} tenacity {t}")
@@ -204,8 +198,12 @@ def min_step(s: PhaseState, i: int) -> None:
 
 
 def _assign_maxlevels(s: PhaseState, members: list[int], t: int) -> None:
-    """Give each new petal member its maxlevel (2i+1 - minlevel) and
-    resolve bridges whose tenacity becomes computable."""
+    """Give each new petal member its maxlevel (2i+1 - minlevel) and file
+    the bridges whose tenacity becomes computable.  A waiting bridge's
+    UNSET end gets its evenlevel only here, as an even maxlevel, so the
+    scan of that vertex's unmatched edges retries each one in state
+    BRIDGE.  None of them is filed yet, since filing needs the evenlevel
+    just set; a matched bridge never waits and is skipped."""
     even, odd = s.evenlevel, s.oddlevel
     edge_state, removed, partner = s.edge_state, s.removed, s.m.partner
     for w in members:
@@ -216,16 +214,18 @@ def _assign_maxlevels(s: PhaseState, members: list[int], t: int) -> None:
             continue
         target[w] = maxl
         s.schedule[maxl].append(w)
-        for eid in s.deferred_at.pop(w, ()):
-            _try_file(s, eid)
         if maxl % 2 == 0:
             # Newly resolved inner vertex: an unscanned unmatched edge to
             # an already-leveled vertex can never become a prop, so it is
-            # a bridge whose tenacity is now known.
+            # a bridge whose tenacity may now be known.
             for x, eid in s.g.adj[w]:
-                if (
-                    edge_state[eid] == UNSCANNED
-                    and partner[w] != x
+                if partner[w] == x:
+                    continue
+                state = edge_state[eid]
+                if state == BRIDGE:
+                    _try_file(s, eid)
+                elif (
+                    state == UNSCANNED
                     and (even[x] != UNSET or odd[x] != UNSET)
                     and not removed[x]
                 ):
@@ -237,9 +237,7 @@ def _form_petal(s: PhaseState, eid: int, outcome: Bottleneck, i: int) -> None:
     b = outcome.b
     members = sorted(w for w in outcome.color if w != b)
     pid = len(s.petals)
-    s.petals.append(
-        PetalNode(eid, b, members, outcome.color, outcome.red_tree, outcome.green_tree)
-    )
+    s.petals.append(PetalNode(eid, b, outcome.color, outcome.red_tree, outcome.green_tree))
     for w in members:
         s.petal_of[w] = pid
         s.jump[w] = b

@@ -254,6 +254,11 @@ class TestGen:
         assert code == 2
         assert err.startswith("error:") and out == ""
 
+    def test_negative_edge_count_exits_2(self, capsys) -> None:
+        code, out, err = _run(capsys, ["gen", "5", "-1"])
+        assert code == 2
+        assert err.startswith("error:") and out == ""
+
     def test_roundtrips_with_solve(self, tmp_path, capsys) -> None:
         dest = tmp_path / "g.dimacs"
         code, _, _ = _run(capsys, ["gen", "10", "15", "--seed", "3", "--out", str(dest)])
@@ -317,7 +322,9 @@ class TestBench:
         assert out.splitlines()[1].startswith("5 0 1 ")
 
     @pytest.mark.parametrize(
-        "n, m", [(5, 100), (-3, 0), (20_000_000, 0)], ids=["capacity", "negative", "limit"]
+        "n, m",
+        [(5, 100), (-3, 0), (20_000_000, 0), (5, -3)],
+        ids=["capacity", "negative", "limit", "negative_edges"],
     )
     def test_bad_size_exits_2(self, capsys, n, m) -> None:
         code, _, err = _run(capsys, ["bench", "--n", str(n), "--m", str(m)])

@@ -174,6 +174,10 @@ class TestGenerateRandomGraph:
         with pytest.raises(ValueError, match="capacity"):
             generate_random_graph(3, 4, 0)
 
+    def test_negative_edge_count(self) -> None:
+        with pytest.raises(ValueError, match="negative"):
+            generate_random_graph(5, -1, 0)
+
     def test_edge_count_above_limit(self) -> None:
         with pytest.raises(ValueError, match="limit"):
             generate_random_graph(10**6, MAX_EDGES + 1, 0)

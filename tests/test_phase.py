@@ -8,11 +8,10 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mvmatching.graph import Graph, MatchingState, generate_random_graph
+from mvmatching.graph import Graph, MatchingState, augment_in_place, generate_random_graph
 from mvmatching.oracle import compute_profile
 from mvmatching.phase import (
     BRIDGE,
-    FILED,
     PROP,
     UNSET,
     PhaseState,
@@ -84,7 +83,7 @@ class TestMinStep:
         min_step(s, 0)
         min_step(s, 1)
         eid = g.edge_index[(1, 2)]
-        assert s.edge_state[eid] == FILED
+        assert s.edge_state[eid] == BRIDGE
         assert list(s.br[3]) == [eid]
 
     def test_triangle_matched_bridge(self) -> None:
@@ -93,7 +92,7 @@ class TestMinStep:
         min_step(s, 0)
         min_step(s, 1)
         eid = g.edge_index[(1, 2)]
-        assert s.edge_state[eid] == FILED
+        assert s.edge_state[eid] == BRIDGE
         assert list(s.br[3]) == [eid]
 
 
@@ -107,7 +106,7 @@ class TestMaxStep:
         assert len(s.petals) == 1
         petal = s.petals[0]
         assert petal.bud == 0
-        assert set(petal.members) == {1, 2}
+        assert set(petal.color) - {petal.bud} == {1, 2}
         assert s.evenlevel[1] == s.evenlevel[2] == 2  # maxlevels 2i+1 - 1
 
     def test_p4_two_paths(self) -> None:
@@ -128,13 +127,13 @@ class TestDeferredBridge:
         for i in range(3):
             min_step(s, i)
         # Scanned at level 2 but vertex 1's evenlevel is still unknown:
-        # classified bridge, deferred, not yet filed.
+        # classified bridge, waiting, not yet filed.
         assert s.edge_state[eid] == BRIDGE
+        assert s.evenlevel[1] == UNSET
         assert all(eid not in queue for queue in s.br.values())
-        assert eid in s.deferred_at.get(1, [])
         max_step(s, 2)  # forms the cycle petal, evenlevel(1) = 4
         assert s.evenlevel[1] == 4
-        assert s.edge_state[eid] == FILED
+        assert s.edge_state[eid] == BRIDGE
         assert list(s.br[7]) == [eid]
 
     def test_full_phase_finds_length_7_path(self) -> None:
@@ -289,6 +288,45 @@ class TestLevelsAreInts:
                 assert len(path) - 1 == s.l_m
 
 
+class TestEachBridgeFiledOnce:
+    def test_one_bridge_line_per_filed_bridge(self) -> None:
+        # In every phase of a solve no edge is filed twice, and every
+        # bridge whose final tenacity is finite and at most l_m (any
+        # finite tenacity in the certifying phase) is filed exactly once.
+        rng = random.Random(9009)
+        at_inner = 0  # filed unmatched bridges with an inner end
+        for k in range(300):
+            n = rng.randint(2, 40)
+            edges = rng.randint(0, min(n * (n - 1) // 2, 4 * n))
+            g = generate_random_graph(n, edges, rng.randrange(2**32))
+            m = MatchingState(n) if k % 2 else support.greedy_matching(g, k)
+            while True:
+                lines: list[str] = []
+                s = run_phase(g, m, trace=lines.append)
+                filed = [
+                    g.edge_index[(min(u, v), max(u, v))]
+                    for u, v, _, _ in support.filed_bridges(lines)
+                ]
+                assert len(set(filed)) == len(filed), k
+                for eid in filed:
+                    u, v = g.edges[eid]
+                    if m.partner[u] != v and any(s.oddlevel[x] < s.evenlevel[x] for x in (u, v)):
+                        at_inner += 1
+                for eid, state in enumerate(s.edge_state):
+                    if state != BRIDGE:
+                        continue
+                    u, v = g.edges[eid]
+                    side = bridge_side(s, u, v)
+                    # An UNSET end makes the tenacity exceed UNSET >= l_m.
+                    if side[u] + side[v] + 1 <= s.l_m:
+                        assert eid in filed, (k, u, v)
+                if not s.paths:
+                    break
+                for path in s.paths:
+                    augment_in_place(m, g, path)
+        assert at_inner > 1000
+
+
 class TestFilingStopsAtLm:
     def test_no_bridge_above_lm_after_first_path(self) -> None:
         # Once a phase has found a path of length l_m it ends at that
@@ -320,7 +358,7 @@ class TestEngineAgainstOracle:
     @given(inst=_small_instance())
     def test_levels_and_lm(self, inst: tuple[Graph, MatchingState]) -> None:
         g, m = inst
-        profile = compute_profile(g, m, deep=False)
+        profile = compute_profile(g, m)
         s = run_phase(g, m)
         assert (s.l_m if s.paths else INF) == profile.l_m
         for v in range(g.n):
@@ -334,7 +372,7 @@ class TestEngineAgainstOracle:
         self, inst: tuple[Graph, MatchingState]
     ) -> None:
         g, m = inst
-        profile = compute_profile(g, m, deep=False)
+        profile = compute_profile(g, m)
         lines: list[str] = []
         run_phase(g, m, trace=lines.append)
         filed = support.filed_bridges(lines)
@@ -362,7 +400,7 @@ class TestEngineAgainstOracle:
         self, inst: tuple[Graph, MatchingState]
     ) -> None:
         g, m = inst
-        profile = compute_profile(g, m, deep=True)
+        profile = compute_profile(g, m)
         s = run_phase(g, m)
         assert support.engine_base_classes(s, profile.l_m) == (
             support.oracle_base_classes(profile)

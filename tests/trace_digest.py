@@ -1,10 +1,13 @@
-"""Print one sha256 over the engine's observable behaviour on a fixed corpus.
+"""Print two sha256 digests of the engine's behaviour on a fixed corpus.
 
 A refactor that must not change behaviour should print the same count and
-digest before and after.  Each solve adds, in order: the `mvtrace` lines of
-`maximum_matching`, the matching size and phase count, then the trace of one
-more `run_phase` on the final matching (the certifying phase) and that
-phase's final even and odd levels.
+digests before and after.  For the first line each solve adds, in order: the
+`mvtrace` lines of `maximum_matching`, the matching size and phase count,
+then the trace of one more `run_phase` on the final matching (the certifying
+phase) and that phase's final even and odd levels.  The second line,
+`outcome`, covers each solve's matching size and phase count only.  It does
+not depend on search order, so a change that reorders work can still show
+identical outcomes.
 
 The corpus: 3,000 seeded random graphs with n < 60, started from no
 matching (the solver's greedy seed), the empty matching, or a seeded greedy
@@ -50,10 +53,11 @@ def corpus():
         yield make(), None
 
 
-def digest_one(h, g: Graph, start) -> None:
+def digest_one(h, outcome, g: Graph, start) -> None:
     lines: list[str] = []
     m, phases = maximum_matching(g, start, trace=lines.append)
     lines.append(f"size {m.size()} phases {phases}")
+    outcome.update((lines[-1] + "\n").encode())
     result = run_phase(g, m, trace=lines.append)
     # Older engines return a wrapper that holds the phase state in `.state`.
     s = getattr(result, "state", result)
@@ -64,11 +68,13 @@ def digest_one(h, g: Graph, start) -> None:
 
 def main() -> None:
     h = hashlib.sha256()
+    outcome = hashlib.sha256()
     count = 0
     for g, start in corpus():
-        digest_one(h, g, start)
+        digest_one(h, outcome, g, start)
         count += 1
     print(f"{count} solves sha256 {h.hexdigest()}")
+    print(f"outcome sha256 {outcome.hexdigest()}")
 
 
 if __name__ == "__main__":
