@@ -124,19 +124,14 @@ def cmd_oracle_check(cfg: argparse.Namespace) -> int:
     except (OSError, GraphFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    guard = not cfg.guard_override
-    if guard and g.n > oracle.LEVEL_GUARD_N:
-        print(
-            f"error: n = {g.n} exceeds oracle guard {oracle.LEVEL_GUARD_N} "
-            "(use --guard-override at your own risk)",
-            file=sys.stderr,
-        )
+    if g.n > oracle.LEVEL_GUARD_N:
+        print(f"error: n = {g.n} exceeds oracle guard {oracle.LEVEL_GUARD_N}", file=sys.stderr)
         return 2
     failures = 0
     matchings = [MatchingState(g.n)] + [_greedy_matching(g, cfg.seed + k) for k in range(3)]
     for idx, m in enumerate(matchings):
-        profile = oracle.compute_profile(g, m, guard=guard)
-        violations = oracle.check_structural_theorems(g, m, profile, guard=guard)
+        profile = oracle.compute_profile(g, m)
+        violations = oracle.check_structural_theorems(g, m, profile)
         for v in violations:
             print(f"matching {idx}: {v}")
             failures += 1
@@ -165,13 +160,14 @@ def cmd_oracle_check(cfg: argparse.Namespace) -> int:
 
 
 def cmd_bench(cfg: argparse.Namespace) -> int:
-    print("n m phases seconds")
     for rep in range(cfg.repeats):
         try:
             g = generate_random_graph(cfg.n, cfg.m, cfg.seed + rep)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
+        if rep == 0:
+            print("n m phases seconds")
         start = time.perf_counter()
         matching, phases = maximum_matching(g)
         elapsed = time.perf_counter() - start
@@ -214,7 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ocheck.add_argument("input", help="DIMACS edge-format file, or - for stdin")
     ocheck.add_argument("--seed", type=int, default=0)
-    ocheck.add_argument("--guard-override", action="store_true")
     ocheck.set_defaults(func=cmd_oracle_check)
 
     bench = sub.add_parser("bench", help="time the solver on seeded random graphs")

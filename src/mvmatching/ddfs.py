@@ -79,7 +79,10 @@ class _Ddfs:
             {},
         )
         self.center = [r, g]
-        self.barrier = [r, g]
+        # Red's barrier: its root, then each contested vertex it wins.
+        # Green's never moves from its root g.
+        self.barrier = r
+        self.green_root = g
         # None while the trees alternate by the keep-ahead rule; else the
         # tree that must find a vertex at or below the contested vertex's
         # layer while the other waits.
@@ -174,7 +177,7 @@ class _Ddfs:
                 return self._meet(t, u)
             # interior of a tree: skip
         # Out-edges exhausted: back up or resolve the contest.
-        if c != self.barrier[t]:
+        if c != (self.barrier if t == RED else self.green_root):
             self._backtrack(t, c)
             return None
         if self.seeker != t:
@@ -193,7 +196,7 @@ class _Ddfs:
         self.children[prober].setdefault(self.center[prober], []).append(v)
         self._emit("meet", prober, v)
         self.contested = v
-        if self.barrier[RED] == v:
+        if self.barrier == v:
             # Red already won v once and may not rescind: green (the
             # prober) concedes the vertex immediately and must seek.
             self.seeker = GREEN
@@ -216,9 +219,11 @@ class _Ddfs:
         self._transfer_subtree(v, GREEN, RED)
         self.color[v] = RED
         self.center[RED] = v
-        self.barrier[RED] = v
+        self.barrier = v
         self._emit("reassign", RED, v)
-        if self.parent[GREEN].get(v) is None or v == self.barrier[GREEN]:
+        # v stays in green's tree; green can back up past it unless v is
+        # green's root, and then v is the bottleneck.
+        if v == self.green_root:
             return self._bottleneck(v)
         self._backtrack(GREEN, v)
         self.seeker = GREEN

@@ -12,14 +12,17 @@ from typing import Iterable, Optional, TextIO
 
 
 # The most vertices a graph may have.  Every array the engine keeps is
-# sized by n, about 200 bytes a vertex in all, so 2^22 vertices stay near
-# 1 GB; a larger n is refused before anything is allocated.
-MAX_VERTICES = 1 << 22
+# sized by n, about 200 bytes a vertex in all; a larger n is refused
+# before anything is allocated.  The two limits are safe together: at
+# n = 2^21 and m = MAX_EDGES, `mvmatch bench` and `mvmatch solve` each
+# peaked near 1.2 GB, within a 1.5 GB address space (2^22 vertices with
+# 5*10^5 edges did not fit).
+MAX_VERTICES = 1 << 21
 
 # The most edges `generate_random_graph` samples; a larger m is refused
 # before anything is allocated.  Its memory grows with m: `mvmatch gen`
 # and `mvmatch bench` at 10^6 edges peaked near 540 MB (n = 2*10^5, or
-# n = 2,000 when dense), well within a 1.5 GB address space.
+# n = 2,000 when dense).
 MAX_EDGES = 10**6
 
 

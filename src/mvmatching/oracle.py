@@ -24,8 +24,8 @@ class OracleGuardError(ValueError):
     """Raised when an input exceeds the oracle's exhaustive-search guards."""
 
 
-def _check_level_guard(g: Graph, guard: bool) -> None:
-    if guard and g.n > LEVEL_GUARD_N:
+def _check_level_guard(g: Graph) -> None:
+    if g.n > LEVEL_GUARD_N:
         raise OracleGuardError(f"n = {g.n} exceeds oracle guard {LEVEL_GUARD_N}")
 
 
@@ -77,11 +77,9 @@ def _iter_level_paths(
                 yield p
 
 
-def brute_levels(
-    g: Graph, m: MatchingState, guard: bool = True
-) -> tuple[list[float], list[float]]:
+def brute_levels(g: Graph, m: MatchingState) -> tuple[list[float], list[float]]:
     """Exact evenlevel/oddlevel per vertex by exhaustive path enumeration."""
-    _check_level_guard(g, guard)
+    _check_level_guard(g)
     even = [INF] * g.n
     odd = [INF] * g.n
     for f in range(g.n):
@@ -97,9 +95,9 @@ def brute_levels(
     return even, odd
 
 
-def brute_min_augmenting_length(g: Graph, m: MatchingState, guard: bool = True) -> float:
+def brute_min_augmenting_length(g: Graph, m: MatchingState) -> float:
     """Minimum augmenting path length l_m, or infinity when none exists."""
-    _check_level_guard(g, guard)
+    _check_level_guard(g)
     best = INF
     for f in range(g.n):
         if m.is_matched(f):
@@ -111,9 +109,9 @@ def brute_min_augmenting_length(g: Graph, m: MatchingState, guard: bool = True) 
     return best
 
 
-def brute_max_matching(g: Graph, guard: bool = True) -> tuple[int, MatchingState]:
+def brute_max_matching(g: Graph) -> tuple[int, MatchingState]:
     """Exact maximum matching cardinality with one witness matching."""
-    if guard and not (g.n <= MATCHING_GUARD_N or g.m <= MATCHING_GUARD_M):
+    if not (g.n <= MATCHING_GUARD_N or g.m <= MATCHING_GUARD_M):
         raise OracleGuardError(
             f"n = {g.n}, m = {g.m} exceed guards (n <= {MATCHING_GUARD_N} or m <= {MATCHING_GUARD_M})"
         )
@@ -215,11 +213,11 @@ def _compute_props(g: Graph, m: MatchingState, even: list[float], odd: list[floa
     return ["prop" if f else "bridge" for f in is_prop]
 
 
-def compute_profile(g: Graph, m: MatchingState, guard: bool = True) -> OracleProfile:
+def compute_profile(g: Graph, m: MatchingState) -> OracleProfile:
     """Compute an OracleProfile, base sets and blossoms included."""
-    even, odd = brute_levels(g, m, guard=guard)
+    even, odd = brute_levels(g, m)
     tenacity = [even[v] + odd[v] for v in range(g.n)]
-    l_m = brute_min_augmenting_length(g, m, guard=guard)
+    l_m = brute_min_augmenting_length(g, m)
     finite_ts = [t for t in tenacity if t != INF]
     t_m = min(finite_ts) if finite_ts else INF
     edge_class = _compute_props(g, m, even, odd)
@@ -241,21 +239,19 @@ def compute_profile(g: Graph, m: MatchingState, guard: bool = True) -> OraclePro
         l_m=l_m,
     )
     for v in profile.eligible_vertices():
-        profile.base_sets[v] = brute_base_set(g, m, profile, v, guard=guard)
-    profile.blossoms = brute_blossoms(g, m, profile, guard=guard)
+        profile.base_sets[v] = brute_base_set(g, m, profile, v)
+    profile.blossoms = brute_blossoms(g, m, profile)
     return profile
 
 
-def brute_base_set(
-    g: Graph, m: MatchingState, profile: OracleProfile, v: int, guard: bool = True
-) -> frozenset[int]:
+def brute_base_set(g: Graph, m: MatchingState, profile: OracleProfile, v: int) -> frozenset[int]:
     """The set B(v): over all minimal (evenlevel and oddlevel) paths p to v,
     the highest vertex on p of tenacity exceeding tenacity(v).
 
     Singleton for every eligible vertex; may be empty when some minimal
     path carries no higher-tenacity vertex.
     """
-    _check_level_guard(g, guard)
+    _check_level_guard(g)
     t_v = profile.tenacity[v]
     out: set[int] = set()
     for length in (profile.evenlevel[v], profile.oddlevel[v]):
@@ -271,16 +267,13 @@ def brute_base_set(
     return frozenset(out)
 
 
-def brute_base(
-    g: Graph, m: MatchingState, profile: OracleProfile, v: int, guard: bool = True
-) -> tuple[str, Optional[frozenset[int]]]:
+def brute_base(profile: OracleProfile, v: int) -> tuple[str, Optional[frozenset[int]]]:
     """Classify v's base: ('not-eligible', None), ('no-base', None),
-    or ('base', set-of-candidates)."""
+    or ('base', set-of-candidates).  `compute_profile` fills `base_sets`
+    for every eligible vertex."""
     if not profile.is_eligible_tenacity(profile.tenacity[v]):
         return ("not-eligible", None)
-    s = profile.base_sets.get(v)
-    if s is None:
-        s = brute_base_set(g, m, profile, v, guard=guard)
+    s = profile.base_sets[v]
     if not s:
         return ("no-base", None)
     return ("base", s)
@@ -294,7 +287,7 @@ def _base_of(profile: OracleProfile, v: int) -> Optional[int]:
 
 
 def brute_blossoms(
-    g: Graph, m: MatchingState, profile: OracleProfile, guard: bool = True
+    g: Graph, m: MatchingState, profile: OracleProfile
 ) -> dict[tuple[int, int], tuple[frozenset[int], frozenset[int]]]:
     """Blossoms computed two independent ways.
 
@@ -303,7 +296,7 @@ def brute_blossoms(
     base); the second collects vertices whose iterated base chain first
     exceeds tenacity t exactly at b.
     """
-    _check_level_guard(g, guard)
+    _check_level_guard(g)
     eligible_ts = sorted({int(profile.tenacity[v]) for v in profile.eligible_vertices()})
     s_sets: dict[tuple[int, int], set[int]] = {}
     for v in profile.eligible_vertices():
@@ -361,12 +354,10 @@ def brute_blossoms(
     return out
 
 
-def brute_support(
-    g: Graph, m: MatchingState, profile: OracleProfile, eid: int, guard: bool = True
-) -> frozenset[int]:
+def brute_support(g: Graph, m: MatchingState, profile: OracleProfile, eid: int) -> frozenset[int]:
     """Support of a bridge: vertices of the bridge's tenacity having a
     maxlevel path through the bridge edge."""
-    _check_level_guard(g, guard)
+    _check_level_guard(g)
     t = profile.edge_tenacity[eid]
     u, v = g.edges[eid]
     out: set[int] = set()
@@ -387,11 +378,9 @@ def brute_support(
     return frozenset(out)
 
 
-def check_structural_theorems(
-    g: Graph, m: MatchingState, profile: OracleProfile, guard: bool = True
-) -> list[str]:
+def check_structural_theorems(g: Graph, m: MatchingState, profile: OracleProfile) -> list[str]:
     """Verify the structural theorems by enumeration; returns violations."""
-    _check_level_guard(g, guard)
+    _check_level_guard(g)
     violations: list[str] = []
 
     # (a) BFS-honesty along every minimal path.

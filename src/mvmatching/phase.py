@@ -51,10 +51,12 @@ class PhaseState:
     in scan order and `pred_alive[v]` counts the live ones; successors
     are derived (see `paths.recursive_remove`).  `edge_state` is
     UNSCANNED, PROP or BRIDGE; `br[t]` queues the bridges filed at
-    tenacity t.  A bridge is filed once both its relevant end levels are
-    known.  Only an unmatched bridge waits, on an inner end whose
-    evenlevel is still UNSET; it stays in state BRIDGE until MAX gives
-    that end an even maxlevel (`_assign_maxlevels`)."""
+    tenacity t.  Only MIN classifies edges, and it files each bridge as
+    it classifies it.  A bridge whose relevant end levels are not both
+    known waits: only an unmatched bridge can, on an inner end whose
+    evenlevel is still UNSET.  It stays in state BRIDGE until MAX gives
+    that end an even maxlevel, and `_assign_maxlevels` retries it then.
+    Only even maxlevels are scheduled for MIN (see `_assign_maxlevels`)."""
 
     g: Graph
     m: MatchingState
@@ -155,7 +157,14 @@ def _try_file(s: PhaseState, eid: int) -> None:
 
 def min_step(s: PhaseState, i: int) -> None:
     """MIN at search level i: extend minlevel assignments to i+1 and
-    classify newly scanned edges."""
+    classify newly scanned edges, filing each bridge (`_try_file`).
+
+    Only even maxlevels are scheduled, so a vertex scanned at an odd
+    level has an odd minlevel and is matched: free vertices sit at
+    evenlevel 0.  At an even scan of u the matched edge is never
+    UNSCANNED: it gave u an even minlevel as a prop, or u's odd scan
+    classified it.  The one exception is a partner removed before that
+    odd scan, which the `removed` test skips like any removed end."""
     sources = s.schedule.pop(i, [])
     target_levels = s.evenlevel if (i + 1) % 2 == 0 else s.oddlevel
     even, odd = s.evenlevel, s.oddlevel
@@ -172,13 +181,9 @@ def min_step(s: PhaseState, i: int) -> None:
             scan = adj[u]
         else:
             p = partner[u]
-            if p is None:
-                continue
             key = (u, p) if u < p else (p, u)
             scan = ((p, edge_index[key]),)
         for v, eid in scan:
-            if even_scan and partner[u] == v:
-                continue
             if edge_state[eid] != UNSCANNED or removed[v]:
                 continue
             if even[v] >= nxt and odd[v] >= nxt:
@@ -198,39 +203,35 @@ def min_step(s: PhaseState, i: int) -> None:
 
 
 def _assign_maxlevels(s: PhaseState, members: list[int], t: int) -> None:
-    """Give each new petal member its maxlevel (2i+1 - minlevel) and file
-    the bridges whose tenacity becomes computable.  A waiting bridge's
-    UNSET end gets its evenlevel only here, as an even maxlevel, so the
-    scan of that vertex's unmatched edges retries each one in state
-    BRIDGE.  None of them is filed yet, since filing needs the evenlevel
-    just set; a matched bridge never waits and is skipped."""
+    """Give each new petal member w its maxlevel t - minlevel(w).
+
+    The slot is always UNSET here: the DDFS visits only bud* vertices, so
+    w joins no other petal, and MIN assigns minlevels only.  An odd
+    maxlevel is not scheduled: w's minlevel is then even, so its matched
+    edge, if any, is the prop that gave w that level, and an odd scan of
+    w would find nothing.  An even maxlevel is scheduled for MIN, and
+    the scan of w's unmatched edges files each one waiting in state
+    BRIDGE, whose tenacity needed the evenlevel just set.  A matched
+    bridge never waits and is skipped.  An UNSCANNED unmatched edge
+    (w, x) is left to MIN.  A live x has no evenlevel at or below the
+    current level i, or its even scan would have classified the edge, so
+    MIN scans the edge from its first even end at level L > i.  If x has
+    a level, both ends lie below L + 1: MIN makes the edge a bridge and
+    files it at level L, before MAX reaches its tenacity of at least
+    2L + 1, or it waits for x's even maxlevel."""
     even, odd = s.evenlevel, s.oddlevel
-    edge_state, removed, partner = s.edge_state, s.removed, s.m.partner
+    edge_state, partner = s.edge_state, s.m.partner
     for w in members:
         ew, ow = even[w], odd[w]
         maxl = t - (ew if ew < ow else ow)
-        target = even if maxl % 2 == 0 else odd
-        if target[w] != UNSET:
+        if maxl % 2:
+            odd[w] = maxl
             continue
-        target[w] = maxl
+        even[w] = maxl
         s.schedule[maxl].append(w)
-        if maxl % 2 == 0:
-            # Newly resolved inner vertex: an unscanned unmatched edge to
-            # an already-leveled vertex can never become a prop, so it is
-            # a bridge whose tenacity may now be known.
-            for x, eid in s.g.adj[w]:
-                if partner[w] == x:
-                    continue
-                state = edge_state[eid]
-                if state == BRIDGE:
-                    _try_file(s, eid)
-                elif (
-                    state == UNSCANNED
-                    and (even[x] != UNSET or odd[x] != UNSET)
-                    and not removed[x]
-                ):
-                    edge_state[eid] = BRIDGE
-                    _try_file(s, eid)
+        for x, eid in s.g.adj[w]:
+            if edge_state[eid] == BRIDGE and partner[w] != x:
+                _try_file(s, eid)
 
 
 def _form_petal(s: PhaseState, eid: int, outcome: Bottleneck, i: int) -> None:

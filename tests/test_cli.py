@@ -282,6 +282,10 @@ class TestOracleCheck:
         code, _, err = _run(capsys, ["oracle-check", str(f)])
         assert code == 2
         assert "guard" in err
+        # No option lifts the guard.
+        with pytest.raises(SystemExit) as exc:
+            main(["oracle-check", str(f), "--guard-override"])
+        assert exc.value.code == 2
 
     def test_fault_injection_detected(self, tmp_path, capsys, monkeypatch) -> None:
         f = tmp_path / "g.dimacs"
@@ -327,8 +331,9 @@ class TestBench:
         ids=["capacity", "negative", "limit", "negative_edges"],
     )
     def test_bad_size_exits_2(self, capsys, n, m) -> None:
-        code, _, err = _run(capsys, ["bench", "--n", str(n), "--m", str(m)])
+        code, out, err = _run(capsys, ["bench", "--n", str(n), "--m", str(m)])
         assert code == 2
+        assert out == ""
         assert err.startswith("error:")
 
 

@@ -115,7 +115,7 @@ class TestBaseAndBlossoms:
         g, m = support.triangle()
         profile = compute_profile(g, m)
         for v in (1, 2):
-            kind, candidates = brute_base(g, m, profile, v)
+            kind, candidates = brute_base(profile, v)
             assert kind == "base"
             assert candidates == frozenset({0})
 
@@ -126,7 +126,7 @@ class TestBaseAndBlossoms:
         assert profile.l_m == 3
         for v in (1, 2):
             assert profile.tenacity[v] == 3
-            assert brute_base(g, m, profile, v) == ("not-eligible", None)
+            assert brute_base(profile, v) == ("not-eligible", None)
 
     def test_triangle_blossom_both_definitions(self) -> None:
         g, m = support.triangle()

@@ -293,13 +293,24 @@ class TestEachBridgeFiledOnce:
         # In every phase of a solve no edge is filed twice, and every
         # bridge whose final tenacity is finite and at most l_m (any
         # finite tenacity in the certifying phase) is filed exactly once.
+        # MIN files every bridge it classifies and MAX only retries the
+        # waiting ones, which rests on two more facts checked here:
+        # - l_m rises strictly from phase to phase, so each phase's path
+        #   set is maximal (Hopcroft-Karp), checked beyond the oracle's
+        #   n <= 14;
+        # - in the certifying phase, where nothing is removed, MIN
+        #   reaches every edge: each non-prop whose two relevant end
+        #   levels are finite is a bridge, filed exactly once.
         rng = random.Random(9009)
         at_inner = 0  # filed unmatched bridges with an inner end
+        rises = 0  # phases with paths after the first of their solve
+        certified = 0  # non-props checked in certifying phases
         for k in range(300):
             n = rng.randint(2, 40)
             edges = rng.randint(0, min(n * (n - 1) // 2, 4 * n))
             g = generate_random_graph(n, edges, rng.randrange(2**32))
             m = MatchingState(n) if k % 2 else support.greedy_matching(g, k)
+            last_lm = 0
             while True:
                 lines: list[str] = []
                 s = run_phase(g, m, trace=lines.append)
@@ -321,10 +332,23 @@ class TestEachBridgeFiledOnce:
                     if side[u] + side[v] + 1 <= s.l_m:
                         assert eid in filed, (k, u, v)
                 if not s.paths:
+                    assert not any(s.removed), k
+                    for eid, (u, v) in enumerate(g.edges):
+                        side = bridge_side(s, u, v)
+                        if s.edge_state[eid] == PROP or UNSET in (side[u], side[v]):
+                            continue
+                        assert s.edge_state[eid] == BRIDGE, (k, u, v)
+                        assert filed.count(eid) == 1, (k, u, v)
+                        certified += 1
                     break
+                assert s.l_m > last_lm, (k, last_lm, s.l_m)
+                rises += last_lm > 0
+                last_lm = s.l_m
                 for path in s.paths:
                     augment_in_place(m, g, path)
         assert at_inner > 1000
+        assert rises > 120
+        assert certified > 2000
 
 
 class TestFilingStopsAtLm:
