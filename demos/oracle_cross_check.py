@@ -43,7 +43,7 @@ def main() -> None:
         m = greedy(g, rng)
 
         profile = compute_profile(g, m)
-        violations = check_structural_theorems(g, m, profile)
+        violations = check_structural_theorems(profile)
         violation_count += len(violations)
         for line in violations:
             print(f"instance {k}: {line}")

@@ -32,18 +32,28 @@ TRACE_HEADER = "mvtrace 1"
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
 
 
-def _write_out(cfg: argparse.Namespace, text: str) -> None:
-    if getattr(cfg, "out", None):
+def _write_out(cfg: argparse.Namespace, text: str) -> int:
+    """Write `text` to --out, or to stdout without it; exit code 2 when
+    the file cannot be written, else 0."""
+    if not getattr(cfg, "out", None):
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(cfg.out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _trace_fn(cfg: argparse.Namespace, sink: TextIO):
@@ -65,8 +75,8 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
         return 2
     trace = _trace_fn(cfg, sys.stderr)
     matching, phases = maximum_matching(g, trace=trace)
-    text = serialize_matching(matching)
-    _write_out(cfg, text)
+    if _write_out(cfg, serialize_matching(matching)):
+        return 2
     if cfg.out:
         print(f"size {matching.size()}")
     print(f"phases {phases}", file=sys.stderr)
@@ -101,8 +111,7 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"c seed {cfg.seed}", file=sys.stderr)
-    _write_out(cfg, serialize_dimacs(g))
-    return 0
+    return _write_out(cfg, serialize_dimacs(g))
 
 
 def _greedy_matching(g: Graph, seed: int) -> MatchingState:
@@ -131,7 +140,7 @@ def cmd_oracle_check(cfg: argparse.Namespace) -> int:
     matchings = [MatchingState(g.n)] + [_greedy_matching(g, cfg.seed + k) for k in range(3)]
     for idx, m in enumerate(matchings):
         profile = oracle.compute_profile(g, m)
-        violations = oracle.check_structural_theorems(g, m, profile)
+        violations = oracle.check_structural_theorems(profile)
         for v in violations:
             print(f"matching {idx}: {v}")
             failures += 1

@@ -3,6 +3,11 @@
 Every quantity here is computed by definitional enumeration over simple
 alternating paths, never by the phase engine's algorithm.  Exponential
 time; hard size guards protect against accidental large inputs.
+
+`compute_profile` enumerates twice: once for the levels, and once more
+to keep the minimal alternating paths, those whose length is their end
+vertex's evenlevel or oddlevel.  Props, bases, blossoms, supports and
+the structural theorems all read those paths from the profile.
 """
 
 from __future__ import annotations
@@ -22,11 +27,6 @@ MATCHING_GUARD_M = 24
 
 class OracleGuardError(ValueError):
     """Raised when an input exceeds the oracle's exhaustive-search guards."""
-
-
-def _check_level_guard(g: Graph) -> None:
-    if g.n > LEVEL_GUARD_N:
-        raise OracleGuardError(f"n = {g.n} exceeds oracle guard {LEVEL_GUARD_N}")
 
 
 def _iter_alternating_paths(
@@ -61,25 +61,10 @@ def _iter_alternating_paths(
     yield from extend(None)
 
 
-def _iter_level_paths(
-    g: Graph, m: MatchingState, v: int, length: int | float
-) -> Iterator[list[int]]:
-    """Yield every alternating path of exactly `length` edges from any
-    unmatched vertex to v."""
-    if length is INF or length == INF:
-        return
-    length = int(length)
-    for f in range(g.n):
-        if m.is_matched(f):
-            continue
-        for p in _iter_alternating_paths(g, m, f, max_len=length):
-            if len(p) - 1 == length and p[-1] == v:
-                yield p
-
-
 def brute_levels(g: Graph, m: MatchingState) -> tuple[list[float], list[float]]:
     """Exact evenlevel/oddlevel per vertex by exhaustive path enumeration."""
-    _check_level_guard(g)
+    if g.n > LEVEL_GUARD_N:
+        raise OracleGuardError(f"n = {g.n} exceeds oracle guard {LEVEL_GUARD_N}")
     even = [INF] * g.n
     odd = [INF] * g.n
     for f in range(g.n):
@@ -93,20 +78,6 @@ def brute_levels(g: Graph, m: MatchingState) -> tuple[list[float], list[float]]:
             else:
                 odd[v] = min(odd[v], length)
     return even, odd
-
-
-def brute_min_augmenting_length(g: Graph, m: MatchingState) -> float:
-    """Minimum augmenting path length l_m, or infinity when none exists."""
-    _check_level_guard(g)
-    best = INF
-    for f in range(g.n):
-        if m.is_matched(f):
-            continue
-        for p in _iter_alternating_paths(g, m, f):
-            length = len(p) - 1
-            if length >= 1 and length % 2 == 1 and not m.is_matched(p[-1]):
-                best = min(best, length)
-    return best
 
 
 def brute_max_matching(g: Graph) -> tuple[int, MatchingState]:
@@ -165,7 +136,13 @@ def brute_max_matching(g: Graph) -> tuple[int, MatchingState]:
 
 @dataclass
 class OracleProfile:
-    """Exhaustively computed structural data for one (graph, matching) pair."""
+    """Exhaustively computed structural data for one (graph, matching) pair.
+
+    Only `compute_profile` makes one, so every profile is within the
+    level guard.  `min_paths[v]` maps each of v's two levels to the
+    alternating paths of that length from a free vertex to v, in
+    enumeration order; an infinite level maps to no paths.
+    """
 
     g: Graph
     m: MatchingState
@@ -176,6 +153,7 @@ class OracleProfile:
     edge_tenacity: list[float]
     t_m: float
     l_m: float
+    min_paths: list[dict[float, list[list[int]]]]
     base_sets: dict[int, frozenset[int]] = field(default_factory=dict)
     blossoms: dict[tuple[int, int], tuple[frozenset[int], frozenset[int]]] = field(
         default_factory=dict
@@ -197,30 +175,36 @@ class OracleProfile:
         return [v for v in range(self.g.n) if self.is_eligible_tenacity(self.tenacity[v])]
 
 
-def _compute_props(g: Graph, m: MatchingState, even: list[float], odd: list[float]) -> list[str]:
-    """Classify each edge as prop (last edge of some minlevel path) or bridge."""
-    is_prop = [False] * g.m
-    edge_id = {}
-    for eid, (a, b) in enumerate(g.edges):
-        edge_id[(a, b)] = eid
-        edge_id[(b, a)] = eid
-    for v in range(g.n):
-        minl = min(even[v], odd[v])
-        if minl == INF or minl == 0:
-            continue
-        for p in _iter_level_paths(g, m, v, minl):
-            is_prop[edge_id[(p[-2], p[-1])]] = True
-    return ["prop" if f else "bridge" for f in is_prop]
+def _path_eids(g: Graph, p: list[int]) -> list[int]:
+    """Edge ids along vertex path p, in order."""
+    return [g.edge_index[(a, b) if a < b else (b, a)] for a, b in zip(p, p[1:])]
 
 
 def compute_profile(g: Graph, m: MatchingState) -> OracleProfile:
     """Compute an OracleProfile, base sets and blossoms included."""
     even, odd = brute_levels(g, m)
+    free = [f for f in range(g.n) if not m.is_matched(f)]
+    min_paths: list[dict[float, list[list[int]]]] = [
+        {even[v]: [], odd[v]: []} for v in range(g.n)
+    ]
+    longest = max((x for x in even + odd if x != INF), default=0)
+    for f in free:
+        for p in _iter_alternating_paths(g, m, f, max_len=longest):
+            paths = min_paths[p[-1]].get(len(p) - 1)
+            if paths is not None:
+                paths.append(p)
+
     tenacity = [even[v] + odd[v] for v in range(g.n)]
-    l_m = brute_min_augmenting_length(g, m)
     finite_ts = [t for t in tenacity if t != INF]
     t_m = min(finite_ts) if finite_ts else INF
-    edge_class = _compute_props(g, m, even, odd)
+    # An odd alternating path that ends at a free vertex augments.
+    l_m = min((odd[f] for f in free), default=INF)
+    # A prop is the last edge of some minlevel path; every other edge is a bridge.
+    is_prop = [False] * g.m
+    for v in range(g.n):
+        for p in min_paths[v][min(even[v], odd[v])]:
+            if len(p) > 1:
+                is_prop[_path_eids(g, p[-2:])[0]] = True
     edge_tenacity: list[float] = []
     for u, v in g.edges:
         if m.partner[u] == v:
@@ -233,50 +217,37 @@ def compute_profile(g: Graph, m: MatchingState) -> OracleProfile:
         evenlevel=even,
         oddlevel=odd,
         tenacity=tenacity,
-        edge_class=edge_class,
+        edge_class=["prop" if f else "bridge" for f in is_prop],
         edge_tenacity=edge_tenacity,
         t_m=t_m,
         l_m=l_m,
+        min_paths=min_paths,
     )
     for v in profile.eligible_vertices():
-        profile.base_sets[v] = brute_base_set(g, m, profile, v)
-    profile.blossoms = brute_blossoms(g, m, profile)
+        profile.base_sets[v] = _base_set(profile, v)
+    profile.blossoms = brute_blossoms(profile)
     return profile
 
 
-def brute_base_set(g: Graph, m: MatchingState, profile: OracleProfile, v: int) -> frozenset[int]:
+def _base_set(profile: OracleProfile, v: int) -> frozenset[int]:
     """The set B(v): over all minimal (evenlevel and oddlevel) paths p to v,
     the highest vertex on p of tenacity exceeding tenacity(v).
 
     Singleton for every eligible vertex; may be empty when some minimal
     path carries no higher-tenacity vertex.
     """
-    _check_level_guard(g)
     t_v = profile.tenacity[v]
     out: set[int] = set()
-    for length in (profile.evenlevel[v], profile.oddlevel[v]):
-        for p in _iter_level_paths(g, m, v, length):
+    for paths in profile.min_paths[v].values():
+        for p in paths:
             candidate = None
             for u in p:
                 if u != v and profile.tenacity[u] > t_v:
                     candidate = u  # last such vertex = furthest from the start
-            if candidate is not None:
-                out.add(candidate)
-            else:
+            if candidate is None:
                 return frozenset()
+            out.add(candidate)
     return frozenset(out)
-
-
-def brute_base(profile: OracleProfile, v: int) -> tuple[str, Optional[frozenset[int]]]:
-    """Classify v's base: ('not-eligible', None), ('no-base', None),
-    or ('base', set-of-candidates).  `compute_profile` fills `base_sets`
-    for every eligible vertex."""
-    if not profile.is_eligible_tenacity(profile.tenacity[v]):
-        return ("not-eligible", None)
-    s = profile.base_sets[v]
-    if not s:
-        return ("no-base", None)
-    return ("base", s)
 
 
 def _base_of(profile: OracleProfile, v: int) -> Optional[int]:
@@ -287,7 +258,7 @@ def _base_of(profile: OracleProfile, v: int) -> Optional[int]:
 
 
 def brute_blossoms(
-    g: Graph, m: MatchingState, profile: OracleProfile
+    profile: OracleProfile,
 ) -> dict[tuple[int, int], tuple[frozenset[int], frozenset[int]]]:
     """Blossoms computed two independent ways.
 
@@ -296,7 +267,7 @@ def brute_blossoms(
     base); the second collects vertices whose iterated base chain first
     exceeds tenacity t exactly at b.
     """
-    _check_level_guard(g)
+    n = profile.g.n
     eligible_ts = sorted({int(profile.tenacity[v]) for v in profile.eligible_vertices()})
     s_sets: dict[tuple[int, int], set[int]] = {}
     for v in profile.eligible_vertices():
@@ -324,7 +295,7 @@ def brute_blossoms(
 
     def base_above(v: int, t: int) -> Optional[int]:
         cur = v
-        for _ in range(g.n + 1):
+        for _ in range(n + 1):
             if profile.tenacity[cur] > t:
                 return cur
             nxt = _base_of(profile, cur)
@@ -337,14 +308,14 @@ def brute_blossoms(
     for t in eligible_ts:
         bases = {
             b
-            for b in range(g.n)
+            for b in range(n)
             if profile.tenacity[b] > t and profile.is_outer(b)
         }
         for b in bases:
             rec = recursive_blossom(b, t)
             alt = frozenset(
                 v
-                for v in range(g.n)
+                for v in range(n)
                 if profile.tenacity[v] != INF
                 and profile.tenacity[v] <= t
                 and base_above(v, t) == b
@@ -354,42 +325,30 @@ def brute_blossoms(
     return out
 
 
-def brute_support(g: Graph, m: MatchingState, profile: OracleProfile, eid: int) -> frozenset[int]:
+def brute_support(profile: OracleProfile, eid: int) -> frozenset[int]:
     """Support of a bridge: vertices of the bridge's tenacity having a
     maxlevel path through the bridge edge."""
-    _check_level_guard(g)
     t = profile.edge_tenacity[eid]
-    u, v = g.edges[eid]
-    out: set[int] = set()
-    for w in range(g.n):
-        if profile.tenacity[w] != t:
-            continue
-        maxl = profile.maxlevel(w)
-        found = False
-        for p in _iter_level_paths(g, m, w, maxl):
-            for a, b in zip(p, p[1:]):
-                if (a, b) == (u, v) or (a, b) == (v, u):
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            out.add(w)
-    return frozenset(out)
+    return frozenset(
+        w
+        for w in range(profile.g.n)
+        if profile.tenacity[w] == t
+        and any(
+            eid in _path_eids(profile.g, p) for p in profile.min_paths[w][profile.maxlevel(w)]
+        )
+    )
 
 
-def check_structural_theorems(g: Graph, m: MatchingState, profile: OracleProfile) -> list[str]:
+def check_structural_theorems(profile: OracleProfile) -> list[str]:
     """Verify the structural theorems by enumeration; returns violations."""
-    _check_level_guard(g)
+    g, m = profile.g, profile.m
     violations: list[str] = []
 
     # (a) BFS-honesty along every minimal path.
     for v in range(g.n):
         t_v = profile.tenacity[v]
-        for length in (profile.evenlevel[v], profile.oddlevel[v]):
-            if length == INF:
-                continue
-            for p in _iter_level_paths(g, m, v, length):
+        for paths in profile.min_paths[v].values():
+            for p in paths:
                 for k, u in enumerate(p):
                     t_u = profile.tenacity[u]
                     if t_u < t_v:
@@ -429,20 +388,12 @@ def check_structural_theorems(g: Graph, m: MatchingState, profile: OracleProfile
         t_v = profile.tenacity[v]
         if not (profile.is_eligible_tenacity(t_v) or t_v == profile.l_m):
             continue
-        maxl = profile.maxlevel(v)
-        if maxl == INF:
-            continue
-        for p in _iter_level_paths(g, m, v, maxl):
-            count = 0
-            for a, b in zip(p, p[1:]):
-                for w, eid in g.adj[a]:
-                    if w == b:
-                        if (
-                            profile.edge_class[eid] == "bridge"
-                            and profile.edge_tenacity[eid] == t_v
-                        ):
-                            count += 1
-                        break
+        for p in profile.min_paths[v][profile.maxlevel(v)]:
+            count = sum(
+                1
+                for eid in _path_eids(g, p)
+                if profile.edge_class[eid] == "bridge" and profile.edge_tenacity[eid] == t_v
+            )
             if count != 1:
                 violations.append(
                     f"maxlevel path {p} of {v} has {count} bridges of tenacity {t_v}"
@@ -460,19 +411,12 @@ def check_structural_theorems(g: Graph, m: MatchingState, profile: OracleProfile
 
     # (f) Per-start even/odd path availability agrees for eligible vertices.
     for v in profile.eligible_vertices():
-        for f in range(g.n):
-            if m.is_matched(f):
-                continue
-            has_even = any(
-                p[0] == f for p in _iter_level_paths(g, m, v, profile.evenlevel[v])
+        even_starts = {p[0] for p in profile.min_paths[v][profile.evenlevel[v]]}
+        odd_starts = {p[0] for p in profile.min_paths[v][profile.oddlevel[v]]}
+        for f in sorted(even_starts ^ odd_starts):
+            violations.append(
+                f"vertex {v}: even path from {f}: {f in even_starts}, odd: {f in odd_starts}"
             )
-            has_odd = any(
-                p[0] == f for p in _iter_level_paths(g, m, v, profile.oddlevel[v])
-            )
-            if has_even != has_odd:
-                violations.append(
-                    f"vertex {v}: even path from {f}: {has_even}, odd: {has_odd}"
-                )
 
     # (g) Bridge endpoint cases.
     for eid, (u, v) in enumerate(g.edges):
@@ -499,19 +443,3 @@ def check_structural_theorems(g: Graph, m: MatchingState, profile: OracleProfile
                             f"unmatched bridge ({u},{v}): inner {x} tenacity {t_x} >= {t_e}"
                         )
     return violations
-
-
-def serialize_profile(profile: OracleProfile) -> str:
-    """Structured-text dump: per-vertex levels and per-edge classification."""
-
-    def fmt(x: float) -> str:
-        return "inf" if x == INF else str(int(x))
-
-    lines = []
-    for v in range(profile.g.n):
-        lines.append(f"v {v + 1} even {fmt(profile.evenlevel[v])} odd {fmt(profile.oddlevel[v])}")
-    for eid, (u, v) in enumerate(profile.g.edges):
-        t = profile.edge_tenacity[eid]
-        t_str = "?" if t == INF else str(int(t))
-        lines.append(f"edge {u + 1} {v + 1} {profile.edge_class[eid]} tenacity {t_str}")
-    return "\n".join(lines) + "\n"

@@ -132,8 +132,8 @@ def test_criterion_2_level_correctness(corpus):
 
 def test_criterion_3_structural_theorems(corpus):
     violations = 0
-    for g, m, profile, _ in corpus:
-        violations += len(check_structural_theorems(g, m, profile))
+    for _, _, profile, _ in corpus:
+        violations += len(check_structural_theorems(profile))
     _report(
         3,
         "structural theorem suite",

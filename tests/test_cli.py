@@ -387,6 +387,51 @@ class TestInputLimits:
             _assert_limit_error(_run_under_memory_cap(args))
 
 
+class TestFileErrors:
+    UNDECODABLE = b"p edge 2 1\ne 1 2\n\xff\xfe\n"
+
+    def _assert_decode_error(self, code: int, out: str, err: str, source: str) -> None:
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: {source}: 'utf-8' codec can't decode byte 0xff in position 17: "
+            "invalid start byte\n"
+        )
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "oracle-check"])
+    def test_undecodable_file_exits_2(self, tmp_path, capsys, command) -> None:
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(self.UNDECODABLE)
+        args = [command, str(bad)]
+        if command == "verify":
+            g = tmp_path / "g.dimacs"
+            g.write_text(P4_DIMACS)
+            args = [command, str(g), str(bad)]
+        self._assert_decode_error(*_run(capsys, args), str(bad))
+
+    def test_undecodable_stdin_exits_2(self, capsys, monkeypatch) -> None:
+        import io
+
+        # A strict decoder, as stdin has under a UTF-8 locale.
+        stdin = io.TextIOWrapper(io.BytesIO(self.UNDECODABLE), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        self._assert_decode_error(*_run(capsys, ["solve", "-"]), "-")
+
+    @pytest.mark.parametrize("command", ["solve", "gen"])
+    def test_unwritable_out_exits_2(self, tmp_path, capsys, command) -> None:
+        f = tmp_path / "g.dimacs"
+        f.write_text(P4_DIMACS)
+        dest = tmp_path / "missing" / "out.txt"
+        args = ["solve", str(f)] if command == "solve" else ["gen", "5", "3"]
+        code, out, err = _run(capsys, args + ["--out", str(dest)])
+        assert code == 2
+        assert out == ""
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: [Errno 2] No such file or directory: '{dest}'"
+        ]
+        assert not dest.exists()
+
+
 class TestUsage:
     def test_missing_command_exits_2(self, capsys) -> None:
         with pytest.raises(SystemExit) as exc:

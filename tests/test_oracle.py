@@ -11,15 +11,12 @@ from hypothesis import strategies as st
 from mvmatching.graph import Graph, MatchingState, generate_random_graph, validate_matching
 from mvmatching.oracle import (
     OracleGuardError,
-    brute_base,
     brute_blossoms,
     brute_levels,
     brute_max_matching,
-    brute_min_augmenting_length,
     brute_support,
     check_structural_theorems,
     compute_profile,
-    serialize_profile,
 )
 
 import support
@@ -65,6 +62,8 @@ class TestBruteLevels:
         g = generate_random_graph(15, 10, 0)
         with pytest.raises(OracleGuardError):
             brute_levels(g, MatchingState(15))
+        with pytest.raises(OracleGuardError):
+            compute_profile(g, MatchingState(15))
 
 
 class TestBruteMaxMatching:
@@ -99,15 +98,15 @@ class TestBruteMaxMatching:
 class TestMinAugmentingLength:
     def test_p4(self) -> None:
         g, m = support.p4()
-        assert brute_min_augmenting_length(g, m) == 3
+        assert compute_profile(g, m).l_m == 3
 
     def test_triangle_single_unmatched(self) -> None:
         g, m = support.triangle()
-        assert brute_min_augmenting_length(g, m) == INF
+        assert compute_profile(g, m).l_m == INF
 
     def test_empty_matching_with_edges(self) -> None:
         g, _ = support.p4()
-        assert brute_min_augmenting_length(g, MatchingState(4)) == 1
+        assert compute_profile(g, MatchingState(4)).l_m == 1
 
 
 class TestBaseAndBlossoms:
@@ -115,9 +114,7 @@ class TestBaseAndBlossoms:
         g, m = support.triangle()
         profile = compute_profile(g, m)
         for v in (1, 2):
-            kind, candidates = brute_base(profile, v)
-            assert kind == "base"
-            assert candidates == frozenset({0})
+            assert profile.base_sets[v] == frozenset({0})
 
     def test_p4_tenacity_lm_vertices_have_no_base(self) -> None:
         g, m = support.p4()
@@ -126,7 +123,7 @@ class TestBaseAndBlossoms:
         assert profile.l_m == 3
         for v in (1, 2):
             assert profile.tenacity[v] == 3
-            assert brute_base(profile, v) == ("not-eligible", None)
+            assert v not in profile.base_sets
 
     def test_triangle_blossom_both_definitions(self) -> None:
         g, m = support.triangle()
@@ -138,7 +135,7 @@ class TestBaseAndBlossoms:
         g, _ = support.p4()
         m = MatchingState(4)
         profile = compute_profile(g, m)
-        blossoms = brute_blossoms(g, m, profile)
+        blossoms = brute_blossoms(profile)
         for (_, t), (rec, _) in blossoms.items():
             if t == 1:
                 assert rec == frozenset()
@@ -159,7 +156,7 @@ class TestBruteSupport:
         profile = compute_profile(g, m)
         eid = g.edge_index[(1, 2)]
         assert profile.edge_class[eid] == "bridge"
-        assert brute_support(g, m, profile, eid) == frozenset({1, 2})
+        assert brute_support(profile, eid) == frozenset({1, 2})
 
     def test_p4_bridge_at_lm(self) -> None:
         g, m = support.p4()
@@ -169,7 +166,7 @@ class TestBruteSupport:
         assert profile.edge_tenacity[eid] == 3
         # All four vertices have tenacity 3 and their maxlevel path
         # 0-1-2-3 crosses the bridge.
-        assert brute_support(g, m, profile, eid) == frozenset({0, 1, 2, 3})
+        assert brute_support(profile, eid) == frozenset({0, 1, 2, 3})
 
     def test_empty_support_bridge(self) -> None:
         g, m = support.empty_support_graph()
@@ -177,7 +174,7 @@ class TestBruteSupport:
         eid = g.edge_index[(1, 4)]
         assert profile.edge_class[eid] == "bridge"
         assert profile.edge_tenacity[eid] == 13
-        assert brute_support(g, m, profile, eid) == frozenset()
+        assert brute_support(profile, eid) == frozenset()
 
 
 class TestStructuralTheorems:
@@ -192,25 +189,25 @@ class TestStructuralTheorems:
         ]
         for g, m in fixtures:
             profile = compute_profile(g, m)
-            assert check_structural_theorems(g, m, profile) == []
+            assert check_structural_theorems(profile) == []
 
     def test_corrupted_profile_detected(self) -> None:
         g, m = support.triangle()
         profile = compute_profile(g, m)
         profile.base_sets[1] = frozenset({0, 2})  # negative control
-        assert check_structural_theorems(g, m, profile) != []
+        assert check_structural_theorems(profile) != []
 
     def test_p4_report_empty(self) -> None:
         g, m = support.p4()
         profile = compute_profile(g, m)
-        assert check_structural_theorems(g, m, profile) == []
+        assert check_structural_theorems(profile) == []
 
     @PROPERTY_SETTINGS
     @given(inst=_small_instance())
     def test_random_instances_clean(self, inst: tuple[Graph, MatchingState]) -> None:
         g, m = inst
         profile = compute_profile(g, m)
-        assert check_structural_theorems(g, m, profile) == []
+        assert check_structural_theorems(profile) == []
 
 
 class TestProfileDeterminism:
@@ -226,23 +223,19 @@ class TestProfileDeterminism:
         assert a.blossoms == b.blossoms
 
 
-class TestSerializeProfile:
-    def test_p4_golden(self) -> None:
+class TestProfileFields:
+    def test_p4_fields(self) -> None:
         g, m = support.p4()
         profile = compute_profile(g, m)
-        assert serialize_profile(profile) == (
-            "v 1 even 0 odd 3\n"
-            "v 2 even 2 odd 1\n"
-            "v 3 even 2 odd 1\n"
-            "v 4 even 0 odd 3\n"
-            "edge 1 2 prop tenacity 3\n"
-            "edge 2 3 bridge tenacity 3\n"
-            "edge 3 4 prop tenacity 3\n"
-        )
+        assert profile.evenlevel == [0, 2, 2, 0]
+        assert profile.oddlevel == [3, 1, 1, 3]
+        assert profile.edge_class == ["prop", "bridge", "prop"]
+        assert profile.edge_tenacity == [3, 3, 3]
+        assert profile.min_paths[1] == {2: [[3, 2, 1]], 1: [[0, 1]]}
 
-    def test_infinite_levels_rendered(self) -> None:
+    def test_matched_k2_is_infinite(self) -> None:
         g = Graph.from_edges(2, [(0, 1)])
         profile = compute_profile(g, MatchingState(2, [(0, 1)]))
-        text = serialize_profile(profile)
-        assert "v 1 even inf odd inf" in text
-        assert "tenacity ?" in text
+        assert profile.evenlevel == [INF, INF]
+        assert profile.oddlevel == [INF, INF]
+        assert profile.edge_tenacity == [INF]

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mvmatching.graph import Graph, MatchingState, augment_in_place, generate_random_graph
-from mvmatching.oracle import compute_profile
+from mvmatching.oracle import brute_support, compute_profile
 from mvmatching.phase import (
     BRIDGE,
     PROP,
@@ -429,3 +429,24 @@ class TestEngineAgainstOracle:
         assert support.engine_base_classes(s, profile.l_m) == (
             support.oracle_base_classes(profile)
         )
+
+    def test_petal_members_within_bridge_support(self) -> None:
+        # Each petal member has a maxlevel path through the petal's bridge.
+        # A member can be a strict subset of the support: a vertex with
+        # such paths through two bridges joins only one of their petals.
+        rng = random.Random(20261018)
+        petals = 0
+        for k in range(3000):
+            n = rng.randint(2, 10)
+            g = generate_random_graph(n, rng.randint(0, n * (n - 1) // 2), rng.randrange(2**32))
+            m = support.greedy_matching(g, rng.randrange(2**32))
+            s = run_phase(g, m)
+            if not s.petals:
+                continue
+            profile = compute_profile(g, m)
+            for petal in s.petals:
+                members = set(petal.color) - {petal.bud}
+                assert members <= brute_support(profile, petal.bridge_eid), (k, petal)
+                petals += 1
+        assert petals > 1000
+
