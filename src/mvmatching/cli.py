@@ -7,11 +7,12 @@ matching, structural-theorem violation), 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import random
 import sys
 import time
-from typing import Optional, TextIO
+from typing import ContextManager, Optional, TextIO
 
 from . import oracle
 from .graph import (
@@ -41,19 +42,12 @@ def _read_text(path: str) -> str:
         raise GraphFormatError(f"{path}: {exc}") from None
 
 
-def _write_out(cfg: argparse.Namespace, text: str) -> int:
-    """Write `text` to --out, or to stdout without it; exit code 2 when
-    the file cannot be written, else 0."""
-    if not getattr(cfg, "out", None):
-        sys.stdout.write(text)
-        return 0
-    try:
-        with open(cfg.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
+def _open_out(cfg: argparse.Namespace) -> ContextManager[TextIO]:
+    """Open --out for writing, or hand out stdout without it; raises
+    OSError when the file cannot be opened."""
+    if not cfg.out:
+        return contextlib.nullcontext(sys.stdout)
+    return open(cfg.out, "w", encoding="utf-8")
 
 
 def _trace_fn(cfg: argparse.Namespace, sink: TextIO):
@@ -70,12 +64,11 @@ def _trace_fn(cfg: argparse.Namespace, sink: TextIO):
 def cmd_solve(cfg: argparse.Namespace) -> int:
     try:
         g = parse_dimacs(_read_text(cfg.input))
+        with _open_out(cfg) as out:
+            matching, phases = maximum_matching(g, trace=_trace_fn(cfg, sys.stderr))
+            out.write(serialize_matching(matching))
     except (OSError, GraphFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    trace = _trace_fn(cfg, sys.stderr)
-    matching, phases = maximum_matching(g, trace=trace)
-    if _write_out(cfg, serialize_matching(matching)):
         return 2
     if cfg.out:
         print(f"size {matching.size()}")
@@ -107,11 +100,13 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
 def cmd_gen(cfg: argparse.Namespace) -> int:
     try:
         g = generate_random_graph(cfg.n, cfg.m, cfg.seed)
-    except ValueError as exc:
+        with _open_out(cfg) as out:
+            print(f"c seed {cfg.seed}", file=sys.stderr)
+            out.write(serialize_dimacs(g))
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(f"c seed {cfg.seed}", file=sys.stderr)
-    return _write_out(cfg, serialize_dimacs(g))
+    return 0
 
 
 def _greedy_matching(g: Graph, seed: int) -> MatchingState:
@@ -133,13 +128,14 @@ def cmd_oracle_check(cfg: argparse.Namespace) -> int:
     except (OSError, GraphFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if g.n > oracle.LEVEL_GUARD_N:
-        print(f"error: n = {g.n} exceeds oracle guard {oracle.LEVEL_GUARD_N}", file=sys.stderr)
-        return 2
     failures = 0
     matchings = [MatchingState(g.n)] + [_greedy_matching(g, cfg.seed + k) for k in range(3)]
     for idx, m in enumerate(matchings):
-        profile = oracle.compute_profile(g, m)
+        try:
+            profile = oracle.compute_profile(g, m)
+        except oracle.OracleGuardError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         violations = oracle.check_structural_theorems(profile)
         for v in violations:
             print(f"matching {idx}: {v}")

@@ -7,6 +7,7 @@ is used only at the I/O boundary.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, TextIO
 
@@ -50,8 +51,9 @@ class Graph:
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge iterable.
 
-        Self-loops and n below 0 or above MAX_VERTICES are rejected;
-        duplicate undirected edges are merged.
+        Endpoints outside 0..n-1, self-loops and n below 0 or above
+        MAX_VERTICES are rejected; duplicate undirected edges are merged.
+        `parse_dimacs` relies on these checks for its column path.
         """
         if n < 0:
             raise GraphFormatError(f"vertex count {n} is negative")
@@ -84,15 +86,52 @@ class Graph:
         return len(self.adj[v])
 
 
+# The canonical layout.  The possessive repeat keeps no backtracking
+# record per line, so the check takes constant memory.
+_CANONICAL = re.compile(r"p edge \d+ \d+(?:\ne \d+ \d+)*+\n?", re.ASCII)
+
+
 def parse_dimacs(text: str | TextIO) -> Graph:
     """Parse a graph in DIMACS edge format.
 
     Comment lines start with 'c'.  One problem line 'p edge <n> <m>' must
     precede the 'e <u> <v>' edge lines (1-based endpoints).  Parallel edges
     are deduplicated; self-loops are an error.
+
+    Text in the canonical layout (the problem line, then the edge lines,
+    fields split by single spaces, lines ended by a newline save perhaps
+    the last) is converted a whole column at a time.  Any other text, and
+    canonical text that fails to convert or build, goes through the line
+    loop, which names the offending line in its error.  Both paths give the
+    same graph.
     """
     if hasattr(text, "read"):
         text = text.read()
+    if _CANONICAL.fullmatch(text):
+        try:
+            return _parse_columns(text)
+        except ValueError:
+            pass
+    return _parse_lines(text)
+
+
+def _parse_columns(text: str) -> Graph:
+    """Build the graph of a canonical text from its endpoint columns.
+
+    Raises ValueError (GraphFormatError among them) for a number past
+    Python's int-conversion limit, an endpoint out of range, a self-loop or
+    too many vertices; `Graph.from_edges` does the checks.
+    """
+    tokens = text.split()
+    n = int(tokens[2])
+    us = [int(t) - 1 for t in tokens[5::3]]
+    vs = [int(t) - 1 for t in tokens[6::3]]
+    del tokens  # free the 3m strings before the build allocates
+    return Graph.from_edges(n, zip(us, vs))
+
+
+def _parse_lines(text: str) -> Graph:
+    """Parse DIMACS text line by line, naming the line of any error."""
     n: Optional[int] = None
     declared_m = 0
     edges: list[tuple[int, int]] = []

@@ -432,6 +432,29 @@ class TestFileErrors:
         assert not dest.exists()
 
 
+    def test_unwritable_out_exits_2_before_the_solve(self, tmp_path, capsys, monkeypatch) -> None:
+        f = tmp_path / "g.dimacs"
+        f.write_text(P4_DIMACS)
+        dest = tmp_path / "missing" / "out.txt"
+
+        def refuse(g, trace=None):
+            raise AssertionError("solved before --out was opened")
+
+        monkeypatch.setattr(cli, "maximum_matching", refuse)
+        code, out, err = _run(capsys, ["solve", str(f), "--out", str(dest)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: [Errno 2] No such file or directory: '{dest}'\n"
+
+    def test_out_may_name_the_input(self, tmp_path, capsys) -> None:
+        f = tmp_path / "g.dimacs"
+        f.write_text(P4_DIMACS)
+        code, out, _ = _run(capsys, ["solve", str(f), "--out", str(f)])
+        assert code == 0
+        assert out == "size 2\n"
+        assert parse_matching(f.read_text(), 4).size() == 2
+
+
 class TestUsage:
     def test_missing_command_exits_2(self, capsys) -> None:
         with pytest.raises(SystemExit) as exc:

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mvmatching import graph
 from mvmatching.graph import (
     MAX_EDGES,
     MAX_VERTICES,
@@ -21,6 +25,7 @@ from mvmatching.graph import (
     serialize_matching,
     validate_matching,
 )
+from mvmatching.graph import _parse_lines
 
 import support
 
@@ -86,6 +91,139 @@ class TestParseDimacs:
     def test_negative_vertex_count(self) -> None:
         with pytest.raises(GraphFormatError, match="negative"):
             Graph.from_edges(-1, [])
+
+
+def _parse_outcome(parse, text: str) -> Graph | str:
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+# Departures from the canonical layout, each a change to the list of lines
+# or to how they are joined.
+_PERTURBATIONS = (
+    "comment_first",
+    "comment_middle",
+    "blank_line",
+    "crlf",
+    "tab",
+    "plus_sign",
+    "no_final_newline",
+    "endpoint_0",
+    "endpoint_n_plus_1",
+    "self_loop",
+    "second_problem_line",
+    "edge_before_problem_line",
+    "huge_number",
+)
+
+
+@st.composite
+def _dimacs_text(draw: st.DrawFn) -> str:
+    """A canonical text, duplicate and reversed edges allowed, with up to
+    three perturbations applied."""
+    n = draw(st.integers(min_value=0, max_value=8))
+    edges = []
+    if n >= 2:
+        pairs = st.tuples(st.integers(1, n), st.integers(1, n - 1))
+        for u, d in draw(st.lists(pairs, max_size=12)):
+            edges.append((u, (u - 1 + d) % n + 1))
+    lines = [f"p edge {n} {len(edges)}"] + [f"e {u} {v}" for u, v in edges]
+    newline, final = "\n", "\n"
+
+    def insert(line: str, first: int = 1) -> None:
+        lines.insert(draw(st.integers(first, len(lines))), line)
+
+    # Comments shaped like edge lines, which would shift the columns.
+    comment = st.sampled_from(["c", "c 1 2", "c edge 2 1"])
+
+    for kind in draw(st.lists(st.sampled_from(_PERTURBATIONS), max_size=3)):
+        if kind == "comment_first":
+            insert(draw(comment), first=0)
+        elif kind == "comment_middle":
+            insert(draw(comment))
+        elif kind == "blank_line":
+            insert("", first=0)
+        elif kind == "crlf":
+            newline = final = "\r\n"
+        elif kind == "tab":
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[k] = lines[k].replace(" ", "\t", 1)
+        elif kind == "plus_sign":
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[k] = lines[k].replace(" ", " +", 1) if k else lines[k][:7] + "+" + lines[k][7:]
+        elif kind == "no_final_newline":
+            final = ""
+        elif kind == "endpoint_0":
+            insert("e 0 1")
+        elif kind == "endpoint_n_plus_1":
+            insert(f"e 1 {n + 1}")
+        elif kind == "self_loop":
+            insert(f"e {n} {n}")
+        elif kind == "second_problem_line":
+            insert(f"p edge {n} 0")
+        elif kind == "edge_before_problem_line":
+            insert("e 1 2", first=0)
+        elif kind == "huge_number":
+            insert("e 1 " + "7" * 5000)
+    return newline.join(lines) + final
+
+
+class TestParsePaths:
+    """The column path of `parse_dimacs` agrees with the line loop."""
+
+    @PROPERTY_SETTINGS
+    @given(_dimacs_text())
+    def test_column_path_matches_line_loop(self, text: str) -> None:
+        assert _parse_outcome(parse_dimacs, text) == _parse_outcome(_parse_lines, text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "p edge 0 0\n",
+            "p edge 0 0",
+            "p edge 5 0\n",
+            "p edge 5 3",
+            f"p edge {MAX_VERTICES + 1} 0\n",
+            f"p edge {MAX_VERTICES + 1} 0\ne 1 2\n",
+            "p edge 3 1\ne 1 " + "2" * 5000 + "\n",
+            "p edge " + "3" * 5000 + " 0\n",
+        ],
+    )
+    def test_edge_cases_match_line_loop(self, text: str) -> None:
+        assert _parse_outcome(parse_dimacs, text) == _parse_outcome(_parse_lines, text)
+
+    def test_empty_and_limit_outcomes(self) -> None:
+        g = parse_dimacs("p edge 0 0\n")
+        assert (g.n, g.edges, g.adj) == (0, (), ())
+        assert parse_dimacs("p edge 3 0").adj == ((), (), ())
+        with pytest.raises(GraphFormatError, match=f"exceed the limit of {MAX_VERTICES}"):
+            parse_dimacs(f"p edge {MAX_VERTICES + 1} 0\n")
+
+    def test_huge_number_names_its_line(self) -> None:
+        with pytest.raises(GraphFormatError, match="^line 3: malformed edge line"):
+            parse_dimacs("p edge 3 2\ne 1 2\ne 1 " + "2" * 5000 + "\n")
+
+    def test_canonical_text_skips_line_loop(self, monkeypatch) -> None:
+        def refuse(text: str) -> Graph:
+            raise AssertionError("canonical text reached the line loop")
+
+        monkeypatch.setattr(graph, "_parse_lines", refuse)
+        g = parse_dimacs("p edge 4 4\ne 1 2\ne 3 2\ne 2 1\ne 4 3")
+        assert g.edges == ((0, 1), (1, 2), (2, 3))
+
+    def test_canonical_memory_per_line(self) -> None:
+        lines = 100_001
+        text = "p edge 2 1\n" + "e 1 2\n" * (lines - 1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            parse_dimacs(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 128 * lines
 
 
 class TestValidateMatching:
