@@ -5,6 +5,10 @@ descend a layered DAG.  The search ends either at the highest bottleneck
 vertex -- a vertex every root-to-layer-0 path must cross -- together with
 a red/green partition of the visited vertices, or with two
 vertex-disjoint paths reaching distinct layer-0 vertices.
+
+A contested vertex changes colour alone.  It is always the centre of the
+tree that waits, and a waiting tree has no descendants below its centre
+(proof in `_Ddfs._meet`), so nothing below the vertex changes sides.
 """
 
 from __future__ import annotations
@@ -74,10 +78,6 @@ class _Ddfs:
             {r: None},
             {g: None},
         )
-        self.children: tuple[dict[int, list[int]], dict[int, list[int]]] = (
-            {},
-            {},
-        )
         self.center = [r, g]
         # Red's barrier: its root, then each contested vertex it wins.
         # Green's never moves from its root g.
@@ -85,7 +85,8 @@ class _Ddfs:
         self.green_root = g
         # None while the trees alternate by the keep-ahead rule; else the
         # tree that must find a vertex at or below the contested vertex's
-        # layer while the other waits.
+        # layer while the other waits.  `contested` is None exactly when
+        # `seeker` is.
         self.seeker: Optional[int] = None
         self.contested: Optional[int] = None
         # Each visited vertex's out-edges not yet taken.
@@ -96,7 +97,7 @@ class _Ddfs:
     def _pending(self, v: int) -> Iterator[int]:
         edges = self.pending.get(v)
         if edges is None:
-            outs = list(self.view.out_edges(v))
+            outs = self.view.out_edges(v)
             lv = self.view.layer(v)
             for u in outs:
                 if self.view.layer(u) >= lv:
@@ -119,29 +120,12 @@ class _Ddfs:
         c = self.center[t]
         self.color[u] = t
         self.parent[t][u] = c
-        self.children[t].setdefault(c, []).append(u)
         self.center[t] = u
         self._emit("advance", t, u)
         if self.seeker == t and self.view.layer(u) <= self.view.layer(self.contested):
             self._emit("terminate_seek", t, u)
             self.seeker = None
             self.contested = None
-
-    def _transfer_subtree(self, v: int, from_t: int, to_t: int) -> None:
-        """Move v's fully explored descendants into the other tree.
-
-        Invoked when a contested vertex changes color: its dead subtree
-        is only reachable through it, so it must switch sides with it.
-        """
-        stack = list(self.children[from_t].get(v, []))
-        self.children[from_t].pop(v, None)
-        while stack:
-            x = stack.pop()
-            self.color[x] = to_t
-            self.parent[to_t][x] = self.parent[from_t].pop(x)
-            kids = self.children[from_t].pop(x, [])
-            self.children[to_t][x] = kids
-            stack.extend(kids)
 
     def _backtrack(self, t: int, v: int) -> None:
         self.center[t] = self.parent[t][v]
@@ -171,11 +155,9 @@ class _Ddfs:
             if u not in self.color:
                 self._claim(t, u)
                 return None
-            if u == self.contested:
-                continue
             if self.seeker is None and u == self.center[1 - t]:
                 return self._meet(t, u)
-            # interior of a tree: skip
+            # interior of a tree, or the contested vertex: skip
         # Out-edges exhausted: back up or resolve the contest.
         if c != (self.barrier if t == RED else self.green_root):
             self._backtrack(t, c)
@@ -191,9 +173,22 @@ class _Ddfs:
 
         v is first given to green; red must then find an equally deep
         alternative.
+
+        v changes colour here or in `_concede_red` without descendants in
+        the tree it leaves, because that tree waits at v and a waiting
+        tree's centre has no children.  A tree gains a child only at its
+        centre, by stepping from it.  It waits only at its root before
+        its first step, at a vertex it has just claimed, or at a
+        contested vertex it has just been handed, and none of these has
+        a child yet.  It never waits at a vertex it backtracked into:
+        that parent lies strictly above the vertex it left, which was at
+        or above the other centre (red moves on lr >= lg, green on
+        lg > lr), so the keep-ahead rule picks the same tree again.  A
+        seeker keeps stepping until a claim ends its seek, it concedes,
+        or it reaches the bottleneck; a prober either takes v as its
+        centre or seeks from the centre that gained v.
         """
         self.parent[prober][v] = self.center[prober]
-        self.children[prober].setdefault(self.center[prober], []).append(v)
         self._emit("meet", prober, v)
         self.contested = v
         if self.barrier == v:
@@ -204,7 +199,6 @@ class _Ddfs:
             return None
         if self.color[v] == RED:
             self._backtrack(RED, v)
-            self._transfer_subtree(v, RED, GREEN)
             self.color[v] = GREEN
         if prober == GREEN:
             self.center[GREEN] = v
@@ -216,7 +210,6 @@ class _Ddfs:
         """Red failed to find an alternative: the contested vertex is
         reassigned to red and green must now seek below it."""
         v = self.contested
-        self._transfer_subtree(v, GREEN, RED)
         self.color[v] = RED
         self.center[RED] = v
         self.barrier = v

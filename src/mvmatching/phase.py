@@ -163,20 +163,19 @@ def min_step(s: PhaseState, i: int) -> None:
     level has an odd minlevel and is matched: free vertices sit at
     evenlevel 0.  At an even scan of u the matched edge is never
     UNSCANNED: it gave u an even minlevel as a prop, or u's odd scan
-    classified it.  The one exception is a partner removed before that
-    odd scan, which the `removed` test skips like any removed end."""
+    classified it.  MIN never meets a removed vertex: only `max_step`
+    removes, after the phase's first path, and `run_phase` stops after
+    that level's MAX."""
     sources = s.schedule.pop(i, [])
     target_levels = s.evenlevel if (i + 1) % 2 == 0 else s.oddlevel
     even, odd = s.evenlevel, s.oddlevel
-    removed, edge_state = s.removed, s.edge_state
+    edge_state = s.edge_state
     preds, pred_alive = s.preds, s.pred_alive
     adj, edge_index, partner = s.g.adj, s.g.edge_index, s.m.partner
     even_scan = i % 2 == 0
     nxt = i + 1
     next_sched: Optional[list[int]] = None
     for u in sources:
-        if removed[u]:
-            continue
         if even_scan:
             scan = adj[u]
         else:
@@ -184,7 +183,7 @@ def min_step(s: PhaseState, i: int) -> None:
             key = (u, p) if u < p else (p, u)
             scan = ((p, edge_index[key]),)
         for v, eid in scan:
-            if edge_state[eid] != UNSCANNED or removed[v]:
+            if edge_state[eid] != UNSCANNED:
                 continue
             if even[v] >= nxt and odd[v] >= nxt:
                 edge_state[eid] = PROP

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 from collections import Counter
-from typing import Optional
+from typing import Iterator, Optional
 
 from mvmatching.ddfs import GREEN, RED, Bottleneck, DdfsOutcome, run_ddfs
 from mvmatching.graph import Graph, MatchingState
@@ -316,6 +316,30 @@ def random_layered_view(seed: int, max_n: int = 10) -> tuple[DictView, int, int]
     r = tops[0]
     g = rng.choice([v for v in range(n) if layers[v] <= layers[r]])
     return DictView(layers, outs), r, g
+
+
+def all_layered_views(n: int) -> Iterator[tuple[DictView, int, int]]:
+    """Every layered view on vertices 0..n-1 whose layers do not fall
+    with the vertex number and use each of 0..d, with every ordered
+    out-edge list of each vertex above layer 0, and every ordered root
+    pair r != g with a root above layer 0."""
+    for steps in itertools.product((0, 1), repeat=n - 1):
+        layers = [0]
+        for step in steps:
+            layers.append(layers[-1] + step)
+        choices = []
+        for v in range(n):
+            below = [u for u in range(v) if layers[u] < layers[v]]
+            choices.append(
+                [list(p) for k in range(1, len(below) + 1) for p in itertools.permutations(below, k)]
+                if layers[v] > 0
+                else [[]]
+            )
+        for outs in itertools.product(*choices):
+            view = DictView(dict(enumerate(layers)), dict(enumerate(outs)))
+            for r, g in itertools.permutations(range(n), 2):
+                if layers[r] > 0 or layers[g] > 0:
+                    yield view, r, g
 
 
 def all_descents(view: DictView, start: int) -> list[list[int]]:

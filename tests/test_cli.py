@@ -305,6 +305,34 @@ class TestOracleCheck:
         assert code == 1
         assert "disagreement" in out
 
+    def test_structural_violation_exits_1(self, tmp_path, capsys, monkeypatch) -> None:
+        f = tmp_path / "g.dimacs"
+        f.write_text(P4_DIMACS)
+        monkeypatch.setattr(cli.oracle, "check_structural_theorems", lambda profile: ["injected"])
+        code, out, _ = _run(capsys, ["oracle-check", str(f)])
+        assert code == 1
+        assert out.splitlines() == [f"matching {k}: injected" for k in range(4)] + [
+            "4 disagreement(s)"
+        ]
+
+    def test_l_m_disagreement_exits_1(self, tmp_path, capsys, monkeypatch) -> None:
+        # P4 from the empty matching has l_m = 1; the engine's is shifted.
+        f = tmp_path / "g.dimacs"
+        f.write_text(P4_DIMACS)
+        run_phase = cli.run_phase
+
+        def shifted_run_phase(g, m):
+            s = run_phase(g, m)
+            if m.size() == 0:
+                s.l_m += 2
+            return s
+
+        monkeypatch.setattr(cli, "run_phase", shifted_run_phase)
+        code, out, _ = _run(capsys, ["oracle-check", str(f)])
+        assert code == 1
+        assert "matching 0: engine l_m 3 != oracle 1" in out.splitlines()
+        assert out.splitlines()[-1].endswith("disagreement(s)")
+
 
 class TestBench:
     def test_table_and_phase_bound(self, capsys) -> None:
@@ -324,6 +352,15 @@ class TestBench:
         code, out, _ = _run(capsys, ["bench", "--n", "5", "--m", "0"])
         assert code == 0
         assert out.splitlines()[1].startswith("5 0 1 ")
+
+    def test_phases_above_bound_exit_1(self, capsys, monkeypatch) -> None:
+        # The bound for n = 5 is ceil(2 * sqrt(5)) + 2 = 7.
+        maximum_matching = cli.maximum_matching
+        monkeypatch.setattr(cli, "maximum_matching", lambda g: (maximum_matching(g)[0], 8))
+        code, out, err = _run(capsys, ["bench", "--n", "5", "--m", "0"])
+        assert code == 1
+        assert out.splitlines()[1].startswith("5 0 8 ")
+        assert err == "error: phases 8 exceed bound 7\n"
 
     @pytest.mark.parametrize(
         "n, m",

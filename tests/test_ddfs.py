@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -120,6 +122,24 @@ class TestOutcomeShape:
         # Work bounds: each vertex's out-edges fetched once, each vertex
         # backtracked at most once per tree, each edge taken at most once.
         assert broken == []
+
+    def test_every_view_up_to_four_vertices(self) -> None:
+        # 2,002 runs.  All 265,568 runs up to five vertices pass too, in
+        # about 13 s; the next test keeps a fixed slice of the five.
+        count = 0
+        for n in range(1, 5):
+            for view, r, g in support.all_layered_views(n):
+                self._check(view, r, g)
+                count += 1
+        assert count == 2002
+
+    def test_slice_of_five_vertex_views(self) -> None:
+        runs = itertools.islice(support.all_layered_views(5), 0, None, 29)
+        count = 0
+        for view, r, g in runs:
+            self._check(view, r, g)
+            count += 1
+        assert count == 9089
 
     @PROPERTY_SETTINGS
     @given(seed=_SEED)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import io
 import tracemalloc
 
 import pytest
@@ -65,8 +66,22 @@ class TestParseDimacs:
             parse_dimacs("p edge 2 1\ne 2 2")
 
     def test_missing_problem_line(self) -> None:
-        with pytest.raises(GraphFormatError, match="problem line"):
-            parse_dimacs("e 1 2")
+        for text in ("", "c only\n"):
+            with pytest.raises(GraphFormatError, match="missing problem line"):
+                parse_dimacs(text)
+
+    @pytest.mark.parametrize("text", ["p edge x 1", "p edge 3", "p col 3 1"])
+    def test_malformed_problem_line(self, text: str) -> None:
+        with pytest.raises(GraphFormatError, match="line 1: malformed problem line"):
+            parse_dimacs(text)
+
+    def test_negative_count_in_problem_line(self) -> None:
+        with pytest.raises(GraphFormatError, match="line 1: negative count"):
+            parse_dimacs("p edge -1 0")
+
+    def test_reads_a_text_stream(self) -> None:
+        for text in ("p edge 3 2\ne 1 2\ne 2 3\n", "c header\np edge 3 2\ne 1 2\ne 2 3\n"):
+            assert parse_dimacs(io.StringIO(text)).edges == ((0, 1), (1, 2))
 
     def test_edge_before_problem_line(self) -> None:
         with pytest.raises(GraphFormatError, match="before problem line"):
@@ -253,6 +268,18 @@ class TestValidateMatching:
         m = MatchingState(4, [(0, 3)])
         assert any("not a graph edge" in line for line in validate_matching(g, m))
 
+    def test_size_mismatch_reported(self) -> None:
+        g, _ = support.p4()
+        assert validate_matching(g, MatchingState(5)) == [
+            "matching covers 5 vertices but graph has 4"
+        ]
+
+    def test_out_of_range_partner_reported(self) -> None:
+        g, _ = support.p4()
+        m = MatchingState(4)
+        m.partner[1] = 4
+        assert validate_matching(g, m) == ["partner(1) = 4 out of range"]
+
 
 class TestAugment:
     def test_single_edge_from_empty_matching(self) -> None:
@@ -279,6 +306,13 @@ class TestAugment:
         with pytest.raises(ValueError, match="alternate"):
             augment_in_place(MatchingState(4), g, [0, 1, 2, 3])
 
+    def test_one_vertex_path_rejected(self) -> None:
+        g = Graph.from_edges(2, [(0, 1)])
+        m = MatchingState(2)
+        with pytest.raises(ValueError, match="at least 2 vertices, got 1"):
+            augment_in_place(m, g, [0])
+        assert m.pairs() == []
+
 
 class TestSerialization:
     def test_dimacs_round_trip_p4(self) -> None:
@@ -298,6 +332,21 @@ class TestSerialization:
     def test_matching_repeated_vertex_rejected(self) -> None:
         with pytest.raises(GraphFormatError, match="repeated"):
             parse_matching("size 2\nmatched 1 2\nmatched 2 3\n", 4)
+
+    def test_matching_out_of_range_vertex_rejected(self) -> None:
+        with pytest.raises(GraphFormatError, match=r"line 2: vertex index out of range \[1, 4\]"):
+            parse_matching("size 1\nmatched 1 5\n", 4)
+
+    def test_matching_unrecognized_line_rejected(self) -> None:
+        with pytest.raises(GraphFormatError, match="line 2: unrecognized line 'pair 1 2'"):
+            parse_matching("size 1\npair 1 2\n", 4)
+
+    def test_matching_comments_and_blank_lines_skipped(self) -> None:
+        m = parse_matching("c header\n\nsize 1\n  \nc mid\nmatched 2 3\n", 4)
+        assert m == support.p4()[1]
+
+    def test_matching_reads_a_text_stream(self) -> None:
+        assert parse_matching(io.StringIO("size 1\nmatched 2 3\n"), 4) == support.p4()[1]
 
 
 class TestGenerateRandomGraph:

@@ -354,7 +354,10 @@ class TestEachBridgeFiledOnce:
 class TestFilingStopsAtLm:
     def test_no_bridge_above_lm_after_first_path(self) -> None:
         # Once a phase has found a path of length l_m it ends at that
-        # level, so a bridge of higher tenacity is never filed after it.
+        # level, so a bridge of higher tenacity is never filed after it,
+        # and MIN, which runs before MAX at each level, never runs after
+        # a removal: no `minlevel` line and no `level` line follow the
+        # phase's first path until the next phase's `level 0`.
         rng = random.Random(6006)
         phases_with_paths = 0
         for k in range(300):
@@ -374,6 +377,8 @@ class TestFilingStopsAtLm:
                     phases_with_paths += 1
                 elif words[0] == "bridge" and l_m is not None:
                     assert int(words[4]) <= l_m, (k, line)
+                elif words[0] in ("level", "minlevel"):
+                    assert l_m is None, (k, line)
         assert phases_with_paths > 300
 
 

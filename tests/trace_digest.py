@@ -14,7 +14,8 @@ matching (the solver's greedy seed), the empty matching, or a seeded greedy
 partial matching in turn; `triangle_chain(200)`, `nested_blossoms(12)` and
 `inner_matched_path(2000)`; and every named graph of `support.py`.
 
-Not collected by pytest.  Run from the repository root:
+Not collected by pytest; `tests/test_trace_digest.py` pins both digests
+through `digests()`.  Run from the repository root:
 
     python tests/trace_digest.py
 """
@@ -66,15 +67,21 @@ def digest_one(h, outcome, g: Graph, start) -> None:
     h.update(("\n".join(lines) + "\n").encode())
 
 
-def main() -> None:
+def digests() -> tuple[int, str, str]:
+    """The corpus size, the behaviour digest and the outcome digest."""
     h = hashlib.sha256()
     outcome = hashlib.sha256()
     count = 0
     for g, start in corpus():
         digest_one(h, outcome, g, start)
         count += 1
-    print(f"{count} solves sha256 {h.hexdigest()}")
-    print(f"outcome sha256 {outcome.hexdigest()}")
+    return count, h.hexdigest(), outcome.hexdigest()
+
+
+def main() -> None:
+    count, behaviour, outcome = digests()
+    print(f"{count} solves sha256 {behaviour}")
+    print(f"outcome sha256 {outcome}")
 
 
 if __name__ == "__main__":
