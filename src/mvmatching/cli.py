@@ -42,6 +42,11 @@ def _read_text(path: str) -> str:
         raise GraphFormatError(f"{path}: {exc}") from None
 
 
+def _out_path(arg: str) -> Optional[str]:
+    """An --out value, with - (stdout) taken as no --out at all."""
+    return None if arg == "-" else arg
+
+
 def _open_out(cfg: argparse.Namespace) -> ContextManager[TextIO]:
     """Open --out for writing, or hand out stdout without it; raises
     OSError when the file cannot be opened."""
@@ -77,6 +82,9 @@ def cmd_solve(cfg: argparse.Namespace) -> int:
 
 
 def cmd_verify(cfg: argparse.Namespace) -> int:
+    if cfg.input == "-" and cfg.matching == "-":
+        print("error: the graph and the matching cannot both come from stdin", file=sys.stderr)
+        return 2
     try:
         g = parse_dimacs(_read_text(cfg.input))
         m = parse_matching(_read_text(cfg.matching), g.n)
@@ -194,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="compute a maximum matching for a DIMACS graph")
     solve.add_argument("input", help="DIMACS edge-format file, or - for stdin")
     solve.add_argument("--trace", action="store_true", help="emit phase traces to stderr")
-    solve.add_argument("--out", help="write the matching to a file")
+    solve.add_argument("--out", type=_out_path, help="write the matching to a file (- for stdout)")
     solve.set_defaults(func=cmd_solve)
 
     verify = sub.add_parser("verify", help="check a matching file for validity and maximality")
@@ -206,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("n", type=int)
     gen.add_argument("m", type=int)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--out", help="write the graph to a file")
+    gen.add_argument("--out", type=_out_path, help="write the graph to a file (- for stdout)")
     gen.set_defaults(func=cmd_gen)
 
     ocheck = sub.add_parser(

@@ -38,8 +38,10 @@ class Graph:
 
     Attributes:
         n: number of vertices (identified by indices 0..n-1).
-        edges: list of unordered vertex pairs (u, v) with u < v.
-        adj: per-vertex list of (neighbor, edge_id) pairs.
+        edges: tuple of unordered vertex pairs (u, v) with u < v; an
+            edge's id is its position here.
+        adj: per-vertex tuple of (neighbor, edge_id) pairs.
+        edge_index: edge id of each pair (u, v) with u < v.
     """
 
     n: int

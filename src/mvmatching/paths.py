@@ -4,13 +4,12 @@ A TwoPaths outcome gives, from each end of the triggering bridge, a
 descent to a free vertex through the contracted graph, where each petal
 is shrunk to its bud*.  `extract_path` expands every hop of those
 descents and opens each petal it jumps over (the paper's FINDPATH/OPEN):
-a vertex entered at its minlevel (outer) descends to its bud by a
-depth-first predecessor search confined to the petal; a vertex entered
-at its maxlevel (inner) climbs its colour's DDFS tree to the bridge,
-crosses it, and descends the other colour's tree to the bud.  All of it
-runs on one explicit work stack whose entries carry their orientation,
-so nothing recurses with the input and no segment is reversed after it
-is built.
+a vertex entered at its minlevel (outer) walks greedily down to its bud
+through predecessors inside the petal; a vertex entered at its maxlevel
+(inner) climbs its colour's DDFS tree to the bridge, crosses it, and
+descends the other colour's tree to the bud.  All of it runs on one
+explicit work stack whose entries carry their orientation, so nothing
+recurses with the input and no segment is reversed after it is built.
 """
 
 from __future__ import annotations
@@ -49,12 +48,12 @@ def _anchor(s: PhaseState, x: int, pid: int) -> int:
 def _down(s: PhaseState, x: int, level: int, chain: list[int], pid: int) -> list[Item]:
     """Items for the path from x, entered at `level`, down its bud chain to
     chain[0], then along the contracted descent `chain` to chain[-1]
-    (excluded).  Each hop a -> y takes the first live predecessor of a
-    whose bud chain, as of petal `pid`, reaches y."""
+    (excluded).  Each hop a -> y takes the first predecessor of a whose
+    bud chain, as of petal `pid`, reaches y; it is live, as y is."""
     items: list[Item] = [(x, level, chain[0], pid, False)]
     for a, y in zip(chain, chain[1:]):
         for p in s.preds[a]:
-            if not s.removed[p] and _anchor(s, p, pid) == y:
+            if _anchor(s, p, pid) == y:
                 items += [a, (p, s.minlevel(a) - 1, y, pid, False)]
                 break
         else:
@@ -62,24 +61,21 @@ def _down(s: PhaseState, x: int, level: int, chain: list[int], pid: int) -> list
     return items
 
 
-def _search(s: PhaseState, x: int, bud: int, pid: int) -> list[int]:
-    """Contracted descent [x, ..., bud] of an outer member x of petal
-    `pid`: depth-first over the petal's members, each visited once."""
-    trail, seen = [(x, iter(s.preds[x]))], {x}
-    while trail:
-        for p in trail[-1][1]:
-            if s.removed[p]:
-                continue
+def _descend(s: PhaseState, x: int, bud: int, pid: int) -> list[Item]:
+    """Items for [x, bud) for an outer member x of petal `pid`: from each
+    vertex, the first predecessor whose bud chain, as of the petal, stops
+    in it or at its bud (one exists and is live: see `recursive_remove`)."""
+    items: list[Item] = []
+    while x != bud:
+        for p in s.preds[x]:
             y = _anchor(s, p, pid)
-            if y == bud:
-                return [a for a, _ in trail] + [bud]
-            if s.petal_of[y] == pid and y not in seen:
-                seen.add(y)
-                trail.append((y, iter(s.preds[y])))
+            if y == bud or s.petal_of[y] == pid:
+                items += [x, (p, s.minlevel(x) - 1, y, pid, False)]
+                x = y
                 break
         else:
-            trail.pop()
-    raise ExtractionError(f"no descent from {x} to bud {bud} inside petal {pid}")
+            raise ExtractionError(f"no descent from {x} to bud {bud} inside petal {pid}")
+    return items
 
 
 def _inner(s: PhaseState, x: int, pid: int) -> list[Item]:
@@ -114,7 +110,7 @@ def _walk(s: PhaseState, items: list[Item]) -> list[int]:
             raise ExtractionError(f"bud chain of {x} misses {low}")
         bud = s.petals[q].bud
         if level == s.minlevel(x):
-            sub = _down(s, x, level, _search(s, x, bud, q), q)
+            sub = _descend(s, x, bud, q)
         elif level == s.maxlevel(x):
             sub = _inner(s, x, q)
         else:
@@ -150,7 +146,22 @@ def recursive_remove(s: PhaseState, seed: set[int]) -> None:
     phase ends after level i's MAX, whose DDFS runs and path extractions
     read `removed` at minlevels <= i only.  No vertex above top is
     removed and no vertex at top is walked from.  While l_m is UNSET,
-    top lies above every level and nothing is capped."""
+    top lies above every level and nothing is capped.
+
+    Invariant: while a petal's bud is live, its members are live and each
+    has a live predecessor whose bud chain, as of the petal, stops at a
+    member or the bud; MAX and path extraction rely on it.  At formation
+    the DDFS has visited live vertices only, and each member either used
+    up its out-edges, whose targets (bud*s of live predecessors) were all
+    visited, or lies on red's final root-to-bud path, where its tree
+    child is one.  Later a path through a member opens its petal and runs
+    on to the bud, so a seeded member takes its bud along.  Were some
+    member w cascaded away while its bud is live, take the first: its
+    predecessor p above has a bud chain ending at a live vertex, and each
+    vertex back up the chain is a member of a petal with a live bud, so
+    live, p included; yet w goes only after all its predecessors.  By the
+    same chain, a vertex whose bud chain stops at a live vertex is live:
+    a removed vertex has a removed bud*."""
     adj, removed, pred_alive, edge_state = s.g.adj, s.removed, s.pred_alive, s.edge_state
     even, odd = s.evenlevel, s.oddlevel
     top = (s.l_m - 1) // 2

@@ -76,13 +76,29 @@ class PhaseState:
     trace: Optional[TraceFn] = None
 
     def minlevel(self, v: int) -> int:
-        return min(self.evenlevel[v], self.oddlevel[v])
+        e, o = self.evenlevel[v], self.oddlevel[v]
+        return e if e < o else o
 
     def maxlevel(self, v: int) -> int:
         return max(self.evenlevel[v], self.oddlevel[v])
 
-    def tenacity(self, v: int) -> int:
-        return self.evenlevel[v] + self.oddlevel[v]
+    # MAX's `ddfs.LayeredView`: predecessors, petals contracted to bud*s.
+    layer = minlevel
+
+    def out_edges(self, v: int) -> list[int]:
+        """The distinct live bud*s of v's live predecessors, in scan
+        order; each lies below v, as a bud lies below its members."""
+        out: list[int] = []
+        seen: set[int] = set()
+        for u in self.preds[v]:
+            if self.removed[u]:
+                continue
+            b = bud_star(self, u)
+            if self.removed[b] or b in seen:
+                continue
+            seen.add(b)
+            out.append(b)
+        return out
 
 
 def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> PhaseState:
@@ -246,35 +262,6 @@ def _form_petal(s: PhaseState, eid: int, outcome: Bottleneck, i: int) -> None:
     _assign_maxlevels(s, members, 2 * i + 1)
 
 
-class _AdapterView:
-    """Layered view of the predecessor structure with petals contracted:
-    layer(v) = minlevel(v); edges go to bud*(predecessor)."""
-
-    __slots__ = ("s",)
-
-    def __init__(self, s: PhaseState) -> None:
-        self.s = s
-
-    def layer(self, v: int) -> int:
-        s = self.s
-        e, o = s.evenlevel[v], s.oddlevel[v]
-        return e if e < o else o
-
-    def out_edges(self, v: int) -> list[int]:
-        s = self.s
-        out: list[int] = []
-        seen: set[int] = set()
-        for u in s.preds[v]:
-            if s.removed[u]:
-                continue
-            b = bud_star(s, u)
-            if b == v or s.removed[b] or b in seen:
-                continue
-            seen.add(b)
-            out.append(b)
-        return out
-
-
 def max_step(s: PhaseState, i: int) -> None:
     """MAX at search level i: run DDFS on each tenacity-(2i+1) bridge in
     filing order, those filed meanwhile included, and form a petal or
@@ -282,18 +269,16 @@ def max_step(s: PhaseState, i: int) -> None:
     from .paths import extract_path, recursive_remove
 
     t = 2 * i + 1
-    view = _AdapterView(s)
     edges, jump, removed = s.g.edges, s.jump, s.removed
     for eid in s.br.get(t, ()):
         u, v = edges[eid]
-        if removed[u] or removed[v]:
-            continue
         ru = u if jump[u] == u else bud_star(s, u)
         rv = v if jump[v] == v else bud_star(s, v)
+        # Ends sharing a bud* have empty support: no petal, no path.  A
+        # removed end has a removed bud* (see `paths.recursive_remove`).
         if ru == rv or removed[ru] or removed[rv]:
-            # Ends sharing a bud* have empty support: no petal, no path.
             continue
-        outcome = run_ddfs(view, ru, rv, trace=s.trace)
+        outcome = run_ddfs(s, ru, rv, trace=s.trace)
         if isinstance(outcome, Bottleneck):
             _form_petal(s, eid, outcome, i)
             continue
@@ -309,7 +294,8 @@ def max_step(s: PhaseState, i: int) -> None:
 def run_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> PhaseState:
     """Run one full phase and return its finished state, whose `paths`
     are a maximal set of vertex-disjoint augmenting paths of the minimum
-    length `l_m` (none, with `l_m` UNSET, when m is maximum)."""
+    length `l_m` (none, with `l_m` UNSET, when m is maximum).  m must be
+    a valid matching of g, one `validate_matching` finds no fault in."""
     s = init_phase(g, m, trace=trace)
     i = 0
     cap = 2 * g.n + 4

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .graph import Graph, MatchingState, augment_in_place
+from .graph import Graph, MatchingState, augment_in_place, validate_matching
 from .phase import TraceFn, run_phase
 
 
@@ -19,9 +19,14 @@ def maximum_matching(
     Returns the matching and the number of phases run (including the
     final phase that certifies no augmenting path exists).  When no
     starting matching is given, a greedy maximal matching seeds the
-    search, which skips the short-path phases on large inputs.
+    search, which skips the short-path phases on large inputs.  A given
+    matching that is not valid for g raises ValueError naming its first
+    fault (see `validate_matching`).
     """
     if m is not None:
+        violations = validate_matching(g, m)
+        if violations:
+            raise ValueError(f"invalid starting matching: {violations[0]}")
         matching = m.copy()
     else:
         matching = MatchingState(g.n)

@@ -226,11 +226,11 @@ def engine_base_classes(s, l_m: float) -> dict[tuple[int, int], set[int]]:
     bud*(v) but not the base."""
     classes: dict[tuple[int, int], set[int]] = {}
     for v in range(s.g.n):
-        t = s.tenacity(v)
+        t = s.evenlevel[v] + s.oddlevel[v]
         if UNSET in (s.evenlevel[v], s.oddlevel[v]) or t >= l_m:
             continue
         b = v
-        while s.petal_of[b] is not None and s.tenacity(b) == t:
+        while s.petal_of[b] is not None and s.evenlevel[b] + s.oddlevel[b] == t:
             b = s.petals[s.petal_of[b]].bud
         if b != v:
             classes.setdefault((b, int(t)), set()).add(v)

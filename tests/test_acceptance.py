@@ -160,7 +160,7 @@ def _engine_blossom(state, b: int, t: int, l_m: float) -> set[int]:
     """Vertices whose petal-bud chain first exceeds tenacity t at b."""
     out: set[int] = set()
     for v in range(state.g.n):
-        t_v = state.tenacity(v)
+        t_v = state.evenlevel[v] + state.oddlevel[v]
         if UNSET in (state.evenlevel[v], state.oddlevel[v]) or t_v > t or t_v >= l_m:
             continue
         cur, t_cur = v, t_v
@@ -169,7 +169,7 @@ def _engine_blossom(state, b: int, t: int, l_m: float) -> set[int]:
             if pid is None:
                 break
             cur = state.petals[pid].bud
-            t_cur = state.tenacity(cur)
+            t_cur = state.evenlevel[cur] + state.oddlevel[cur]
         if t_cur > t and cur == b:
             out.add(v)
     return out

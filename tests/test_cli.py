@@ -153,6 +153,15 @@ class TestSolve:
         assert out == "size 2\n"
         assert parse_matching(dest.read_text(), 4).size() == 2
 
+    def test_out_dash_is_stdout(self, tmp_path, capsys, monkeypatch) -> None:
+        f = tmp_path / "g.dimacs"
+        f.write_text(PETERSEN_DIMACS)
+        monkeypatch.chdir(tmp_path)
+        plain = _run(capsys, ["solve", str(f)])
+        assert _run(capsys, ["solve", str(f), "--out", "-"]) == plain
+        assert plain[0] == 0 and plain[1].startswith("size 5\n")
+        assert not (tmp_path / "-").exists()
+
     def test_trace_header_and_events(self, tmp_path, capsys) -> None:
         f = tmp_path / "g.dimacs"
         f.write_text(DEFERRED_DIMACS)
@@ -216,6 +225,17 @@ class TestVerify:
         assert code == 1
         assert "invalid:" in out
 
+    def test_both_inputs_from_stdin_exit_2(self, capsys, monkeypatch) -> None:
+        import io
+
+        stdin = io.StringIO(P4_DIMACS)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = _run(capsys, ["verify", "-", "-"])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert stdin.tell() == 0  # nothing read
+
     def test_malformed_matching_exits_2(self, tmp_path, capsys) -> None:
         g = tmp_path / "g.dimacs"
         g.write_text(P4_DIMACS)
@@ -258,6 +278,13 @@ class TestGen:
         code, out, err = _run(capsys, ["gen", "5", "-1"])
         assert code == 2
         assert err.startswith("error:") and out == ""
+
+    def test_out_dash_is_stdout(self, tmp_path, capsys, monkeypatch) -> None:
+        monkeypatch.chdir(tmp_path)
+        plain = _run(capsys, ["gen", "8", "12", "--seed", "7"])
+        assert _run(capsys, ["gen", "8", "12", "--seed", "7", "--out", "-"]) == plain
+        assert plain[0] == 0 and parse_dimacs(plain[1]).m == 12
+        assert not (tmp_path / "-").exists()
 
     def test_roundtrips_with_solve(self, tmp_path, capsys) -> None:
         dest = tmp_path / "g.dimacs"

@@ -8,6 +8,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mvmatching import paths, phase
 from mvmatching.graph import Graph, MatchingState, augment_in_place, generate_random_graph
 from mvmatching.oracle import brute_support, compute_profile
 from mvmatching.phase import (
@@ -17,7 +18,6 @@ from mvmatching.phase import (
     PhaseState,
     bridge_side,
     bud_star,
-    _AdapterView,
     init_phase,
     max_step,
     min_step,
@@ -178,17 +178,15 @@ class TestLayeredAdapter:
         g, m = support.triangle()
         s = init_phase(g, m)
         min_step(s, 0)
-        view = _AdapterView(s)
-        assert view.layer(0) == 0
-        assert view.out_edges(0) == []
+        assert s.layer(0) == 0
+        assert s.out_edges(0) == []
 
     def test_prepetal_out_edges_follow_props(self) -> None:
         g, m = support.triangle()
         s = init_phase(g, m)
         min_step(s, 0)
-        view = _AdapterView(s)
-        assert view.out_edges(1) == [0]
-        assert view.out_edges(2) == [0]
+        assert s.out_edges(1) == [0]
+        assert s.out_edges(2) == [0]
 
     def test_edges_into_petal_map_to_bud(self) -> None:
         # The triangle {1, 2} becomes a petal with bud 0 at level 1; vertex
@@ -200,7 +198,57 @@ class TestLayeredAdapter:
             max_step(s, i)
         min_step(s, 2)
         assert s.preds[3] == [2]
-        assert _AdapterView(s).out_edges(3) == [0]
+        assert s.out_edges(3) == [0]
+
+
+def _stranded(s: PhaseState, pid: int) -> list[int]:
+    """Members of petal `pid` with no live predecessor whose bud chain, as
+    of the petal, stops in it or at its bud."""
+    petal = s.petals[pid]
+    out = []
+    for w in petal.color:
+        anchors = [paths._anchor(s, p, pid) for p in s.preds[w] if not s.removed[p]]
+        if w != petal.bud and not any(y == petal.bud or s.petal_of[y] == pid for y in anchors):
+            out.append(w)
+    return out
+
+
+class TestPetalInvariant:
+    def test_live_bud_keeps_petal_live_and_walkable(self, monkeypatch) -> None:
+        # The invariant stated at `paths.recursive_remove`: a new petal's
+        # members each have a live predecessor whose bud chain stops in
+        # the petal or at its bud, and while the bud is live every member
+        # stays live and keeps such a predecessor.
+        form, remove = phase._form_petal, paths.recursive_remove
+        seen = {"petals": 0, "kept": 0}
+
+        def checked_form(s: PhaseState, eid, outcome, i: int) -> None:
+            form(s, eid, outcome, i)
+            assert _stranded(s, len(s.petals) - 1) == []
+            seen["petals"] += 1
+
+        def checked_remove(s: PhaseState, seed: set[int]) -> None:
+            remove(s, seed)
+            for pid, petal in enumerate(s.petals):
+                if s.removed[petal.bud]:
+                    continue
+                assert not any(s.removed[w] for w in petal.color), petal
+                assert _stranded(s, pid) == []
+                seen["kept"] += 1
+
+        monkeypatch.setattr(phase, "_form_petal", checked_form)
+        monkeypatch.setattr(paths, "recursive_remove", checked_remove)
+        rng = random.Random(14014)
+        for k in range(300):
+            n = rng.randint(2, 40)
+            edges = rng.randint(0, min(n * (n - 1) // 2, 3 * n))
+            g = generate_random_graph(n, edges, rng.randrange(2**32))
+            accept = (0.0, 0.7, 0.4)[k % 3]
+            maximum_matching(g, support.greedy_matching(g, k, accept))
+        # Most petals form in certifying phases, which remove nothing: a
+        # petal with a live bud after a removal is rare on these graphs.
+        assert seen["petals"] > 500
+        assert seen["kept"] > 5
 
 
 class TestRunPhase:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +54,29 @@ class TestNamedGraphs:
         before = m0.pairs()
         maximum_matching(g, m0)
         assert m0.pairs() == before
+
+
+class TestInvalidStart:
+    """An invalid starting matching is refused up front with its first
+    `validate_matching` fault, before any phase runs."""
+
+    def test_non_edge_pair(self) -> None:
+        g, _ = support.p4()  # path 0-1-2-3
+        with pytest.raises(ValueError, match=r"\(0, 2\) is not a graph edge"):
+            maximum_matching(g, MatchingState(4, [(0, 2)]))
+
+    @pytest.mark.parametrize("n", [2, 12])
+    def test_wrong_size(self, n: int) -> None:
+        g = support.petersen()
+        with pytest.raises(ValueError, match=f"covers {n} vertices but graph has 10"):
+            maximum_matching(g, MatchingState(n))
+
+    def test_asymmetric_partner(self) -> None:
+        g, _ = support.p4()
+        m = MatchingState(4)
+        m.partner[1] = 2
+        with pytest.raises(ValueError, match=r"asymmetry: partner\(1\) = 2"):
+            maximum_matching(g, m)
 
 
 class TestAgainstBruteForce:
