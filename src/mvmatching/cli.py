@@ -173,6 +173,9 @@ def cmd_oracle_check(cfg: argparse.Namespace) -> int:
 
 
 def cmd_bench(cfg: argparse.Namespace) -> int:
+    if cfg.repeats < 1:
+        print(f"error: --repeats {cfg.repeats} is below 1", file=sys.stderr)
+        return 2
     for rep in range(cfg.repeats):
         try:
             g = generate_random_graph(cfg.n, cfg.m, cfg.seed + rep)

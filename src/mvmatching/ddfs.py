@@ -39,12 +39,11 @@ class DdfsInternalError(RuntimeError):
 class Bottleneck:
     """The search ended at bottleneck b.  The maps are the search's own,
     not copies: `color` gives the tree of every visited vertex, b
-    included, and each parent map links its tree's vertices to the root."""
+    included, and `parent[t]` links tree t's vertices to its root."""
 
     b: int
     color: dict[int, int]
-    red_tree: dict[int, Optional[int]]
-    green_tree: dict[int, Optional[int]]
+    parent: tuple[dict[int, Optional[int]], dict[int, Optional[int]]]
 
 
 @dataclass
@@ -79,10 +78,9 @@ class _Ddfs:
             {g: None},
         )
         self.center = [r, g]
-        # Red's barrier: its root, then each contested vertex it wins.
-        # Green's never moves from its root g.
-        self.barrier = r
-        self.green_root = g
+        # Each tree's barrier, below which it may not backtrack: red's is
+        # its root, then each contested vertex it wins; green's stays g.
+        self.barrier = [r, g]
         # None while the trees alternate by the keep-ahead rule; else the
         # tree that must find a vertex at or below the contested vertex's
         # layer while the other waits.  `contested` is None exactly when
@@ -159,7 +157,7 @@ class _Ddfs:
                 return self._meet(t, u)
             # interior of a tree, or the contested vertex: skip
         # Out-edges exhausted: back up or resolve the contest.
-        if c != (self.barrier if t == RED else self.green_root):
+        if c != self.barrier[t]:
             self._backtrack(t, c)
             return None
         if self.seeker != t:
@@ -187,20 +185,24 @@ class _Ddfs:
         seeker keeps stepping until a claim ends its seek, it concedes,
         or it reaches the bottleneck; a prober either takes v as its
         centre or seeks from the centre that gained v.
+
+        Each tree's centre has that tree's colour: a tree centres only on
+        a vertex it claims, is handed or wins, and leaves a centre it
+        loses at once.  So off red's barrier, v is red exactly when green
+        probes, and one test on the prober decides the handover.
         """
         self.parent[prober][v] = self.center[prober]
         self._emit("meet", prober, v)
         self.contested = v
-        if self.barrier == v:
+        if self.barrier[RED] == v:
             # Red already won v once and may not rescind: green (the
             # prober) concedes the vertex immediately and must seek.
             self.seeker = GREEN
             self._emit("reassign", RED, v)
             return None
-        if self.color[v] == RED:
+        if prober == GREEN:
             self._backtrack(RED, v)
             self.color[v] = GREEN
-        if prober == GREEN:
             self.center[GREEN] = v
         self.seeker = RED
         self._emit("reassign", GREEN, v)
@@ -212,11 +214,11 @@ class _Ddfs:
         v = self.contested
         self.color[v] = RED
         self.center[RED] = v
-        self.barrier = v
+        self.barrier[RED] = v
         self._emit("reassign", RED, v)
         # v stays in green's tree; green can back up past it unless v is
         # green's root, and then v is the bottleneck.
-        if v == self.green_root:
+        if v == self.barrier[GREEN]:
             return self._bottleneck(v)
         self._backtrack(GREEN, v)
         self.seeker = GREEN
@@ -224,13 +226,11 @@ class _Ddfs:
 
     def _bottleneck(self, b: int) -> Bottleneck:
         self._emit("terminate", None, b)
-        return Bottleneck(b, self.color, self.parent[RED], self.parent[GREEN])
+        return Bottleneck(b, self.color, self.parent)
 
     def _two_paths(self) -> TwoPaths:
-        red_path = tree_path(self.parent[RED], self.center[RED])
-        green_path = tree_path(self.parent[GREEN], self.center[GREEN])
         self._emit("terminate", None, self.center[RED])
-        return TwoPaths(red_path, green_path)
+        return TwoPaths(*map(tree_path, self.parent, self.center))
 
 
 def run_ddfs(

@@ -20,16 +20,17 @@ from typing import Iterable, Optional, TextIO
 # 5*10^5 edges did not fit).
 MAX_VERTICES = 1 << 21
 
-# The most edges `generate_random_graph` samples; a larger m is refused
-# before anything is allocated.  Its memory grows with m: `mvmatch gen`
-# and `mvmatch bench` at 10^6 edges peaked near 540 MB (n = 2*10^5, or
-# n = 2,000 when dense).
+# The most edges `generate_random_graph` samples and the most edge lines
+# `parse_dimacs` reads; a larger m is refused before the graph is built.
+# Its memory grows with m: `mvmatch gen` and `mvmatch bench` at 10^6
+# edges peaked near 540 MB (n = 2*10^5, or n = 2,000 when dense).
 MAX_EDGES = 10**6
 
 
 class GraphFormatError(ValueError):
-    """Raised for malformed DIMACS input, out-of-range indices or a
-    vertex count below 0 or above MAX_VERTICES."""
+    """Raised for malformed DIMACS input, out-of-range indices, a vertex
+    count below 0 or above MAX_VERTICES, or more than MAX_EDGES edge
+    lines."""
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,8 @@ class Graph:
         return len(self.adj[v])
 
 
-# The canonical layout.  The possessive repeat keeps no backtracking
-# record per line, so the check takes constant memory.
+# The canonical layout.  The possessive repeat (new in Python 3.11) keeps
+# no backtracking record per line, so the check takes constant memory.
 _CANONICAL = re.compile(r"p edge \d+ \d+(?:\ne \d+ \d+)*+\n?", re.ASCII)
 
 
@@ -98,7 +99,8 @@ def parse_dimacs(text: str | TextIO) -> Graph:
 
     Comment lines start with 'c'.  One problem line 'p edge <n> <m>' must
     precede the 'e <u> <v>' edge lines (1-based endpoints).  Parallel edges
-    are deduplicated; self-loops are an error.
+    are deduplicated; self-loops and more than MAX_EDGES edge lines are an
+    error.
 
     Text in the canonical layout (the problem line, then the edge lines,
     fields split by single spaces, lines ended by a newline save perhaps
@@ -110,6 +112,10 @@ def parse_dimacs(text: str | TextIO) -> Graph:
     if hasattr(text, "read"):
         text = text.read()
     if _CANONICAL.fullmatch(text):
+        # Each canonical edge line follows a newline; count before splitting.
+        lines = text.count("\ne")
+        if lines > MAX_EDGES:
+            raise GraphFormatError(f"{lines} edge lines exceed the limit of {MAX_EDGES}")
         try:
             return _parse_columns(text)
         except ValueError:
@@ -156,6 +162,8 @@ def _parse_lines(text: str) -> Graph:
         elif fields[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before problem line")
+            if len(edges) == MAX_EDGES:
+                raise GraphFormatError(f"line {lineno}: edge lines exceed the limit of {MAX_EDGES}")
             if len(fields) != 3:
                 raise GraphFormatError(f"line {lineno}: malformed edge line {line!r}")
             try:

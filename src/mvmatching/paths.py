@@ -14,15 +14,16 @@ recurses with the input and no segment is reversed after it is built.
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Collection, Union
 
-from .ddfs import GREEN, TwoPaths, tree_path
+from .ddfs import TwoPaths, tree_path
 from .phase import PROP, PhaseState, bridge_side
 
 # A work item is a vertex or a segment (x, level, low, pid, rev): the path
 # from x, entered at `level`, down x's bud chain to `low` (excluded),
 # through petals formed before petal `pid` only; `rev` emits it backwards.
-Item = Union[int, tuple[int, int, int, int, bool]]
+Segment = tuple[int, int, int, int, bool]
+Item = Union[int, Segment]
 
 
 class ExtractionError(RuntimeError):
@@ -45,36 +46,37 @@ def _anchor(s: PhaseState, x: int, pid: int) -> int:
     return x
 
 
+def _hop(s: PhaseState, a: int, pid: int, ends: Collection[int]) -> Segment:
+    """The segment below a: from the first predecessor of a whose bud
+    chain, as of petal `pid`, stops at a vertex of `ends`, down to that
+    vertex.  Such a predecessor is live, as its end is."""
+    for p in s.preds[a]:
+        y = _anchor(s, p, pid)
+        if y in ends:
+            return (p, s.minlevel(a) - 1, y, pid, False)
+    raise ExtractionError(f"no predecessor of {a} reaches {sorted(ends)} as of petal {pid}")
+
+
 def _down(s: PhaseState, x: int, level: int, chain: list[int], pid: int) -> list[Item]:
     """Items for the path from x, entered at `level`, down its bud chain to
-    chain[0], then along the contracted descent `chain` to chain[-1]
-    (excluded).  Each hop a -> y takes the first predecessor of a whose
-    bud chain, as of petal `pid`, reaches y; it is live, as y is."""
+    chain[0], then hop by hop along the contracted descent `chain` to
+    chain[-1] (excluded)."""
     items: list[Item] = [(x, level, chain[0], pid, False)]
     for a, y in zip(chain, chain[1:]):
-        for p in s.preds[a]:
-            if _anchor(s, p, pid) == y:
-                items += [a, (p, s.minlevel(a) - 1, y, pid, False)]
-                break
-        else:
-            raise ExtractionError(f"no live predecessor of {a} reaches {y}")
+        items += [a, _hop(s, a, pid, (y,))]
     return items
 
 
 def _descend(s: PhaseState, x: int, bud: int, pid: int) -> list[Item]:
-    """Items for [x, bud) for an outer member x of petal `pid`: from each
-    vertex, the first predecessor whose bud chain, as of the petal, stops
-    in it or at its bud (one exists and is live: see `recursive_remove`)."""
+    """Items for [x, bud) for an outer member x of petal `pid`: hop from
+    each vertex to a member or the bud, which are the petal's colour keys
+    (a hop exists: see `recursive_remove`)."""
     items: list[Item] = []
+    keys = s.petals[pid].color
     while x != bud:
-        for p in s.preds[x]:
-            y = _anchor(s, p, pid)
-            if y == bud or s.petal_of[y] == pid:
-                items += [x, (p, s.minlevel(x) - 1, y, pid, False)]
-                x = y
-                break
-        else:
-            raise ExtractionError(f"no descent from {x} to bud {bud} inside petal {pid}")
+        seg = _hop(s, x, pid, keys)
+        items += [x, seg]
+        x = seg[2]
     return items
 
 
@@ -83,13 +85,12 @@ def _inner(s: PhaseState, x: int, pid: int) -> list[Item]:
     colour tree to its bridge end, across the bridge, down the other
     colour's tree to the bud."""
     petal = s.petals[pid]
-    c, d = s.g.edges[petal.bridge_eid]
-    own, other = petal.red_tree, petal.green_tree
-    if petal.color[x] == GREEN:
-        c, d, own, other = d, c, other, own
+    t = petal.color[x]
+    bridge = s.g.edges[petal.bridge_eid]
+    c, d = bridge[t], bridge[1 - t]
     side = bridge_side(s, c, d)
-    climb = _down(s, c, side[c], tree_path(own, x), pid)
-    return [x] + _flip(climb) + _down(s, d, side[d], tree_path(other, petal.bud), pid)
+    climb = _down(s, c, side[c], tree_path(petal.parent[t], x), pid)
+    return [x] + _flip(climb) + _down(s, d, side[d], tree_path(petal.parent[1 - t], petal.bud), pid)
 
 
 def _walk(s: PhaseState, items: list[Item]) -> list[int]:

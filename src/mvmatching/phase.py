@@ -32,14 +32,13 @@ BRIDGE = 2
 @dataclass
 class PetalNode:
     """Record of one formed petal: its bridge (red end first), bud, and
-    the forming DDFS's colour and parent maps.  The members are the
-    colour keys other than the bud."""
+    the forming DDFS's colour map and parent pair, indexed by colour.
+    The members are the colour keys other than the bud."""
 
     bridge_eid: int
     bud: int
     color: dict[int, int]
-    red_tree: dict[int, Optional[int]]
-    green_tree: dict[int, Optional[int]]
+    parent: tuple[dict[int, Optional[int]], dict[int, Optional[int]]]
 
 
 @dataclass
@@ -87,12 +86,11 @@ class PhaseState:
 
     def out_edges(self, v: int) -> list[int]:
         """The distinct live bud*s of v's live predecessors, in scan
-        order; each lies below v, as a bud lies below its members."""
+        order; each lies below v, as a bud lies below its members.  A
+        removed vertex has a removed bud* (see `paths.recursive_remove`)."""
         out: list[int] = []
         seen: set[int] = set()
         for u in self.preds[v]:
-            if self.removed[u]:
-                continue
             b = bud_star(self, u)
             if self.removed[b] or b in seen:
                 continue
@@ -107,14 +105,13 @@ def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> P
     n = g.n
     evenlevel = [UNSET] * n
     oddlevel = [UNSET] * n
+    # An empty level 0 is popped by `min_step(s, 0)` as a missing one is.
     schedule: defaultdict[int, list[int]] = defaultdict(list)
-    level0 = []
+    level0 = schedule[0]
     for v, p in enumerate(m.partner):
         if p is None:
             evenlevel[v] = 0
             level0.append(v)
-    if level0:
-        schedule[0] = level0
     return PhaseState(
         g=g,
         m=m,
@@ -253,7 +250,7 @@ def _form_petal(s: PhaseState, eid: int, outcome: Bottleneck, i: int) -> None:
     b = outcome.b
     members = sorted(w for w in outcome.color if w != b)
     pid = len(s.petals)
-    s.petals.append(PetalNode(eid, b, outcome.color, outcome.red_tree, outcome.green_tree))
+    s.petals.append(PetalNode(eid, b, outcome.color, outcome.parent))
     for w in members:
         s.petal_of[w] = pid
         s.jump[w] = b

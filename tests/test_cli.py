@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 import subprocess
 import sys
@@ -400,6 +401,13 @@ class TestBench:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("repeats", [0, -1])
+    def test_repeats_below_one_exits_2(self, capsys, repeats) -> None:
+        code, out, err = _run(capsys, ["bench", "--n", "5", "--m", "0", "--repeats", str(repeats)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --repeats {repeats} is below 1\n"
+
 
 def _run_under_memory_cap(args: list[str], stdin: str = "") -> subprocess.CompletedProcess:
     """Run `mvmatch args` in a child process whose address space alone is
@@ -428,6 +436,18 @@ def _assert_limit_error(out: subprocess.CompletedProcess) -> None:
     assert "Traceback" not in out.stderr
 
 
+@functools.cache
+def _too_many_edges() -> str:
+    """A canonical text of 3 * 10^6 distinct edges on MAX_VERTICES
+    vertices: i to i + 1, then i to i + 2."""
+    n = MAX_VERTICES
+    lines = [f"p edge {n} 3000000"]
+    for d in (1, 2):
+        lines += [f"e {i} {i + d}" for i in range(1, n - d + 1)]
+    del lines[3000001:]
+    return "\n".join(lines) + "\n"
+
+
 class TestInputLimits:
     @pytest.mark.parametrize("command", ["solve", "verify"])
     def test_huge_vertex_count_exits_2_under_memory_cap(self, tmp_path, command) -> None:
@@ -438,6 +458,16 @@ class TestInputLimits:
         extra = [str(matching)] if command == "verify" else []
         for n in (10**9, MAX_VERTICES + 1):
             _assert_limit_error(_run_under_memory_cap([command, "-", *extra], f"p edge {n} 0\n"))
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "oracle-check"])
+    def test_too_many_edge_lines_exit_2_under_memory_cap(self, tmp_path, command) -> None:
+        # 3 * 10^6 distinct edges at the vertex limit, read from stdin:
+        # building that graph overflows the cap, so the parser refuses the
+        # edge lines first.
+        matching = tmp_path / "m.txt"
+        matching.write_text("size 0\n")
+        extra = [str(matching)] if command == "verify" else []
+        _assert_limit_error(_run_under_memory_cap([command, "-", *extra], _too_many_edges()))
 
     @pytest.mark.parametrize("command", ["gen", "bench"])
     def test_huge_edge_count_exits_2_under_memory_cap(self, command) -> None:

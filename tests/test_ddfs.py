@@ -8,7 +8,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mvmatching import ddfs
 from mvmatching.ddfs import (
+    GREEN,
+    RED,
     Bottleneck,
     LayeredViewError,
     TwoPaths,
@@ -174,7 +177,7 @@ class TestTreeRecords:
         if not isinstance(out, Bottleneck):
             return
         red, green = color_sets(out)
-        for tree, members, root in ((out.red_tree, red, r), (out.green_tree, green, g)):
+        for tree, members, root in ((out.parent[RED], red, r), (out.parent[GREEN], green, g)):
             for v in members:
                 # Walk to the root; every hop stays in members ∪ {b}.
                 cur = v
@@ -186,3 +189,32 @@ class TestTreeRecords:
                     assert cur in members or cur == out.b
                 else:
                     pytest.fail(f"no path from {v} to root {root}")
+
+
+class TestMeetColours:
+    def test_contested_vertex_has_the_other_colour(self, monkeypatch) -> None:
+        # `_meet` decides on the prober alone: off red's barrier v has the
+        # colour of the tree that does not probe and goes to green, and
+        # only green probes red's barrier, which stays red.  Checked at
+        # every meet of every view with at most four vertices and of the
+        # five-vertex slice.
+        meets: list[tuple[int, int, int, bool]] = []
+        meet = ddfs._Ddfs._meet
+
+        def recording(self, prober: int, v: int):
+            before, at_barrier = self.color[v], v == self.barrier[RED]
+            out = meet(self, prober, v)
+            meets.append((prober, before, self.color[v], at_barrier))
+            return out
+
+        monkeypatch.setattr(ddfs._Ddfs, "_meet", recording)
+        views = itertools.chain(
+            *(support.all_layered_views(n) for n in range(1, 5)),
+            itertools.islice(support.all_layered_views(5), 0, None, 29),
+        )
+        for view, r, g in views:
+            run_ddfs(view, r, g)
+        at_barrier = {m[:3] for m in meets if m[3]}
+        elsewhere = {m[:3] for m in meets if not m[3]}
+        assert at_barrier == {(GREEN, RED, RED)}
+        assert elsewhere == {(GREEN, RED, GREEN), (RED, GREEN, GREEN)}

@@ -99,6 +99,16 @@ class TestParseDimacs:
         g = parse_dimacs("p edge 3 3\ne 1 2\ne 2 1\ne 1 2")
         assert g.edges == ((0, 1),)
 
+    @pytest.mark.parametrize("layout", ["canonical", "line_loop"])
+    def test_edge_lines_above_limit(self, monkeypatch, layout: str) -> None:
+        # Parallel lines count too; the line loop names the first line over.
+        monkeypatch.setattr(graph, "MAX_EDGES", 3)
+        head = "p edge 3 4\n" if layout == "canonical" else "c header\np edge 3 4\n"
+        assert parse_dimacs(head + "e 1 2\ne 2 3\ne 2 1\n").m == 2
+        message = "4 edge lines" if layout == "canonical" else "line 6: edge lines"
+        with pytest.raises(GraphFormatError, match=f"{message} exceed the limit of 3"):
+            parse_dimacs(head + "e 1 2\ne 2 3\ne 2 1\ne 1 3\n")
+
     def test_vertex_count_above_limit(self) -> None:
         with pytest.raises(GraphFormatError, match="limit"):
             parse_dimacs(f"p edge {MAX_VERTICES + 1} 0")

@@ -8,6 +8,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,8 @@ import mvmatching
 from mvmatching.graph import Graph, MatchingState, check_alternating, generate_random_graph
 from mvmatching.graph import serialize_dimacs, serialize_matching
 from mvmatching.oracle import _iter_alternating_paths, compute_profile
-from mvmatching.paths import _walk, recursive_remove
+from mvmatching.ddfs import TwoPaths, run_ddfs
+from mvmatching.paths import ExtractionError, _walk, extract_path, recursive_remove
 from mvmatching.phase import (
     UNSET,
     PhaseState,
@@ -111,6 +113,67 @@ class TestOpenPetal:
                 assert out[0] == v and out[-1] == petal.bud
                 assert len(out) - 1 == want
                 assert check_alternating(g, m, out) is None
+
+
+def _p4_before_extraction() -> tuple[PhaseState, TwoPaths, int]:
+    """P4's phase at level 1, its one bridge and that bridge's TwoPaths
+    outcome, before MAX extracts the path."""
+    g, m = support.p4()
+    s = init_phase(g, m)
+    min_step(s, 0)
+    max_step(s, 0)
+    min_step(s, 1)
+    (eid,) = s.br[3]
+    outcome = run_ddfs(s, *g.edges[eid])
+    assert isinstance(outcome, TwoPaths)
+    return s, outcome, eid
+
+
+class TestExtractionFaults:
+    """Each fault detector of path extraction fires on a corrupted state.
+    The triangle's petal has bud 0, red member 1 and green member 2."""
+
+    def test_intact_states_extract(self) -> None:
+        s = _triangle_state()
+        assert descend(s, 1, s.oddlevel[1], 0) == [1, 0]
+        assert descend(s, 1, s.evenlevel[1], 0) == [1, 2, 0]
+        s, outcome, eid = _p4_before_extraction()
+        assert extract_path(s, outcome, eid) == [0, 1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "level, emptied", [("odd", 1), ("even", 2)], ids=["outer_member", "tree_descent"]
+    )
+    def test_hop_without_predecessor(self, level: str, emptied: int) -> None:
+        # Entered at its oddlevel, 1 hops straight to the bud; entered at
+        # its evenlevel, it crosses the bridge and 2 hops to the bud.
+        s = _triangle_state()
+        entry = s.oddlevel[1] if level == "odd" else s.evenlevel[1]
+        s.preds[emptied] = []
+        with pytest.raises(ExtractionError, match=f"no predecessor of {emptied} reaches"):
+            descend(s, 1, entry, 0)
+
+    def test_bud_chain_misses(self) -> None:
+        s = _triangle_state()
+        s.petal_of[1] = None
+        with pytest.raises(ExtractionError, match="bud chain of 1 misses 0"):
+            descend(s, 1, s.oddlevel[1], 0)
+
+    def test_entry_at_no_level(self) -> None:
+        s = _triangle_state()
+        entry = s.oddlevel[1]
+        s.oddlevel[1] = 3
+        with pytest.raises(ExtractionError, match="vertex 1 has no level 1"):
+            descend(s, 1, entry, 0)
+
+    @pytest.mark.parametrize("fault", ["length", "free_end"])
+    def test_path_check(self, fault: str) -> None:
+        s, outcome, eid = _p4_before_extraction()
+        if fault == "length":
+            s.oddlevel[1] = 3  # the bridge's tenacity now promises 5 edges
+        else:
+            s.m.partner[0], s.m.partner[3] = 3, 0
+        with pytest.raises(ExtractionError, match="no augmenting path through bridge"):
+            extract_path(s, outcome, eid)
 
 
 def _check_path_set(s: PhaseState) -> None:
