@@ -42,8 +42,9 @@ def main() -> None:
     print("final levels (vertex: even/odd):")
     for v in range(g.n):
         print(f"  {v}: {even[v]}/{odd[v]}")
-    for petal in s.petals:
-        print(f"petal: bud {petal.bud}, members {sorted(set(petal.color) - {petal.bud})}")
+    for pid, petal in enumerate(s.petals):
+        members = [w for w, q in enumerate(s.petal_of) if q == pid]
+        print(f"petal: bud {petal.bud}, members {members}")
 
 
 if __name__ == "__main__":

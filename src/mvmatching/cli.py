@@ -137,8 +137,11 @@ def cmd_oracle_check(cfg: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     failures = 0
-    matchings = [MatchingState(g.n)] + [_greedy_matching(g, cfg.seed + k) for k in range(3)]
-    for idx, m in enumerate(matchings):
+    # The empty matching, then three greedy ones, each built when its turn
+    # comes: the oracle's size guard refuses a large graph before any is.
+    seeds = [None] + [cfg.seed + k for k in range(3)]
+    for idx, seed in enumerate(seeds):
+        m = MatchingState(g.n) if seed is None else _greedy_matching(g, seed)
         try:
             profile = oracle.compute_profile(g, m)
         except oracle.OracleGuardError as exc:
@@ -168,7 +171,7 @@ def cmd_oracle_check(cfg: argparse.Namespace) -> int:
     if failures:
         print(f"{failures} disagreement(s)")
         return 1
-    print(f"ok: {len(matchings)} matchings checked")
+    print(f"ok: {len(seeds)} matchings checked")
     return 0
 
 

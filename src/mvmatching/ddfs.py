@@ -37,9 +37,11 @@ class DdfsInternalError(RuntimeError):
 
 @dataclass
 class Bottleneck:
-    """The search ended at bottleneck b.  The maps are the search's own,
-    not copies: `color` gives the tree of every visited vertex, b
-    included, and `parent[t]` links tree t's vertices to its root."""
+    """The search ended at bottleneck b: `color` gives the tree of every
+    visited vertex, b included, and `parent[t]` links tree t's vertices
+    to its root.  b lies in both trees and is no vertex's parent, and a
+    vertex's ancestors in its own colour's tree have its colour, since a
+    vertex with a tree child never changes colour (see `_Ddfs._meet`)."""
 
     b: int
     color: dict[int, int]
@@ -60,8 +62,8 @@ DdfsOutcome = Bottleneck | TwoPaths
 TraceFn = Callable[[str], None]
 
 
-def tree_path(parent: dict[int, Optional[int]], v: int) -> list[int]:
-    """The path from the root of a DDFS parent map down to v."""
+def tree_path(parent: dict[int, Optional[int]] | list[Optional[int]], v: int) -> list[int]:
+    """The path from the root of a DDFS parent map or list down to v."""
     path = [v]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])

@@ -111,11 +111,13 @@ def parse_dimacs(text: str | TextIO) -> Graph:
     """
     if hasattr(text, "read"):
         text = text.read()
+    # Count before splitting.  Each line that starts with 'e' is an edge
+    # line or one the line loop refuses, so the count refuses no text the
+    # loop accepts; the loop counts edge lines with leading spaces itself.
+    lines = text.count("\ne") + text.startswith("e")
+    if lines > MAX_EDGES:
+        raise GraphFormatError(f"{lines} edge lines exceed the limit of {MAX_EDGES}")
     if _CANONICAL.fullmatch(text):
-        # Each canonical edge line follows a newline; count before splitting.
-        lines = text.count("\ne")
-        if lines > MAX_EDGES:
-            raise GraphFormatError(f"{lines} edge lines exceed the limit of {MAX_EDGES}")
         try:
             return _parse_columns(text)
         except ValueError:
@@ -328,6 +330,8 @@ def generate_random_graph(n: int, m: int, seed: int) -> Graph:
     """Deterministically sample a simple graph with exactly m distinct edges."""
     if n < 0:
         raise ValueError(f"n = {n} is negative")
+    if n > MAX_VERTICES:
+        raise ValueError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
     if m < 0:
         raise ValueError(f"m = {m} is negative")
     if m > MAX_EDGES:

@@ -4,17 +4,17 @@ A TwoPaths outcome gives, from each end of the triggering bridge, a
 descent to a free vertex through the contracted graph, where each petal
 is shrunk to its bud*.  `extract_path` expands every hop of those
 descents and opens each petal it jumps over (the paper's FINDPATH/OPEN):
-a vertex entered at its minlevel (outer) walks greedily down to its bud
-through predecessors inside the petal; a vertex entered at its maxlevel
-(inner) climbs its colour's DDFS tree to the bridge, crosses it, and
-descends the other colour's tree to the bud.  All of it runs on one
-explicit work stack whose entries carry their orientation, so nothing
-recurses with the input and no segment is reversed after it is built.
+a vertex entered at its minlevel (outer) hops to a predecessor whose bud
+chain stops at the bud; a vertex entered at its maxlevel (inner) climbs
+its colour's DDFS tree to the bridge, crosses it, and descends the other
+colour's tree to the bud.  All of it runs on one explicit work stack
+whose entries carry their orientation, so nothing recurses with the
+input and no segment is reversed after it is built.
 """
 
 from __future__ import annotations
 
-from typing import Collection, Union
+from typing import Union
 
 from .ddfs import TwoPaths, tree_path
 from .phase import PROP, PhaseState, bridge_side
@@ -46,15 +46,14 @@ def _anchor(s: PhaseState, x: int, pid: int) -> int:
     return x
 
 
-def _hop(s: PhaseState, a: int, pid: int, ends: Collection[int]) -> Segment:
+def _hop(s: PhaseState, a: int, pid: int, end: int) -> Segment:
     """The segment below a: from the first predecessor of a whose bud
-    chain, as of petal `pid`, stops at a vertex of `ends`, down to that
-    vertex.  Such a predecessor is live, as its end is."""
+    chain, as of petal `pid`, stops at `end`, down to `end`.  Such a
+    predecessor is live, as its end is."""
     for p in s.preds[a]:
-        y = _anchor(s, p, pid)
-        if y in ends:
-            return (p, s.minlevel(a) - 1, y, pid, False)
-    raise ExtractionError(f"no predecessor of {a} reaches {sorted(ends)} as of petal {pid}")
+        if _anchor(s, p, pid) == end:
+            return (p, s.minlevel(a) - 1, end, pid, False)
+    raise ExtractionError(f"no predecessor of {a} reaches {end} as of petal {pid}")
 
 
 def _down(s: PhaseState, x: int, level: int, chain: list[int], pid: int) -> list[Item]:
@@ -63,20 +62,7 @@ def _down(s: PhaseState, x: int, level: int, chain: list[int], pid: int) -> list
     chain[-1] (excluded)."""
     items: list[Item] = [(x, level, chain[0], pid, False)]
     for a, y in zip(chain, chain[1:]):
-        items += [a, _hop(s, a, pid, (y,))]
-    return items
-
-
-def _descend(s: PhaseState, x: int, bud: int, pid: int) -> list[Item]:
-    """Items for [x, bud) for an outer member x of petal `pid`: hop from
-    each vertex to a member or the bud, which are the petal's colour keys
-    (a hop exists: see `recursive_remove`)."""
-    items: list[Item] = []
-    keys = s.petals[pid].color
-    while x != bud:
-        seg = _hop(s, x, pid, keys)
-        items += [x, seg]
-        x = seg[2]
+        items += [a, _hop(s, a, pid, y)]
     return items
 
 
@@ -85,12 +71,14 @@ def _inner(s: PhaseState, x: int, pid: int) -> list[Item]:
     colour tree to its bridge end, across the bridge, down the other
     colour's tree to the bud."""
     petal = s.petals[pid]
-    t = petal.color[x]
+    t = s.color[x]
     bridge = s.g.edges[petal.bridge_eid]
     c, d = bridge[t], bridge[1 - t]
     side = bridge_side(s, c, d)
-    climb = _down(s, c, side[c], tree_path(petal.parent[t], x), pid)
-    return [x] + _flip(climb) + _down(s, d, side[d], tree_path(petal.parent[1 - t], petal.bud), pid)
+    p = petal.bud_parent[1 - t]
+    to_bud = [petal.bud] if p is None else tree_path(s.tree_parent, p) + [petal.bud]
+    climb = _down(s, c, side[c], tree_path(s.tree_parent, x), pid)
+    return [x] + _flip(climb) + _down(s, d, side[d], to_bud, pid)
 
 
 def _walk(s: PhaseState, items: list[Item]) -> list[int]:
@@ -111,7 +99,9 @@ def _walk(s: PhaseState, items: list[Item]) -> list[int]:
             raise ExtractionError(f"bud chain of {x} misses {low}")
         bud = s.petals[q].bud
         if level == s.minlevel(x):
-            sub = _descend(s, x, bud, q)
+            # A chain stops in q or at its bud as of petal q exactly when
+            # it stops at the bud as of q + 1: the bud was then a bud*.
+            sub = [x, _hop(s, x, q + 1, bud)]
         elif level == s.maxlevel(x):
             sub = _inner(s, x, q)
         else:

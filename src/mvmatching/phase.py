@@ -16,7 +16,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .ddfs import Bottleneck, TraceFn, run_ddfs
+from .ddfs import GREEN, RED, Bottleneck, TraceFn, run_ddfs
 from .graph import Graph, MatchingState
 
 # Level of a vertex not reached yet.  Every real level is at most
@@ -32,13 +32,12 @@ BRIDGE = 2
 @dataclass
 class PetalNode:
     """Record of one formed petal: its bridge (red end first), bud, and
-    the forming DDFS's colour map and parent pair, indexed by colour.
-    The members are the colour keys other than the bud."""
+    the bud's parent in the forming DDFS's red and green tree, None where
+    the bud is the root.  `petal_of` names the petal's members."""
 
     bridge_eid: int
     bud: int
-    color: dict[int, int]
-    parent: tuple[dict[int, Optional[int]], dict[int, Optional[int]]]
+    bud_parent: tuple[Optional[int], Optional[int]]
 
 
 @dataclass
@@ -55,7 +54,9 @@ class PhaseState:
     known waits: only an unmatched bridge can, on an inner end whose
     evenlevel is still UNSET.  It stays in state BRIDGE until MAX gives
     that end an even maxlevel, and `_assign_maxlevels` retries it then.
-    Only even maxlevels are scheduled for MIN (see `_assign_maxlevels`)."""
+    Only even maxlevels are scheduled for MIN (see `_assign_maxlevels`).
+    A member w of a petal has `color[w]` and its parent in that colour's
+    DDFS tree, `tree_parent[w]` (None at a root); w joins no other petal."""
 
     g: Graph
     m: MatchingState
@@ -67,6 +68,8 @@ class PhaseState:
     br: defaultdict[int, list[int]]
     petal_of: list[Optional[int]]
     petals: list[PetalNode]
+    color: list[int]
+    tree_parent: list[Optional[int]]
     jump: list[int]
     removed: list[bool]
     schedule: defaultdict[int, list[int]]
@@ -123,6 +126,8 @@ def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> P
         br=defaultdict(list),
         petal_of=[None] * n,
         petals=[],
+        color=[RED] * n,
+        tree_parent=[None] * n,
         jump=list(range(n)),
         removed=[False] * n,
         schedule=schedule,
@@ -247,13 +252,15 @@ def _assign_maxlevels(s: PhaseState, members: list[int], t: int) -> None:
 
 
 def _form_petal(s: PhaseState, eid: int, outcome: Bottleneck, i: int) -> None:
-    b = outcome.b
-    members = sorted(w for w in outcome.color if w != b)
+    b, color, parent = outcome.b, outcome.color, outcome.parent
+    members = sorted(w for w in color if w != b)
     pid = len(s.petals)
-    s.petals.append(PetalNode(eid, b, outcome.color, outcome.parent))
+    s.petals.append(PetalNode(eid, b, (parent[RED][b], parent[GREEN][b])))
     for w in members:
         s.petal_of[w] = pid
         s.jump[w] = b
+        s.color[w] = color[w]
+        s.tree_parent[w] = parent[color[w]][w]
     if s.trace is not None:
         s.trace(f"petal bud {b} members {','.join(map(str, members))}")
     _assign_maxlevels(s, members, 2 * i + 1)

@@ -207,6 +207,16 @@ def filed_bridges(lines: list[str]) -> list[tuple[int, int, int, int]]:
     return filed
 
 
+def petal_members(s) -> list[set[int]]:
+    """Each petal's members in a phase state `s`, indexed like `s.petals`:
+    the vertices whose `petal_of` names the petal."""
+    members: list[set[int]] = [set() for _ in s.petals]
+    for w, q in enumerate(s.petal_of):
+        if q is not None:
+            members[q].add(w)
+    return members
+
+
 def oracle_base_classes(profile) -> dict[tuple[int, int], set[int]]:
     """The oracle's sets S_{b,t}: vertices of tenacity t with the single
     base b, keyed by (b, t)."""

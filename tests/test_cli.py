@@ -315,6 +315,17 @@ class TestOracleCheck:
             main(["oracle-check", str(f), "--guard-override"])
         assert exc.value.code == 2
 
+    def test_guard_fires_before_any_greedy_matching(self, tmp_path, capsys, monkeypatch) -> None:
+        def no_greedy(g, seed):
+            raise AssertionError("greedy matching built before the guard")
+
+        monkeypatch.setattr(cli, "_greedy_matching", no_greedy)
+        f = tmp_path / "g.dimacs"
+        f.write_text("p edge 20 1\ne 1 2\n")
+        code, _, err = _run(capsys, ["oracle-check", str(f)])
+        assert code == 2
+        assert "guard" in err
+
     def test_fault_injection_detected(self, tmp_path, capsys, monkeypatch) -> None:
         f = tmp_path / "g.dimacs"
         f.write_text(TRIANGLE_DIMACS)

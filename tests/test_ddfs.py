@@ -191,6 +191,48 @@ class TestTreeRecords:
                     pytest.fail(f"no path from {v} to root {root}")
 
 
+def _assert_per_vertex_records(out: Bottleneck) -> None:
+    """What a petal's per-vertex records rely on: b lies in both trees and
+    is no vertex's parent, and each visited vertex's ancestors in its own
+    colour's tree have that colour."""
+    for tree in out.parent:
+        assert out.b in tree
+        assert out.b not in tree.values()
+    for v, t in out.color.items():
+        tree, cur = out.parent[t], v
+        for _ in range(len(tree)):
+            cur = tree[cur]
+            if cur is None:
+                break
+            assert out.color[cur] == t, (v, cur)
+        else:
+            pytest.fail(f"no root above {v}")
+
+
+class TestPerVertexRecords:
+    def test_every_view_up_to_four_vertices(self) -> None:
+        count = 0
+        for n in range(1, 5):
+            for view, r, g in support.all_layered_views(n):
+                if r == g:
+                    continue
+                out = run_ddfs(view, r, g)
+                if isinstance(out, Bottleneck):
+                    _assert_per_vertex_records(out)
+                    count += 1
+        assert count == 1290
+
+    @PROPERTY_SETTINGS
+    @given(seed=_SEED)
+    def test_random_views(self, seed: int) -> None:
+        view, r, g = random_layered_view(seed)
+        if r == g:
+            return
+        out = run_ddfs(view, r, g)
+        if isinstance(out, Bottleneck):
+            _assert_per_vertex_records(out)
+
+
 class TestMeetColours:
     def test_contested_vertex_has_the_other_colour(self, monkeypatch) -> None:
         # `_meet` decides on the prober alone: off red's barrier v has the

@@ -99,15 +99,26 @@ class TestParseDimacs:
         g = parse_dimacs("p edge 3 3\ne 1 2\ne 2 1\ne 1 2")
         assert g.edges == ((0, 1),)
 
-    @pytest.mark.parametrize("layout", ["canonical", "line_loop"])
+    @pytest.mark.parametrize("layout", ["canonical", "line_loop", "leading_space"])
     def test_edge_lines_above_limit(self, monkeypatch, layout: str) -> None:
-        # Parallel lines count too; the line loop names the first line over.
+        # Parallel lines count too.  Lines that start with 'e' are counted
+        # before either path runs; the line loop names the first edge line
+        # over the limit among lines that start with a space.
         monkeypatch.setattr(graph, "MAX_EDGES", 3)
         head = "p edge 3 4\n" if layout == "canonical" else "c header\np edge 3 4\n"
-        assert parse_dimacs(head + "e 1 2\ne 2 3\ne 2 1\n").m == 2
-        message = "4 edge lines" if layout == "canonical" else "line 6: edge lines"
+        indent = " " if layout == "leading_space" else ""
+        lines = [indent + line + "\n" for line in ("e 1 2", "e 2 3", "e 2 1", "e 1 3")]
+        assert parse_dimacs(head + "".join(lines[:3])).m == 2
+        message = "line 6: edge lines" if indent else "4 edge lines"
         with pytest.raises(GraphFormatError, match=f"{message} exceed the limit of 3"):
-            parse_dimacs(head + "e 1 2\ne 2 3\ne 2 1\ne 1 3\n")
+            parse_dimacs(head + "".join(lines))
+
+    def test_edge_line_count_skips_line_loop(self, monkeypatch) -> None:
+        # Over the limit, a text that is not canonical is never split.
+        monkeypatch.setattr(graph, "MAX_EDGES", 3)
+        monkeypatch.setattr(graph, "_parse_lines", lambda text: pytest.fail("line loop ran"))
+        with pytest.raises(GraphFormatError, match="4 edge lines"):
+            parse_dimacs("e 1 2\nc header\np edge 3 4\ne 2 3\ne 2 1\ne 1 3\n")
 
     def test_vertex_count_above_limit(self) -> None:
         with pytest.raises(GraphFormatError, match="limit"):
@@ -378,6 +389,14 @@ class TestGenerateRandomGraph:
     def test_edge_count_above_limit(self) -> None:
         with pytest.raises(ValueError, match="limit"):
             generate_random_graph(10**6, MAX_EDGES + 1, 0)
+
+    def test_vertex_count_above_limit_refused_before_sampling(self, monkeypatch) -> None:
+        def no_sampling(seed):
+            pytest.fail("sampling began")
+
+        monkeypatch.setattr(graph.random, "Random", no_sampling)
+        with pytest.raises(ValueError, match=f"exceed the limit of {MAX_VERTICES}"):
+            generate_random_graph(MAX_VERTICES + 1, 10**6, 0)
 
     @PROPERTY_SETTINGS
     @given(

@@ -104,7 +104,7 @@ class TestOpenPetal:
             min_step(s, i)
             max_step(s, i)
         petal = s.petals[0]
-        members = sorted(set(petal.color) - {petal.bud})
+        members = sorted(support.petal_members(s)[0])
         allowed = set(members) | {petal.bud}
         for v in members:
             for want in (s.evenlevel[v], s.oddlevel[v]):
@@ -426,7 +426,7 @@ class TestLongPaths:
             g, m = support.triangle_chain(10000)
             s = run_phase(g, m)
             on_path = set(s.paths[0])
-            crossed = all(set(p.color) - {p.bud} <= on_path for p in s.petals)
+            crossed = all(ms <= on_path for ms in support.petal_members(s))
             print(len(s.paths), len(s.paths[0]) - 1, len(s.petals), crossed)
             result, phases = maximum_matching(g, m)
             print(m.size(), result.size(), phases)
@@ -449,7 +449,7 @@ class TestLongPaths:
             on_path = set(path)
             nested = all(s.petal_of[p.bud] == k + 1 for k, p in enumerate(petals[:-1]))
             outermost = s.petal_of[petals[-1].bud] is None
-            touched = all(on_path.intersection(set(p.color) - {p.bud}) for p in petals)
+            touched = all(on_path & ms for ms in support.petal_members(s))
             print(g.n, len(s.paths), len(path) - 1, len(petals))
             print(nested, outermost, touched, check_alternating(g, m, path))
             result, phases = maximum_matching(g, m)

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from mvmatching import paths, phase
+from mvmatching.ddfs import GREEN, RED
 from mvmatching.graph import Graph, MatchingState, augment_in_place, generate_random_graph
 from mvmatching.oracle import brute_support, compute_profile
 from mvmatching.phase import (
@@ -106,7 +107,11 @@ class TestMaxStep:
         assert len(s.petals) == 1
         petal = s.petals[0]
         assert petal.bud == 0
-        assert set(petal.color) - {petal.bud} == {1, 2}
+        assert support.petal_members(s) == [{1, 2}]
+        # Red roots at 1 and green at 2; both reach the bud in one step.
+        assert (s.color[1], s.color[2]) == (RED, GREEN)
+        assert s.tree_parent[1] is None and s.tree_parent[2] is None
+        assert petal.bud_parent == (1, 2)
         assert s.evenlevel[1] == s.evenlevel[2] == 2  # maxlevels 2i+1 - 1
 
     def test_p4_two_paths(self) -> None:
@@ -204,11 +209,11 @@ class TestLayeredAdapter:
 def _stranded(s: PhaseState, pid: int) -> list[int]:
     """Members of petal `pid` with no live predecessor whose bud chain, as
     of the petal, stops in it or at its bud."""
-    petal = s.petals[pid]
+    bud = s.petals[pid].bud
     out = []
-    for w in petal.color:
+    for w in sorted(support.petal_members(s)[pid]):
         anchors = [paths._anchor(s, p, pid) for p in s.preds[w] if not s.removed[p]]
-        if w != petal.bud and not any(y == petal.bud or s.petal_of[y] == pid for y in anchors):
+        if not any(y == bud or s.petal_of[y] == pid for y in anchors):
             out.append(w)
     return out
 
@@ -229,10 +234,11 @@ class TestPetalInvariant:
 
         def checked_remove(s: PhaseState, seed: set[int]) -> None:
             remove(s, seed)
+            members = support.petal_members(s)
             for pid, petal in enumerate(s.petals):
                 if s.removed[petal.bud]:
                     continue
-                assert not any(s.removed[w] for w in petal.color), petal
+                assert not any(s.removed[w] for w in members[pid]), petal
                 assert _stranded(s, pid) == []
                 seen["kept"] += 1
 
@@ -497,8 +503,7 @@ class TestEngineAgainstOracle:
             if not s.petals:
                 continue
             profile = compute_profile(g, m)
-            for petal in s.petals:
-                members = set(petal.color) - {petal.bud}
+            for petal, members in zip(s.petals, support.petal_members(s)):
                 assert members <= brute_support(profile, petal.bridge_eid), (k, petal)
                 petals += 1
         assert petals > 1000
