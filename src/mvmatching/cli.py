@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import math
 import random
+import re
 import sys
 import time
 from typing import ContextManager, Optional, TextIO
@@ -19,6 +20,7 @@ from .graph import (
     Graph,
     GraphFormatError,
     MatchingState,
+    check_edge_lines,
     generate_random_graph,
     parse_dimacs,
     parse_matching,
@@ -30,6 +32,12 @@ from .phase import levels_with_inf, run_phase
 from .solver import maximum_matching
 
 TRACE_HEADER = "mvtrace 1"
+
+# A problem line that `parse_dimacs` accepts, fields split by spaces or
+# tabs and LF or CRLF line ends, with a vertex count short enough to
+# convert.  `oracle-check`
+# refuses on its n before the parse.
+_PROBLEM_LINE = re.compile(r"^[ \t]*p[ \t]+edge[ \t]+(\d{1,18})[ \t]+\d+[ \t\r]*$", re.M | re.ASCII)
 
 
 def _read_text(path: str) -> str:
@@ -132,21 +140,25 @@ def _greedy_matching(g: Graph, seed: int) -> MatchingState:
 
 def cmd_oracle_check(cfg: argparse.Namespace) -> int:
     try:
-        g = parse_dimacs(_read_text(cfg.input))
-    except (OSError, GraphFormatError) as exc:
+        text = _read_text(cfg.input)
+        # The size guard fires on the declared n, after the edge-line limit
+        # and before the edges are parsed, and on the parsed n for a layout
+        # the pattern misses.
+        check_edge_lines(text)
+        problem = _PROBLEM_LINE.search(text)
+        if problem:
+            oracle.check_level_guard(int(problem[1]))
+        g = parse_dimacs(text)
+        oracle.check_level_guard(g.n)
+    except (OSError, GraphFormatError, oracle.OracleGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     failures = 0
-    # The empty matching, then three greedy ones, each built when its turn
-    # comes: the oracle's size guard refuses a large graph before any is.
+    # The empty matching, then three greedy ones.
     seeds = [None] + [cfg.seed + k for k in range(3)]
     for idx, seed in enumerate(seeds):
         m = MatchingState(g.n) if seed is None else _greedy_matching(g, seed)
-        try:
-            profile = oracle.compute_profile(g, m)
-        except oracle.OracleGuardError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        profile = oracle.compute_profile(g, m)
         violations = oracle.check_structural_theorems(profile)
         for v in violations:
             print(f"matching {idx}: {v}")

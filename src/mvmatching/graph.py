@@ -111,18 +111,23 @@ def parse_dimacs(text: str | TextIO) -> Graph:
     """
     if hasattr(text, "read"):
         text = text.read()
-    # Count before splitting.  Each line that starts with 'e' is an edge
-    # line or one the line loop refuses, so the count refuses no text the
-    # loop accepts; the loop counts edge lines with leading spaces itself.
-    lines = text.count("\ne") + text.startswith("e")
-    if lines > MAX_EDGES:
-        raise GraphFormatError(f"{lines} edge lines exceed the limit of {MAX_EDGES}")
+    check_edge_lines(text)
     if _CANONICAL.fullmatch(text):
         try:
             return _parse_columns(text)
         except ValueError:
             pass
     return _parse_lines(text)
+
+
+def check_edge_lines(text: str) -> None:
+    """Refuse DIMACS text with more than MAX_EDGES edge lines, counted
+    before the text is split.  Each line that starts with 'e' is an edge
+    line or one the line loop refuses, so the count refuses no text the
+    loop accepts; the loop counts edge lines with leading spaces itself."""
+    lines = text.count("\ne") + text.startswith("e")
+    if lines > MAX_EDGES:
+        raise GraphFormatError(f"{lines} edge lines exceed the limit of {MAX_EDGES}")
 
 
 def _parse_columns(text: str) -> Graph:

@@ -29,6 +29,12 @@ class OracleGuardError(ValueError):
     """Raised when an input exceeds the oracle's exhaustive-search guards."""
 
 
+def check_level_guard(n: int) -> None:
+    """Refuse a graph of n vertices that the level enumeration cannot take."""
+    if n > LEVEL_GUARD_N:
+        raise OracleGuardError(f"n = {n} exceeds oracle guard {LEVEL_GUARD_N}")
+
+
 def _iter_alternating_paths(
     g: Graph, m: MatchingState, start: int, max_len: Optional[int] = None
 ) -> Iterator[list[int]]:
@@ -63,8 +69,7 @@ def _iter_alternating_paths(
 
 def brute_levels(g: Graph, m: MatchingState) -> tuple[list[float], list[float]]:
     """Exact evenlevel/oddlevel per vertex by exhaustive path enumeration."""
-    if g.n > LEVEL_GUARD_N:
-        raise OracleGuardError(f"n = {g.n} exceeds oracle guard {LEVEL_GUARD_N}")
+    check_level_guard(g.n)
     even = [INF] * g.n
     odd = [INF] * g.n
     for f in range(g.n):

@@ -132,6 +132,9 @@ def recursive_remove(s: PhaseState, seed: set[int]) -> None:
     live predecessor has gone.  The successors of w are the ends of its
     PROP edges at a higher minlevel, since a prop always runs from the
     lower minlevel to the higher; a free vertex is never a prop's head.
+    `pred_gone[z]` counts the removed predecessors of z, and z goes when
+    the count reaches len(preds[z]): z has no repeated predecessor, as
+    one edge joins two vertices, and each removed w is walked once.
 
     Once l_m = 2i+1 is known the cascade stops at minlevel top = i: the
     phase ends after level i's MAX, whose DDFS runs and path extractions
@@ -153,7 +156,7 @@ def recursive_remove(s: PhaseState, seed: set[int]) -> None:
     live, p included; yet w goes only after all its predecessors.  By the
     same chain, a vertex whose bud chain stops at a live vertex is live:
     a removed vertex has a removed bud*."""
-    adj, removed, pred_alive, edge_state = s.g.adj, s.removed, s.pred_alive, s.edge_state
+    adj, removed, preds, gone, edge_state = s.g.adj, s.removed, s.preds, s.pred_gone, s.edge_state
     even, odd = s.evenlevel, s.oddlevel
     top = (s.l_m - 1) // 2
     stack = [v for v in seed if not removed[v]]
@@ -172,7 +175,9 @@ def recursive_remove(s: PhaseState, seed: set[int]) -> None:
             lz = ez if ez < oz else oz
             if lz <= low or lz > top:
                 continue
-            pred_alive[z] -= 1
-            if pred_alive[z] == 0:
+            k = gone.get(z, 0) + 1
+            if k == len(preds[z]):
                 removed[z] = True
                 stack.append(z)
+            else:
+                gone[z] = k

@@ -46,24 +46,28 @@ class PhaseState:
     held once.  `evenlevel` and `oddlevel` hold ints, UNSET where a level
     is not assigned.  `paths` are vertex lists of `l_m` edges; `l_m` is
     UNSET until the first path.  `preds[v]` lists the tails of v's props
-    in scan order and `pred_alive[v]` counts the live ones; successors
-    are derived (see `paths.recursive_remove`).  `edge_state` is
-    UNSCANNED, PROP or BRIDGE; `br[t]` queues the bridges filed at
-    tenacity t.  Only MIN classifies edges, and it files each bridge as
-    it classifies it.  A bridge whose relevant end levels are not both
-    known waits: only an unmatched bridge can, on an inner end whose
-    evenlevel is still UNSET.  It stays in state BRIDGE until MAX gives
-    that end an even maxlevel, and `_assign_maxlevels` retries it then.
-    Only even maxlevels are scheduled for MIN (see `_assign_maxlevels`).
-    A member w of a petal has `color[w]` and its parent in that colour's
-    DDFS tree, `tree_parent[w]` (None at a root); w joins no other petal."""
+    in scan order; it is the shared empty tuple until v's first prop, so
+    a vertex the search never reaches costs no list.  `pred_gone[v]`
+    counts the removed predecessors of a live v that has lost some;
+    successors are derived (see `paths.recursive_remove`).
+    `edge_state` is UNSCANNED, PROP or BRIDGE; `br[t]` queues the bridges
+    filed at tenacity t.  Only MIN classifies edges, and it files each
+    bridge as it classifies it.  A bridge whose relevant end levels are
+    not both known waits: only an unmatched bridge can, on an inner end v
+    whose evenlevel is still UNSET.  It waits in `waiting[v]` as (edge
+    id, other end) until MAX gives v an even maxlevel, and
+    `_assign_maxlevels` files it then.  Only even maxlevels are scheduled
+    for MIN (see `_assign_maxlevels`).  A member w of a petal has
+    `color[w]` and its parent in that colour's DDFS tree,
+    `tree_parent[w]` (None at a root); w joins no other petal."""
 
     g: Graph
     m: MatchingState
     evenlevel: list[int]
     oddlevel: list[int]
-    preds: list[list[int]]
-    pred_alive: list[int]
+    preds: list[list[int] | tuple[()]]
+    pred_gone: dict[int, int]
+    waiting: defaultdict[int, list[tuple[int, int]]]
     edge_state: list[int]
     br: defaultdict[int, list[int]]
     petal_of: list[Optional[int]]
@@ -93,9 +97,10 @@ class PhaseState:
         removed vertex has a removed bud* (see `paths.recursive_remove`)."""
         out: list[int] = []
         seen: set[int] = set()
+        jump, removed = self.jump, self.removed
         for u in self.preds[v]:
-            b = bud_star(self, u)
-            if self.removed[b] or b in seen:
+            b = u if jump[u] == u else bud_star(self, u)
+            if removed[b] or b in seen:
                 continue
             seen.add(b)
             out.append(b)
@@ -104,24 +109,25 @@ class PhaseState:
 
 def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> PhaseState:
     """Fresh per-phase state: unmatched vertices at evenlevel 0, all else
-    unassigned."""
+    unassigned.  No per-vertex list or counter is built here: MIN makes
+    `preds[v]` at v's first prop and `waiting[v]` at v's first waiting
+    bridge, and removal counts into `pred_gone`."""
     n = g.n
     evenlevel = [UNSET] * n
-    oddlevel = [UNSET] * n
+    level0 = [v for v, p in enumerate(m.partner) if p is None]
+    for v in level0:
+        evenlevel[v] = 0
     # An empty level 0 is popped by `min_step(s, 0)` as a missing one is.
     schedule: defaultdict[int, list[int]] = defaultdict(list)
-    level0 = schedule[0]
-    for v, p in enumerate(m.partner):
-        if p is None:
-            evenlevel[v] = 0
-            level0.append(v)
+    schedule[0] = level0
     return PhaseState(
         g=g,
         m=m,
         evenlevel=evenlevel,
-        oddlevel=oddlevel,
-        preds=[[] for _ in range(n)],
-        pred_alive=[0] * n,
+        oddlevel=[UNSET] * n,
+        preds=[()] * n,
+        pred_gone={},
+        waiting=defaultdict(list),
         edge_state=[UNSCANNED] * g.m,
         br=defaultdict(list),
         petal_of=[None] * n,
@@ -143,11 +149,12 @@ def levels_with_inf(levels: list[int]) -> list[float]:
 
 def bud_star(s: PhaseState, v: int) -> int:
     """Root of v's bud chain, with path compression (roots never change)."""
+    jump = s.jump
     root = v
-    while s.jump[root] != root:
-        root = s.jump[root]
-    while s.jump[v] != root:
-        s.jump[v], v = root, s.jump[v]
+    while jump[root] != root:
+        root = jump[root]
+    while jump[v] != root:
+        jump[v], v = root, jump[v]
     return root
 
 
@@ -157,26 +164,24 @@ def bridge_side(s: PhaseState, u: int, v: int) -> list[int]:
     return s.oddlevel if s.m.partner[u] == v else s.evenlevel
 
 
-def _try_file(s: PhaseState, eid: int) -> None:
-    """File a bridge into Br(tenacity) if its tenacity is at most l_m.
-    An UNSET end makes the tenacity exceed every l_m, so the bridge waits
-    in state BRIDGE for `_assign_maxlevels` to retry it.  Once l_m is
-    known a bridge of higher tenacity is left unfiled: the phase ends
-    before its level."""
-    u, v = s.g.edges[eid]
-    levels = bridge_side(s, u, v)
-    t = levels[u] + levels[v] + 1
-    if t > s.l_m:
-        return
-    s.br[t].append(eid)
-    if s.trace is not None:
-        s.trace(f"bridge {u} {v} tenacity {t}")
+def _trace_bridge(s: PhaseState, u: int, v: int, t: int) -> None:
+    """Trace the filing of bridge (u, v), smaller end first."""
+    if u > v:
+        u, v = v, u
+    s.trace(f"bridge {u} {v} tenacity {t}")
 
 
 def min_step(s: PhaseState, i: int) -> None:
     """MIN at search level i: extend minlevel assignments to i+1 and
-    classify newly scanned edges, filing each bridge (`_try_file`).
+    classify newly scanned edges.  A prop's head gets its `preds` list
+    at its first prop, the one that sets its level.  A bridge is filed
+    into Br(tenacity) if its tenacity is at most l_m.  An UNSET end makes
+    the tenacity exceed every l_m, and the bridge waits under that end;
+    once l_m is known a bridge of higher tenacity is left unfiled, as
+    the phase ends before its level.
 
+    The scan's parity gives a bridge's levels (`bridge_side`): an even
+    scan meets unmatched edges only, an odd scan the matched edge only.
     Only even maxlevels are scheduled, so a vertex scanned at an odd
     level has an odd minlevel and is matched: free vertices sit at
     evenlevel 0.  At an even scan of u the matched edge is never
@@ -185,12 +190,12 @@ def min_step(s: PhaseState, i: int) -> None:
     removes, after the phase's first path, and `run_phase` stops after
     that level's MAX."""
     sources = s.schedule.pop(i, [])
-    target_levels = s.evenlevel if (i + 1) % 2 == 0 else s.oddlevel
     even, odd = s.evenlevel, s.oddlevel
-    edge_state = s.edge_state
-    preds, pred_alive = s.preds, s.pred_alive
+    edge_state, preds, br, waiting = s.edge_state, s.preds, s.br, s.waiting
+    l_m, trace = s.l_m, s.trace
     adj, edge_index, partner = s.g.adj, s.g.edge_index, s.m.partner
     even_scan = i % 2 == 0
+    side, target_levels = (even, odd) if even_scan else (odd, even)
     nxt = i + 1
     next_sched: Optional[list[int]] = None
     for u in sources:
@@ -207,16 +212,23 @@ def min_step(s: PhaseState, i: int) -> None:
                 edge_state[eid] = PROP
                 if target_levels[v] == UNSET:
                     target_levels[v] = nxt
+                    preds[v] = [u]
                     if next_sched is None:
                         next_sched = s.schedule[nxt]
                     next_sched.append(v)
-                    if s.trace is not None:
-                        s.trace(f"minlevel {v} {nxt}")
-                preds[v].append(u)
-                pred_alive[v] += 1
+                    if trace is not None:
+                        trace(f"minlevel {v} {nxt}")
+                else:
+                    preds[v].append(u)
             else:
                 edge_state[eid] = BRIDGE
-                _try_file(s, eid)
+                t = side[u] + side[v] + 1
+                if t <= l_m:
+                    br[t].append(eid)
+                    if trace is not None:
+                        _trace_bridge(s, u, v, t)
+                elif side[v] == UNSET:
+                    waiting[v].append((eid, u))
 
 
 def _assign_maxlevels(s: PhaseState, members: list[int], t: int) -> None:
@@ -227,9 +239,11 @@ def _assign_maxlevels(s: PhaseState, members: list[int], t: int) -> None:
     maxlevel is not scheduled: w's minlevel is then even, so its matched
     edge, if any, is the prop that gave w that level, and an odd scan of
     w would find nothing.  An even maxlevel is scheduled for MIN, and
-    the scan of w's unmatched edges files each one waiting in state
-    BRIDGE, whose tenacity needed the evenlevel just set.  A matched
-    bridge never waits and is skipped.  An UNSCANNED unmatched edge
+    each bridge waiting at w, whose tenacity needed the evenlevel just
+    set, is filed by MIN's rule: into Br(tenacity) if the tenacity is at
+    most l_m.  They are filed in edge-id order, which is the order of
+    w's adjacency (`Graph.from_edges`).  A matched bridge never waits:
+    both its ends have oddlevels.  An UNSCANNED unmatched edge
     (w, x) is left to MIN.  A live x has no evenlevel at or below the
     current level i, or its even scan would have classified the edge, so
     MIN scans the edge from its first even end at level L > i.  If x has
@@ -237,7 +251,6 @@ def _assign_maxlevels(s: PhaseState, members: list[int], t: int) -> None:
     files it at level L, before MAX reaches its tenacity of at least
     2L + 1, or it waits for x's even maxlevel."""
     even, odd = s.evenlevel, s.oddlevel
-    edge_state, partner = s.edge_state, s.m.partner
     for w in members:
         ew, ow = even[w], odd[w]
         maxl = t - (ew if ew < ow else ow)
@@ -246,9 +259,12 @@ def _assign_maxlevels(s: PhaseState, members: list[int], t: int) -> None:
             continue
         even[w] = maxl
         s.schedule[maxl].append(w)
-        for x, eid in s.g.adj[w]:
-            if edge_state[eid] == BRIDGE and partner[w] != x:
-                _try_file(s, eid)
+        for eid, x in sorted(s.waiting.pop(w, ())):
+            tx = maxl + even[x] + 1
+            if tx <= s.l_m:
+                s.br[tx].append(eid)
+                if s.trace is not None:
+                    _trace_bridge(s, w, x, tx)
 
 
 def _form_petal(s: PhaseState, eid: int, outcome: Bottleneck, i: int) -> None:

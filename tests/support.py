@@ -15,8 +15,8 @@ from collections import Counter
 from typing import Iterator, Optional
 
 from mvmatching.ddfs import GREEN, RED, Bottleneck, DdfsOutcome, run_ddfs
-from mvmatching.graph import Graph, MatchingState
-from mvmatching.phase import UNSET
+from mvmatching.graph import Graph, MatchingState, augment_in_place
+from mvmatching.phase import UNSET, PhaseState, run_phase
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +191,20 @@ def greedy_matching(g: Graph, seed: int, accept: float = 0.7) -> MatchingState:
             m.partner[u] = v
             m.partner[v] = u
     return m
+
+
+def solve_phases(g: Graph, m: MatchingState) -> Iterator[tuple[PhaseState, list[str]]]:
+    """Each phase of a solve from a copy of m, with its trace, before its
+    paths are applied; the certifying phase comes last."""
+    m = m.copy()
+    while True:
+        lines: list[str] = []
+        s = run_phase(g, m, trace=lines.append)
+        yield s, lines
+        if not s.paths:
+            return
+        for path in s.paths:
+            augment_in_place(m, g, path)
 
 
 def filed_bridges(lines: list[str]) -> list[tuple[int, int, int, int]]:

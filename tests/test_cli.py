@@ -326,6 +326,45 @@ class TestOracleCheck:
         assert code == 2
         assert "guard" in err
 
+    def test_guard_fires_on_the_declared_n_before_the_parse(
+        self, tmp_path, capsys, monkeypatch
+    ) -> None:
+        def no_parse(text):
+            raise AssertionError("graph parsed before the guard")
+
+        monkeypatch.setattr(cli, "parse_dimacs", no_parse)
+        f = tmp_path / "g.dimacs"
+        # The self-loop would be a parse error; the guard comes first.
+        f.write_text("c large\r\n p edge 100000 2 \r\ne 1 2\r\ne 3 3\r\n")
+        code, out, err = _run(capsys, ["oracle-check", str(f)])
+        assert (code, out) == (2, "")
+        assert err == "error: n = 100000 exceeds oracle guard 14\n"
+
+    def test_guard_fires_on_the_parsed_n_of_another_layout(self, tmp_path, capsys) -> None:
+        # A no-break space between fields is whitespace to the parser only.
+        f = tmp_path / "g.dimacs"
+        f.write_text("p\u00a0edge 20 1\ne 1 2\n", encoding="utf-8")
+        code, _, err = _run(capsys, ["oracle-check", str(f)])
+        assert code == 2
+        assert err == "error: n = 20 exceeds oracle guard 14\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p edge 5 1\ne 1 9\n", "vertex index out of range"),
+            ("p edge 5 1\ne 2 2\n", "self-loop"),
+            ("c no problem line\n", "missing problem line"),
+        ],
+    )
+    def test_small_graph_reports_its_parse_error(
+        self, tmp_path, capsys, text: str, message: str
+    ) -> None:
+        f = tmp_path / "g.dimacs"
+        f.write_text(text)
+        code, _, err = _run(capsys, ["oracle-check", str(f)])
+        assert code == 2
+        assert message in err
+
     def test_fault_injection_detected(self, tmp_path, capsys, monkeypatch) -> None:
         f = tmp_path / "g.dimacs"
         f.write_text(TRIANGLE_DIMACS)

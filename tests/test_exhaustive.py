@@ -1,0 +1,73 @@
+"""Bounded-exhaustive check of one phase against the oracle.
+
+Every labelled graph on at most five vertices, with its edges in sorted
+order, is started from each of its matchings, the empty one included.
+The engine's l_m, and its levels at every vertex of tenacity below l_m,
+must equal those of `oracle.compute_profile`; every petal's members must
+lie in its bridge's support; and the oracle's profile must satisfy the
+paper's structural theorems.  Vertex names are covered exhaustively;
+edge order only as sorted (the sampled shuffles of `test_acceptance.py`
+cover it).
+"""
+
+from __future__ import annotations
+
+import math
+from itertools import combinations
+from typing import Iterator
+
+from mvmatching.graph import Graph, MatchingState
+from mvmatching.oracle import brute_support, check_structural_theorems, compute_profile
+from mvmatching.phase import levels_with_inf, run_phase
+
+import support
+
+MAX_N = 5
+
+# (graph, matching) pairs for n = 1..5: 1, 3, 20, 304 and 9,984.
+PAIRS = 10_312
+# Petals the engine forms over those pairs.
+PETALS = 3_675
+
+
+def _matchings(g: Graph) -> Iterator[MatchingState]:
+    """Every matching of g, each edge either taken or not, in edge order."""
+
+    def extend(eid: int, pairs: list[tuple[int, int]], used: set[int]):
+        if eid == g.m:
+            yield MatchingState(g.n, pairs)
+            return
+        yield from extend(eid + 1, pairs, used)
+        u, v = g.edges[eid]
+        if u not in used and v not in used:
+            yield from extend(eid + 1, pairs + [(u, v)], used | {u, v})
+
+    return extend(0, [], set())
+
+
+def _instances() -> Iterator[tuple[Graph, MatchingState]]:
+    for n in range(1, MAX_N + 1):
+        pairs = list(combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+            for m in _matchings(g):
+                yield g, m
+
+
+def test_every_small_graph_from_every_matching() -> None:
+    count = petals = 0
+    for g, m in _instances():
+        profile = compute_profile(g, m)
+        s = run_phase(g, m)
+        where = (g.edges, m.pairs())
+        assert check_structural_theorems(profile) == [], where
+        assert (s.l_m if s.paths else math.inf) == profile.l_m, where
+        even, odd = levels_with_inf(s.evenlevel), levels_with_inf(s.oddlevel)
+        for v in range(g.n):
+            if profile.tenacity[v] < profile.l_m:
+                assert (even[v], odd[v]) == (profile.evenlevel[v], profile.oddlevel[v]), (v, where)
+        for petal, members in zip(s.petals, support.petal_members(s)):
+            assert members <= brute_support(profile, petal.bridge_eid), (petal, where)
+            petals += 1
+        count += 1
+    assert (count, petals) == (PAIRS, PETALS)

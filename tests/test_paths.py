@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -241,14 +242,32 @@ class TestRecursiveRemove:
             assert [v for v in range(g.n) if s.removed[v]] == gone, l_m
 
     def test_remaining_leveled_matched_vertices_keep_predecessors(self) -> None:
-        g, m = support.two_bridges_graph()
-        s = run_phase(g, m)
-        for v in range(g.n):
-            if s.removed[v] or not m.is_matched(v):
-                continue
-            if min(s.evenlevel[v], s.oddlevel[v]) == UNSET:
-                continue
-            assert s.pred_alive[v] >= 1, v
+        # After each phase of a solve that finds paths, each live matched
+        # vertex that has predecessors and lies at or below the cap keeps
+        # a live one, and `pred_gone` counts exactly its removed ones.  (In
+        # the two-bridge graph every vertex goes, so random graphs supply
+        # the cases.)
+        rng = random.Random(20317)
+        instances = [support.two_bridges_graph()]
+        for k in range(300):
+            n = rng.randint(2, 60)
+            edges = rng.randint(0, min(n * (n - 1) // 2, 3 * n))
+            g = generate_random_graph(n, edges, rng.randrange(2**32))
+            instances.append((g, support.greedy_matching(g, k, (0.0, 0.7, 0.4)[k % 3])))
+        checked = partly_gone = 0
+        for g, m in instances:
+            for s, _ in support.solve_phases(g, m):
+                if not s.paths:
+                    continue
+                top = (s.l_m - 1) // 2
+                for v in range(g.n):
+                    if s.removed[v] or not s.m.is_matched(v) or s.minlevel(v) > top:
+                        continue
+                    gone = sum(s.removed[p] for p in s.preds[v])
+                    assert s.pred_gone.get(v, 0) == gone < len(s.preds[v]), v
+                    checked += 1
+                    partly_gone += gone > 0
+        assert checked > 1000 and partly_gone > 150
 
 
 def _uncapped_removal(s: PhaseState, seeds: set[int]) -> set[int]:

@@ -320,6 +320,47 @@ class TestSynchronizationSafety:
             assert t == side[u] + side[v] + 1
 
 
+class TestPredsFollowReach:
+    def test_preds_are_the_prop_tails_of_reached_vertices(self) -> None:
+        # After every phase of a solve: a vertex that no prop reaches
+        # holds no list of its own; a reached vertex's `preds` are the
+        # lower-minlevel ends of its PROP edges; and every traced bridge
+        # names its smaller end first, at the tenacity its `bridge_side`
+        # levels give.  Dense odd graphs make blossom-heavy phases.
+        rng = random.Random(17171)
+        instances = [support.triangle_chain(30), support.nested_blossoms(6)]
+        for k in range(240):
+            n = rng.randint(2, 40) | (k % 2)
+            cap = n * (n - 1) // 2
+            edges = rng.randint(0, min(cap, 3 * n)) if k % 3 else rng.randint(cap // 4, cap // 2)
+            g = generate_random_graph(n, edges, rng.randrange(2**32))
+            instances.append((g, MatchingState(n) if k % 2 else support.greedy_matching(g, k)))
+        reached = unreached = filed = petals = 0
+        for g, m in instances:
+            for s, lines in support.solve_phases(g, m):
+                tails: list[list[int]] = [[] for _ in range(g.n)]
+                for eid, (u, v) in enumerate(g.edges):
+                    if s.edge_state[eid] == PROP:
+                        a, b = (u, v) if s.minlevel(u) < s.minlevel(v) else (v, u)
+                        tails[b].append(a)
+                lists = [p for p in s.preds if type(p) is list]
+                assert len({id(p) for p in lists}) == len(lists)
+                for v in range(g.n):
+                    if tails[v]:
+                        assert type(s.preds[v]) is list
+                        assert sorted(s.preds[v]) == sorted(tails[v]), v
+                        reached += 1
+                    else:
+                        assert s.preds[v] == () and type(s.preds[v]) is tuple, v
+                        unreached += 1
+                for a, b, t, _ in support.filed_bridges(lines):
+                    side = bridge_side(s, a, b)
+                    assert a < b and t == side[a] + side[b] + 1, (a, b, t)
+                    filed += 1
+                petals += len(s.petals)
+        assert min(reached, unreached, filed) > 1000 and petals > 1000
+
+
 class TestLevelsAreInts:
     @PROPERTY_SETTINGS
     @given(inst=_small_instance())
