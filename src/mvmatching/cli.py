@@ -99,10 +99,12 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     except (OSError, GraphFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    violations = validate_matching(g, m)
-    if violations:
-        for v in violations:
-            print(f"invalid: {v}")
+    if validate_matching(g, m):
+        # `parse_matching` admits only disjoint pairs of vertices in range,
+        # so the one fault left is a pair that is no edge; name it 1-based.
+        for u, v in m.pairs():
+            if not g.has_edge(u, v):
+                print(f"invalid: matched pair ({u + 1}, {v + 1}) is not a graph edge")
         return 1
     s = run_phase(g, m)
     if s.paths:
@@ -171,7 +173,7 @@ def cmd_oracle_check(cfg: argparse.Namespace) -> int:
                 continue
             if even[v] != profile.evenlevel[v] or odd[v] != profile.oddlevel[v]:
                 print(
-                    f"matching {idx}: engine levels for {v} "
+                    f"matching {idx}: engine levels for {v + 1} "
                     f"({even[v]}, {odd[v]}) != oracle "
                     f"({profile.evenlevel[v]}, {profile.oddlevel[v]})"
                 )

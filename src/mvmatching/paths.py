@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Union
 
 from .ddfs import TwoPaths, tree_path
-from .phase import PROP, PhaseState, bridge_side
+from .phase import PhaseState, bridge_side
 
 # A work item is a vertex or a segment (x, level, low, pid, rev): the path
 # from x, entered at `level`, down x's bud chain to `low` (excluded),
@@ -129,12 +129,15 @@ def extract_path(s: PhaseState, outcome: TwoPaths, bridge: int) -> list[int]:
 
 def recursive_remove(s: PhaseState, seed: set[int]) -> None:
     """Remove the seed vertices, then cascade: a vertex goes once its last
-    live predecessor has gone.  The successors of w are the ends of its
-    PROP edges at a higher minlevel, since a prop always runs from the
-    lower minlevel to the higher; a free vertex is never a prop's head.
-    `pred_gone[z]` counts the removed predecessors of z, and z goes when
-    the count reaches len(preds[z]): z has no repeated predecessor, as
-    one edge joins two vertices, and each removed w is walked once.
+    live predecessor has gone.  The successors of w are its neighbours z
+    with w in preds[z]: a prop runs from the lower minlevel to the
+    higher, and MIN appends each prop's tail to its head's `preds`, so
+    for a z above w the edge (w, z) is a prop exactly when w is in
+    preds[z], and w is never in the `preds` of a z at or below it.  A
+    free vertex is never a prop's head.  `pred_gone[z]` counts the
+    removed predecessors of z, and z goes when the count reaches
+    len(preds[z]): z has no repeated predecessor, as one edge joins two
+    vertices, and each removed w is walked once.
 
     Once l_m = 2i+1 is known the cascade stops at minlevel top = i: the
     phase ends after level i's MAX, whose DDFS runs and path extractions
@@ -156,7 +159,7 @@ def recursive_remove(s: PhaseState, seed: set[int]) -> None:
     live, p included; yet w goes only after all its predecessors.  By the
     same chain, a vertex whose bud chain stops at a live vertex is live:
     a removed vertex has a removed bud*."""
-    adj, removed, preds, gone, edge_state = s.g.adj, s.removed, s.preds, s.pred_gone, s.edge_state
+    adj, removed, preds, gone = s.g.adj, s.removed, s.preds, s.pred_gone
     even, odd = s.evenlevel, s.oddlevel
     top = (s.l_m - 1) // 2
     stack = [v for v in seed if not removed[v]]
@@ -165,15 +168,13 @@ def recursive_remove(s: PhaseState, seed: set[int]) -> None:
     while stack:
         w = stack.pop()
         ew, ow = even[w], odd[w]
-        low = ew if ew < ow else ow
-        if low >= top:
+        if (ew if ew < ow else ow) >= top:
             continue
-        for z, eid in adj[w]:
-            if edge_state[eid] != PROP or removed[z]:
+        for z, _ in adj[w]:
+            if removed[z] or w not in preds[z]:
                 continue
             ez, oz = even[z], odd[z]
-            lz = ez if ez < oz else oz
-            if lz <= low or lz > top:
+            if (ez if ez < oz else oz) > top:
                 continue
             k = gone.get(z, 0) + 1
             if k == len(preds[z]):

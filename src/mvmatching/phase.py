@@ -24,10 +24,6 @@ from .graph import Graph, MatchingState
 # n <= graph.MAX_VERTICES, so "unset" compares above every level.
 UNSET = 1 << 29
 
-UNSCANNED = 0
-PROP = 1
-BRIDGE = 2
-
 
 @dataclass
 class PetalNode:
@@ -49,17 +45,18 @@ class PhaseState:
     in scan order; it is the shared empty tuple until v's first prop, so
     a vertex the search never reaches costs no list.  `pred_gone[v]`
     counts the removed predecessors of a live v that has lost some;
-    successors are derived (see `paths.recursive_remove`).
-    `edge_state` is UNSCANNED, PROP or BRIDGE; `br[t]` queues the bridges
-    filed at tenacity t.  Only MIN classifies edges, and it files each
-    bridge as it classifies it.  A bridge whose relevant end levels are
-    not both known waits: only an unmatched bridge can, on an inner end v
-    whose evenlevel is still UNSET.  It waits in `waiting[v]` as (edge
-    id, other end) until MAX gives v an even maxlevel, and
-    `_assign_maxlevels` files it then.  Only even maxlevels are scheduled
-    for MIN (see `_assign_maxlevels`).  A member w of a petal has
-    `color[w]` and its parent in that colour's DDFS tree,
-    `tree_parent[w]` (None at a root); w joins no other petal."""
+    successors are derived (see `paths.recursive_remove`).  `preds` is
+    the only record of props: `scanned[e]` marks an edge MIN has
+    classified, and a scanned edge that is no prop is a bridge.  `br[t]`
+    queues the bridges filed at tenacity t.  Only MIN classifies edges,
+    and it files each bridge as it classifies it.  A bridge whose
+    relevant end levels are not both known waits: only an unmatched
+    bridge can, on an inner end v whose evenlevel is still UNSET.  It
+    waits in `waiting[v]` as (edge id, other end) until MAX gives v an
+    even maxlevel, and `_assign_maxlevels` files it then.  Only even
+    maxlevels are scheduled for MIN (see `_assign_maxlevels`).  A member
+    w of a petal has `color[w]` and its parent in that colour's DDFS
+    tree, `tree_parent[w]` (None at a root); w joins no other petal."""
 
     g: Graph
     m: MatchingState
@@ -68,7 +65,7 @@ class PhaseState:
     preds: list[list[int] | tuple[()]]
     pred_gone: dict[int, int]
     waiting: defaultdict[int, list[tuple[int, int]]]
-    edge_state: list[int]
+    scanned: bytearray
     br: defaultdict[int, list[int]]
     petal_of: list[Optional[int]]
     petals: list[PetalNode]
@@ -109,9 +106,9 @@ class PhaseState:
 
 def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> PhaseState:
     """Fresh per-phase state: unmatched vertices at evenlevel 0, all else
-    unassigned.  No per-vertex list or counter is built here: MIN makes
-    `preds[v]` at v's first prop and `waiting[v]` at v's first waiting
-    bridge, and removal counts into `pred_gone`."""
+    unassigned, no edge scanned.  No per-vertex list or counter is built
+    here: MIN makes `preds[v]` at v's first prop and `waiting[v]` at v's
+    first waiting bridge, and removal counts into `pred_gone`."""
     n = g.n
     evenlevel = [UNSET] * n
     level0 = [v for v, p in enumerate(m.partner) if p is None]
@@ -128,7 +125,7 @@ def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> P
         preds=[()] * n,
         pred_gone={},
         waiting=defaultdict(list),
-        edge_state=[UNSCANNED] * g.m,
+        scanned=bytearray(g.m),
         br=defaultdict(list),
         petal_of=[None] * n,
         petals=[],
@@ -173,8 +170,9 @@ def _trace_bridge(s: PhaseState, u: int, v: int, t: int) -> None:
 
 def min_step(s: PhaseState, i: int) -> None:
     """MIN at search level i: extend minlevel assignments to i+1 and
-    classify newly scanned edges.  A prop's head gets its `preds` list
-    at its first prop, the one that sets its level.  A bridge is filed
+    classify newly scanned edges, each marked in `scanned` once.  A
+    prop's tail joins its head's `preds`, and the head gets that list at
+    its first prop, the one that sets its level.  A bridge is filed
     into Br(tenacity) if its tenacity is at most l_m.  An UNSET end makes
     the tenacity exceed every l_m, and the bridge waits under that end;
     once l_m is known a bridge of higher tenacity is left unfiled, as
@@ -184,14 +182,14 @@ def min_step(s: PhaseState, i: int) -> None:
     scan meets unmatched edges only, an odd scan the matched edge only.
     Only even maxlevels are scheduled, so a vertex scanned at an odd
     level has an odd minlevel and is matched: free vertices sit at
-    evenlevel 0.  At an even scan of u the matched edge is never
-    UNSCANNED: it gave u an even minlevel as a prop, or u's odd scan
+    evenlevel 0.  At an even scan of u the matched edge is already
+    scanned: it gave u an even minlevel as a prop, or u's odd scan
     classified it.  MIN never meets a removed vertex: only `max_step`
     removes, after the phase's first path, and `run_phase` stops after
     that level's MAX."""
     sources = s.schedule.pop(i, [])
     even, odd = s.evenlevel, s.oddlevel
-    edge_state, preds, br, waiting = s.edge_state, s.preds, s.br, s.waiting
+    scanned, preds, br, waiting = s.scanned, s.preds, s.br, s.waiting
     l_m, trace = s.l_m, s.trace
     adj, edge_index, partner = s.g.adj, s.g.edge_index, s.m.partner
     even_scan = i % 2 == 0
@@ -206,10 +204,10 @@ def min_step(s: PhaseState, i: int) -> None:
             key = (u, p) if u < p else (p, u)
             scan = ((p, edge_index[key]),)
         for v, eid in scan:
-            if edge_state[eid] != UNSCANNED:
+            if scanned[eid]:
                 continue
+            scanned[eid] = 1
             if even[v] >= nxt and odd[v] >= nxt:
-                edge_state[eid] = PROP
                 if target_levels[v] == UNSET:
                     target_levels[v] = nxt
                     preds[v] = [u]
@@ -221,7 +219,6 @@ def min_step(s: PhaseState, i: int) -> None:
                 else:
                     preds[v].append(u)
             else:
-                edge_state[eid] = BRIDGE
                 t = side[u] + side[v] + 1
                 if t <= l_m:
                     br[t].append(eid)
@@ -243,7 +240,7 @@ def _assign_maxlevels(s: PhaseState, members: list[int], t: int) -> None:
     set, is filed by MIN's rule: into Br(tenacity) if the tenacity is at
     most l_m.  They are filed in edge-id order, which is the order of
     w's adjacency (`Graph.from_edges`).  A matched bridge never waits:
-    both its ends have oddlevels.  An UNSCANNED unmatched edge
+    both its ends have oddlevels.  An unscanned unmatched edge
     (w, x) is left to MIN.  A live x has no evenlevel at or below the
     current level i, or its even scan would have classified the edge, so
     MIN scans the edge from its first even end at level L > i.  If x has

@@ -221,6 +221,13 @@ def filed_bridges(lines: list[str]) -> list[tuple[int, int, int, int]]:
     return filed
 
 
+def is_prop(s: PhaseState, eid: int) -> bool:
+    """Whether MIN made edge `eid` a prop: one end lists the other in its
+    `preds`.  A scanned edge that is no prop is a bridge."""
+    u, v = s.g.edges[eid]
+    return u in s.preds[v] or v in s.preds[u]
+
+
 def petal_members(s) -> list[set[int]]:
     """Each petal's members in a phase state `s`, indexed like `s.petals`:
     the vertices whose `petal_of` names the petal."""

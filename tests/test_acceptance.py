@@ -272,9 +272,15 @@ def test_criterion_8_performance():
         assert phases <= PHASE_BOUND(n)
         return elapsed, phases
 
-    # The median of five runs, with the phase count of that run.
-    base, base_phases = statistics.median_low(run(50000, 100 + k) for k in range(5))
-    doubled, doubled_phases = statistics.median_low(run(100000, 200 + k) for k in range(5))
+    # The median of five runs, with the phase count of that run.  The two
+    # edge counts alternate seed by seed, so a change in host speed moves
+    # both sides alike and leaves the ratio alone.
+    base_runs, doubled_runs = [], []
+    for k in range(5):
+        base_runs.append(run(50000, 100 + k))
+        doubled_runs.append(run(100000, 200 + k))
+    base, base_phases = statistics.median_low(base_runs)
+    doubled, doubled_phases = statistics.median_low(doubled_runs)
     ratio = doubled / base
 
     g = generate_random_graph(100000, 500000, 4242)

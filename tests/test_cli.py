@@ -223,8 +223,8 @@ class TestVerify:
         m = tmp_path / "m.txt"
         m.write_text("size 1\nmatched 1 4\n")  # not an edge
         code, out, _ = _run(capsys, ["verify", str(g), str(m)])
-        assert code == 1
-        assert "invalid:" in out
+        # Vertices are named 1-based, as in the files.
+        assert (code, out) == (1, "invalid: matched pair (1, 4) is not a graph edge\n")
 
     def test_both_inputs_from_stdin_exit_2(self, capsys, monkeypatch) -> None:
         import io
@@ -382,6 +382,8 @@ class TestOracleCheck:
         code, out, _ = _run(capsys, ["oracle-check", str(f), "--seed", "0"])
         assert code == 1
         assert "disagreement" in out
+        # Vertex 0 of the library is vertex 1 of the file.
+        assert "matching 1: engine levels for 1 (4, 1) != oracle (2, 1)" in out.splitlines()
 
     def test_structural_violation_exits_1(self, tmp_path, capsys, monkeypatch) -> None:
         f = tmp_path / "g.dimacs"

@@ -1,13 +1,16 @@
-"""Bounded-exhaustive check of one phase against the oracle.
+"""Bounded-exhaustive checks of the engine against the oracle.
 
 Every labelled graph on at most five vertices, with its edges in sorted
 order, is started from each of its matchings, the empty one included.
 The engine's l_m, and its levels at every vertex of tenacity below l_m,
-must equal those of `oracle.compute_profile`; every petal's members must
-lie in its bridge's support; and the oracle's profile must satisfy the
-paper's structural theorems.  Vertex names are covered exhaustively;
-edge order only as sorted (the sampled shuffles of `test_acceptance.py`
-cover it).
+must equal those of `oracle.compute_profile`; its props (the edges one
+end lists in the other's `preds`) must be the oracle's props among the
+edges MIN scanned; every petal's members must lie in its bridge's
+support; and the oracle's profile must satisfy the paper's structural
+theorems.  Every labelled graph on six vertices is also solved from the
+empty matching, and the size must equal `brute_max_matching`'s.  Vertex
+names are covered exhaustively; edge order only as sorted (the sampled
+shuffles of `test_acceptance.py` cover it).
 """
 
 from __future__ import annotations
@@ -17,8 +20,14 @@ from itertools import combinations
 from typing import Iterator
 
 from mvmatching.graph import Graph, MatchingState
-from mvmatching.oracle import brute_support, check_structural_theorems, compute_profile
+from mvmatching.oracle import (
+    brute_max_matching,
+    brute_support,
+    check_structural_theorems,
+    compute_profile,
+)
 from mvmatching.phase import levels_with_inf, run_phase
+from mvmatching.solver import maximum_matching
 
 import support
 
@@ -26,8 +35,11 @@ MAX_N = 5
 
 # (graph, matching) pairs for n = 1..5: 1, 3, 20, 304 and 9,984.
 PAIRS = 10_312
-# Petals the engine forms over those pairs.
+# Petals the engine forms over those pairs, and edges its MIN scans.
 PETALS = 3_675
+SCANNED = 50_676
+# Labelled graphs on six vertices: one per subset of the 15 pairs.
+GRAPHS_6 = 32_768
 
 
 def _matchings(g: Graph) -> Iterator[MatchingState]:
@@ -45,17 +57,22 @@ def _matchings(g: Graph) -> Iterator[MatchingState]:
     return extend(0, [], set())
 
 
+def _graphs(n: int) -> Iterator[Graph]:
+    """Every labelled graph on n vertices, its edges in sorted order."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+
+
 def _instances() -> Iterator[tuple[Graph, MatchingState]]:
     for n in range(1, MAX_N + 1):
-        pairs = list(combinations(range(n), 2))
-        for mask in range(1 << len(pairs)):
-            g = Graph.from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+        for g in _graphs(n):
             for m in _matchings(g):
                 yield g, m
 
 
 def test_every_small_graph_from_every_matching() -> None:
-    count = petals = 0
+    count = petals = scanned = 0
     for g, m in _instances():
         profile = compute_profile(g, m)
         s = run_phase(g, m)
@@ -66,8 +83,21 @@ def test_every_small_graph_from_every_matching() -> None:
         for v in range(g.n):
             if profile.tenacity[v] < profile.l_m:
                 assert (even[v], odd[v]) == (profile.evenlevel[v], profile.oddlevel[v]), (v, where)
+        for eid in range(g.m):
+            if s.scanned[eid]:
+                assert support.is_prop(s, eid) == (profile.edge_class[eid] == "prop"), (eid, where)
+                scanned += 1
         for petal, members in zip(s.petals, support.petal_members(s)):
             assert members <= brute_support(profile, petal.bridge_eid), (petal, where)
             petals += 1
         count += 1
-    assert (count, petals) == (PAIRS, PETALS)
+    assert (count, petals, scanned) == (PAIRS, PETALS, SCANNED)
+
+
+def test_every_six_vertex_graph_solves_to_maximum() -> None:
+    count = 0
+    for g in _graphs(6):
+        m, _ = maximum_matching(g, MatchingState(6))
+        assert m.size() == brute_max_matching(g)[0], g.edges
+        count += 1
+    assert count == GRAPHS_6

@@ -13,8 +13,6 @@ from mvmatching.ddfs import GREEN, RED
 from mvmatching.graph import Graph, MatchingState, augment_in_place, generate_random_graph
 from mvmatching.oracle import brute_support, compute_profile
 from mvmatching.phase import (
-    BRIDGE,
-    PROP,
     UNSET,
     PhaseState,
     bridge_side,
@@ -75,8 +73,11 @@ class TestMinStep:
         s = init_phase(g, m)
         min_step(s, 0)
         assert s.oddlevel[1] == 1 and s.oddlevel[2] == 1
-        assert s.edge_state[g.edge_index[(0, 1)]] == PROP
-        assert s.edge_state[g.edge_index[(2, 3)]] == PROP
+        assert (s.preds[1], s.preds[2]) == ([0], [3])
+        for key in ((0, 1), (2, 3)):
+            eid = g.edge_index[key]
+            assert s.scanned[eid] and support.is_prop(s, eid)
+        assert not s.scanned[g.edge_index[(1, 2)]]
 
     def test_p4_level_1_files_matched_bridge(self) -> None:
         g, m = support.p4()
@@ -84,7 +85,7 @@ class TestMinStep:
         min_step(s, 0)
         min_step(s, 1)
         eid = g.edge_index[(1, 2)]
-        assert s.edge_state[eid] == BRIDGE
+        assert s.scanned[eid] and not support.is_prop(s, eid)
         assert list(s.br[3]) == [eid]
 
     def test_triangle_matched_bridge(self) -> None:
@@ -93,7 +94,7 @@ class TestMinStep:
         min_step(s, 0)
         min_step(s, 1)
         eid = g.edge_index[(1, 2)]
-        assert s.edge_state[eid] == BRIDGE
+        assert s.scanned[eid] and not support.is_prop(s, eid)
         assert list(s.br[3]) == [eid]
 
 
@@ -133,12 +134,13 @@ class TestDeferredBridge:
             min_step(s, i)
         # Scanned at level 2 but vertex 1's evenlevel is still unknown:
         # classified bridge, waiting, not yet filed.
-        assert s.edge_state[eid] == BRIDGE
+        assert s.scanned[eid] and not support.is_prop(s, eid)
+        assert s.waiting[1] == [(eid, 6)]
         assert s.evenlevel[1] == UNSET
         assert all(eid not in queue for queue in s.br.values())
         max_step(s, 2)  # forms the cycle petal, evenlevel(1) = 4
         assert s.evenlevel[1] == 4
-        assert s.edge_state[eid] == BRIDGE
+        assert not support.is_prop(s, eid) and 1 not in s.waiting
         assert list(s.br[7]) == [eid]
 
     def test_full_phase_finds_length_7_path(self) -> None:
@@ -323,10 +325,12 @@ class TestSynchronizationSafety:
 class TestPredsFollowReach:
     def test_preds_are_the_prop_tails_of_reached_vertices(self) -> None:
         # After every phase of a solve: a vertex that no prop reaches
-        # holds no list of its own; a reached vertex's `preds` are the
-        # lower-minlevel ends of its PROP edges; and every traced bridge
-        # names its smaller end first, at the tenacity its `bridge_side`
-        # levels give.  Dense odd graphs make blossom-heavy phases.
+        # holds no list of its own; for each scanned edge (u, v), u is in
+        # preds[v] exactly when u's level on the edge's side is one below
+        # v's minlevel, the rule by which MIN makes (u, v) a prop; and
+        # every traced bridge names its smaller end first, at the
+        # tenacity its `bridge_side` levels give.  Dense odd graphs make
+        # blossom-heavy phases.
         rng = random.Random(17171)
         instances = [support.triangle_chain(30), support.nested_blossoms(6)]
         for k in range(240):
@@ -335,20 +339,26 @@ class TestPredsFollowReach:
             edges = rng.randint(0, min(cap, 3 * n)) if k % 3 else rng.randint(cap // 4, cap // 2)
             g = generate_random_graph(n, edges, rng.randrange(2**32))
             instances.append((g, MatchingState(n) if k % 2 else support.greedy_matching(g, k)))
-        reached = unreached = filed = petals = 0
+        reached = unreached = props = bridges = filed = petals = 0
         for g, m in instances:
             for s, lines in support.solve_phases(g, m):
-                tails: list[list[int]] = [[] for _ in range(g.n)]
-                for eid, (u, v) in enumerate(g.edges):
-                    if s.edge_state[eid] == PROP:
-                        a, b = (u, v) if s.minlevel(u) < s.minlevel(v) else (v, u)
-                        tails[b].append(a)
                 lists = [p for p in s.preds if type(p) is list]
                 assert len({id(p) for p in lists}) == len(lists)
+                heads = set()
+                for eid, (u, v) in enumerate(g.edges):
+                    if not s.scanned[eid]:
+                        continue
+                    side = bridge_side(s, u, v)
+                    for a, b in ((u, v), (v, u)):
+                        assert (a in s.preds[b]) == (side[a] + 1 == s.minlevel(b)), (a, b)
+                    if support.is_prop(s, eid):
+                        heads.add(u if v in s.preds[u] else v)
+                        props += 1
+                    else:
+                        bridges += 1
                 for v in range(g.n):
-                    if tails[v]:
-                        assert type(s.preds[v]) is list
-                        assert sorted(s.preds[v]) == sorted(tails[v]), v
+                    if v in heads:
+                        assert type(s.preds[v]) is list and s.preds[v], v
                         reached += 1
                     else:
                         assert s.preds[v] == () and type(s.preds[v]) is tuple, v
@@ -358,7 +368,7 @@ class TestPredsFollowReach:
                     assert a < b and t == side[a] + side[b] + 1, (a, b, t)
                     filed += 1
                 petals += len(s.petals)
-        assert min(reached, unreached, filed) > 1000 and petals > 1000
+        assert min(reached, unreached, props, bridges, filed) > 1000 and petals > 1000
 
 
 class TestLevelsAreInts:
@@ -418,10 +428,10 @@ class TestEachBridgeFiledOnce:
                     u, v = g.edges[eid]
                     if m.partner[u] != v and any(s.oddlevel[x] < s.evenlevel[x] for x in (u, v)):
                         at_inner += 1
-                for eid, state in enumerate(s.edge_state):
-                    if state != BRIDGE:
+                for eid, (u, v) in enumerate(g.edges):
+                    # A bridge is a scanned edge that is no prop.
+                    if not s.scanned[eid] or support.is_prop(s, eid):
                         continue
-                    u, v = g.edges[eid]
                     side = bridge_side(s, u, v)
                     # An UNSET end makes the tenacity exceed UNSET >= l_m.
                     if side[u] + side[v] + 1 <= s.l_m:
@@ -430,9 +440,9 @@ class TestEachBridgeFiledOnce:
                     assert not any(s.removed), k
                     for eid, (u, v) in enumerate(g.edges):
                         side = bridge_side(s, u, v)
-                        if s.edge_state[eid] == PROP or UNSET in (side[u], side[v]):
+                        if support.is_prop(s, eid) or UNSET in (side[u], side[v]):
                             continue
-                        assert s.edge_state[eid] == BRIDGE, (k, u, v)
+                        assert s.scanned[eid], (k, u, v)
                         assert filed.count(eid) == 1, (k, u, v)
                         certified += 1
                     break
