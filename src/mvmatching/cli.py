@@ -99,12 +99,12 @@ def cmd_verify(cfg: argparse.Namespace) -> int:
     except (OSError, GraphFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if validate_matching(g, m):
-        # `parse_matching` admits only disjoint pairs of vertices in range,
-        # so the one fault left is a pair that is no edge; name it 1-based.
-        for u, v in m.pairs():
-            if not g.has_edge(u, v):
-                print(f"invalid: matched pair ({u + 1}, {v + 1}) is not a graph edge")
+    violations = validate_matching(g, m)
+    if violations:
+        # `parse_matching` sizes the matching to the graph, so every fault
+        # is about a pair and every number in it is a vertex: name it 1-based.
+        for v in violations:
+            print("invalid: " + re.sub(r"\d+", lambda d: str(int(d[0]) + 1), v))
         return 1
     s = run_phase(g, m)
     if s.paths:

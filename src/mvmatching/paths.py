@@ -129,15 +129,17 @@ def extract_path(s: PhaseState, outcome: TwoPaths, bridge: int) -> list[int]:
 
 def recursive_remove(s: PhaseState, seed: set[int]) -> None:
     """Remove the seed vertices, then cascade: a vertex goes once its last
-    live predecessor has gone.  The successors of w are its neighbours z
-    with w in preds[z]: a prop runs from the lower minlevel to the
-    higher, and MIN appends each prop's tail to its head's `preds`, so
-    for a z above w the edge (w, z) is a prop exactly when w is in
-    preds[z], and w is never in the `preds` of a z at or below it.  A
-    free vertex is never a prop's head.  `pred_gone[z]` counts the
-    removed predecessors of z, and z goes when the count reaches
-    len(preds[z]): z has no repeated predecessor, as one edge joins two
-    vertices, and each removed w is walked once.
+    live predecessor has gone.  w's successors are the z with w in
+    preds[z]; for a scanned edge (w, z), with side its `bridge_side`,
+    that holds iff side[w] + 1 is z's minlevel.  Scanned from w, the edge
+    is a prop iff z has no level below side[w] + 1; scanned from z, the
+    odd levels of a matched edge differ by an even number, and unmatched,
+    side[w] >= side[z], or w would have scanned it first.  Removal runs
+    after MIN at some level i, when every minlevel is at most i + 1 and
+    every edge on a side level at most i is scanned, so no scanned mark
+    is read here.  `pred_gone[z]` counts the removed predecessors of z,
+    and z goes when the count reaches len(preds[z]): z has no repeated
+    predecessor, and each removed w is walked once.
 
     Once l_m = 2i+1 is known the cascade stops at minlevel top = i: the
     phase ends after level i's MAX, whose DDFS runs and path extractions
@@ -160,7 +162,7 @@ def recursive_remove(s: PhaseState, seed: set[int]) -> None:
     same chain, a vertex whose bud chain stops at a live vertex is live:
     a removed vertex has a removed bud*."""
     adj, removed, preds, gone = s.g.adj, s.removed, s.preds, s.pred_gone
-    even, odd = s.evenlevel, s.oddlevel
+    even, odd, partner = s.evenlevel, s.oddlevel, s.m.partner
     top = (s.l_m - 1) // 2
     stack = [v for v in seed if not removed[v]]
     for v in stack:
@@ -170,11 +172,11 @@ def recursive_remove(s: PhaseState, seed: set[int]) -> None:
         ew, ow = even[w], odd[w]
         if (ew if ew < ow else ow) >= top:
             continue
+        mate = partner[w]
         for z, _ in adj[w]:
-            if removed[z] or w not in preds[z]:
-                continue
             ez, oz = even[z], odd[z]
-            if (ez if ez < oz else oz) > top:
+            lz = ez if ez < oz else oz
+            if removed[z] or lz > top or (ow if z == mate else ew) + 1 != lz:
                 continue
             k = gone.get(z, 0) + 1
             if k == len(preds[z]):

@@ -42,21 +42,20 @@ class PhaseState:
     held once.  `evenlevel` and `oddlevel` hold ints, UNSET where a level
     is not assigned.  `paths` are vertex lists of `l_m` edges; `l_m` is
     UNSET until the first path.  `preds[v]` lists the tails of v's props
-    in scan order; it is the shared empty tuple until v's first prop, so
-    a vertex the search never reaches costs no list.  `pred_gone[v]`
-    counts the removed predecessors of a live v that has lost some;
-    successors are derived (see `paths.recursive_remove`).  `preds` is
-    the only record of props: `scanned[e]` marks an edge MIN has
-    classified, and a scanned edge that is no prop is a bridge.  `br[t]`
-    queues the bridges filed at tenacity t.  Only MIN classifies edges,
-    and it files each bridge as it classifies it.  A bridge whose
-    relevant end levels are not both known waits: only an unmatched
-    bridge can, on an inner end v whose evenlevel is still UNSET.  It
-    waits in `waiting[v]` as (edge id, other end) until MAX gives v an
-    even maxlevel, and `_assign_maxlevels` files it then.  Only even
-    maxlevels are scheduled for MIN (see `_assign_maxlevels`).  A member
-    w of a petal has `color[w]` and its parent in that colour's DDFS
-    tree, `tree_parent[w]` (None at a root); w joins no other petal."""
+    in scan order; it is the shared empty tuple until v's first prop, so a
+    vertex the search never reaches costs no list.  `pred_gone[v]` counts
+    the removed predecessors of a live v that has lost some; successors
+    are derived (see `paths.recursive_remove`).  `preds` alone records
+    props; `scanned[e]` marks an edge MIN has classified, and a scanned
+    edge that is no prop is a bridge.  `br[t]` queues the bridges filed at
+    tenacity t.  Only MIN classifies edges, and it files each bridge as it
+    classifies it.  A bridge whose relevant end levels are not both known
+    waits: only an unmatched bridge can, on an inner end v whose evenlevel
+    is still UNSET.  It waits in `waiting[v]` as (edge id, other end)
+    until MAX gives v an even maxlevel, and `_assign_maxlevels` files it
+    then.  Only even maxlevels are scheduled for MIN.  A member w of a
+    petal has `color[w]` and its parent in that colour's DDFS tree,
+    `tree_parent[w]` (None at a root); w joins no other petal."""
 
     g: Graph
     m: MatchingState

@@ -19,11 +19,14 @@ any n.  They do not cover maxlevels or petals.
 from __future__ import annotations
 
 import random
+import statistics
+import time
 from typing import Optional
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from mvmatching import paths, phase
 from mvmatching.graph import Graph, MatchingState, augment_in_place
 from mvmatching.phase import UNSET, PhaseState
 
@@ -169,6 +172,16 @@ def _near_tree(n: int, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def _dense_with_pendants(k: int) -> tuple[Graph, MatchingState]:
+    """K_{k,k} between k free vertices and k matched ones, each partner of
+    which holds one more free vertex: one phase of k paths of length 3, in
+    which each matched vertex of the K_{k,k} has k predecessors and each
+    free vertex a path removes has k successors."""
+    edges = [(f, k + x) for f in range(k) for x in range(k)]
+    edges += [(k + i, 2 * k + i) for i in range(k)] + [(2 * k + i, 3 * k + i) for i in range(k)]
+    return Graph.from_edges(4 * k, edges), MatchingState(4 * k, [(k + i, 2 * k + i) for i in range(k)])
+
+
 class TestBipartitePhases:
     @PROPERTY_SETTINGS
     @given(inst=_bipartite_instance())
@@ -208,3 +221,38 @@ class TestBipartitePhases:
             edges = {(rng.randrange(a), a + rng.randrange(b)) for _ in range(m)}
             g = _named(Graph.from_edges(a + b, sorted(edges)), rng)
             assert _check_solve(g, MatchingState(g.n)) > 3
+
+    def test_dense_complete_bipartite(self) -> None:
+        rng = random.Random(9)
+        for k in (1, 2, 3, 40, 120):
+            g, m = _dense_with_pendants(k)
+            assert _check_solve(g, m) == 2
+            _check_solve(g, MatchingState(g.n))
+            _check_solve(_named(g, rng), MatchingState(g.n))
+
+    def test_dense_removal_costs_what_min_costs(self, monkeypatch) -> None:
+        # Removal tests each edge of a removed vertex for a successor in
+        # O(1), and MIN scans those same edges once, so on the dense phase
+        # the two cost about alike.  A test that searched preds[z] would
+        # read k/2 entries per edge, several times MIN's cost at k = 400.
+        g, m = _dense_with_pendants(400)
+        spent: dict[str, float] = {}
+
+        def timed(owner, name: str) -> None:
+            inner = getattr(owner, name)
+
+            def call(*args):
+                t0 = time.perf_counter()
+                inner(*args)
+                spent[name] = spent.get(name, 0.0) + time.perf_counter() - t0
+
+            monkeypatch.setattr(owner, name, call)
+
+        timed(paths, "recursive_remove")
+        timed(phase, "min_step")
+        ratios = []
+        for _ in range(3):
+            spent.clear()
+            assert len(phase.run_phase(g, m).paths) == 400
+            ratios.append(spent["recursive_remove"] / spent["min_step"])
+        assert statistics.median(ratios) < 3.0, ratios

@@ -83,10 +83,13 @@ def test_every_small_graph_from_every_matching() -> None:
         for v in range(g.n):
             if profile.tenacity[v] < profile.l_m:
                 assert (even[v], odd[v]) == (profile.evenlevel[v], profile.oddlevel[v]), (v, where)
+        props = 0
         for eid in range(g.m):
             if s.scanned[eid]:
                 assert support.is_prop(s, eid) == (profile.edge_class[eid] == "prop"), (eid, where)
+                props += support.is_prop(s, eid)
                 scanned += 1
+        assert sum(map(len, s.preds)) == props, where
         for petal, members in zip(s.petals, support.petal_members(s)):
             assert members <= brute_support(profile, petal.bridge_eid), (petal, where)
             petals += 1

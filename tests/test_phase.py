@@ -327,10 +327,11 @@ class TestPredsFollowReach:
         # After every phase of a solve: a vertex that no prop reaches
         # holds no list of its own; for each scanned edge (u, v), u is in
         # preds[v] exactly when u's level on the edge's side is one below
-        # v's minlevel, the rule by which MIN makes (u, v) a prop; and
-        # every traced bridge names its smaller end first, at the
-        # tenacity its `bridge_side` levels give.  Dense odd graphs make
-        # blossom-heavy phases.
+        # v's minlevel, the rule by which MIN makes (u, v) a prop; the
+        # lists hold one entry per prop, so no tail repeats; and every
+        # traced bridge names its smaller end first, at the tenacity its
+        # `bridge_side` levels give.  Dense odd graphs make blossom-heavy
+        # phases.
         rng = random.Random(17171)
         instances = [support.triangle_chain(30), support.nested_blossoms(6)]
         for k in range(240):
@@ -345,6 +346,7 @@ class TestPredsFollowReach:
                 lists = [p for p in s.preds if type(p) is list]
                 assert len({id(p) for p in lists}) == len(lists)
                 heads = set()
+                phase_props = props
                 for eid, (u, v) in enumerate(g.edges):
                     if not s.scanned[eid]:
                         continue
@@ -356,6 +358,7 @@ class TestPredsFollowReach:
                         props += 1
                     else:
                         bridges += 1
+                assert sum(len(p) for p in lists) == props - phase_props
                 for v in range(g.n):
                     if v in heads:
                         assert type(s.preds[v]) is list and s.preds[v], v
