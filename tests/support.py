@@ -50,6 +50,16 @@ def petersen() -> Graph:
     return Graph.from_edges(10, outer + spokes + inner)
 
 
+def barbell() -> Graph:
+    """Triangles 1-2-3 and 0-4-5 joined by the edge (0, 1); no vertex has
+    degree 1.  In this edge order the greedy seed matches (0, 5) and
+    (2, 3), so one phase forms the petal {2, 3} with bud 1 and then finds
+    the augmenting path 1-0-5-4."""
+    return Graph.from_edges(
+        6, [(0, 5), (2, 3), (1, 2), (4, 5), (0, 1), (1, 3), (0, 4)]
+    )
+
+
 def deferred_bridge_graph() -> tuple[Graph, MatchingState]:
     """A five-cycle hanging off vertex 0 plus an arm 7-5-6 reaching into it.
 

@@ -27,29 +27,39 @@ P4_DIMACS = "p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n"
 PETERSEN_DIMACS = serialize_dimacs(support.petersen())
 C5_DIMACS = serialize_dimacs(support.c5())
 TRIANGLE_DIMACS = serialize_dimacs(support.triangle()[0])
-DEFERRED_DIMACS = serialize_dimacs(support.deferred_bridge_graph()[0])
-# Triangle 1-2-3 with the pendant vertex 4 on 1.
-PAW_DIMACS = "p edge 4 4\ne 1 3\ne 1 4\ne 2 3\ne 1 2\n"
+BARBELL_DIMACS = serialize_dimacs(support.barbell())
+# The paw (triangle 1-2-3 with 4 on 1) plus the edge 3-4, so that no
+# vertex has degree 1 and the seed's degree-1 cascade matches nothing.
+DIAMOND_DIMACS = "p edge 4 5\ne 1 3\ne 1 4\ne 2 3\ne 1 2\ne 3 4\n"
 
-# Full `solve --trace` streams, line for line.  The greedy seed leaves one
-# short augmenting path in the deferred-bridge graph; the five-cycle's
+# Full `solve --trace` streams, line for line.  Neither the barbell nor
+# the diamond has a vertex of degree 1, so the seed is the greedy pass
+# alone and leaves one short augmenting path in each.  The barbell's
+# bridge (2, 3) forms a petal before the path is found; the five-cycle's
 # bridge forms a petal through meet, reassign and backtrack steps; the
-# paw's bridge ends its DDFS with a terminated seek.
-DEFERRED_TRACE = """\
+# diamond's bridge ends its DDFS with a terminated seek.
+BARBELL_TRACE = """\
 mvtrace 1
 level 0
-minlevel 3 1
+minlevel 2 1
 minlevel 0 1
+minlevel 3 1
 minlevel 5 1
-minlevel 1 1
 level 1
-minlevel 2 2
-bridge 0 1 tenacity 3
-minlevel 7 2
-ddfs advance red 4 0
-ddfs advance green 6 0
-ddfs terminate - 4 0
-path 4-0-1-6
+bridge 2 3 tenacity 3
+bridge 0 5 tenacity 3
+ddfs advance red 1 0
+ddfs meet green 1 0
+ddfs backtrack red 1 0
+ddfs reassign green 1 0
+ddfs reassign red 1 0
+ddfs backtrack green 1 0
+ddfs terminate - 1 0
+petal bud 1 members 2,3
+ddfs advance red 1 0
+ddfs advance green 4 0
+ddfs terminate - 1 0
+path 1-0-5-4
 level 0
 phases 2
 """
@@ -79,7 +89,7 @@ level 3
 level 4
 phases 1
 """
-PAW_TRACE = """\
+DIAMOND_TRACE = """\
 mvtrace 1
 level 0
 minlevel 2 1
@@ -165,7 +175,7 @@ class TestSolve:
 
     def test_trace_header_and_events(self, tmp_path, capsys) -> None:
         f = tmp_path / "g.dimacs"
-        f.write_text(DEFERRED_DIMACS)
+        f.write_text(BARBELL_DIMACS)
         code, _, err = _run(capsys, ["solve", str(f), "--trace"])
         assert code == 0
         lines = err.splitlines()
@@ -176,11 +186,11 @@ class TestSolve:
     @pytest.mark.parametrize(
         "dimacs, expected",
         [
-            (DEFERRED_DIMACS, DEFERRED_TRACE),
+            (BARBELL_DIMACS, BARBELL_TRACE),
             (C5_DIMACS, C5_TRACE),
-            (PAW_DIMACS, PAW_TRACE),
+            (DIAMOND_DIMACS, DIAMOND_TRACE),
         ],
-        ids=["deferred", "c5", "paw"],
+        ids=["barbell", "c5", "diamond"],
     )
     def test_golden_trace(self, tmp_path, capsys, dimacs, expected) -> None:
         f = tmp_path / "g.dimacs"

@@ -8,7 +8,9 @@ end lists in the other's `preds`) must be the oracle's props among the
 edges MIN scanned; every petal's members must lie in its bridge's
 support; and the oracle's profile must satisfy the paper's structural
 theorems.  Every labelled graph on six vertices is also solved from the
-empty matching, and the size must equal `brute_max_matching`'s.  Vertex
+empty matching and from the solver's own seed, and each size must equal
+`brute_max_matching`'s; the seed's degree-1 cascade must extend to a
+maximum matching (Karp and Sipser's lemma).  Vertex
 names are covered exhaustively; edge order only as sorted (the sampled
 shuffles of `test_acceptance.py` cover it).
 """
@@ -27,7 +29,7 @@ from mvmatching.oracle import (
     compute_profile,
 )
 from mvmatching.phase import levels_with_inf, run_phase
-from mvmatching.solver import maximum_matching
+from mvmatching.solver import degree_one_cascade, maximum_matching
 
 import support
 
@@ -38,8 +40,10 @@ PAIRS = 10_312
 # Petals the engine forms over those pairs, and edges its MIN scans.
 PETALS = 3_675
 SCANNED = 50_676
-# Labelled graphs on six vertices: one per subset of the 15 pairs.
+# Labelled graphs on six vertices: one per subset of the 15 pairs, and
+# those in which the degree-1 cascade matches at least one pair.
 GRAPHS_6 = 32_768
+SEEDED_6 = 19_011
 
 
 def _matchings(g: Graph) -> Iterator[MatchingState]:
@@ -98,9 +102,17 @@ def test_every_small_graph_from_every_matching() -> None:
 
 
 def test_every_six_vertex_graph_solves_to_maximum() -> None:
-    count = 0
+    count = seeded = 0
     for g in _graphs(6):
-        m, _ = maximum_matching(g, MatchingState(6))
-        assert m.size() == brute_max_matching(g)[0], g.edges
+        best = brute_max_matching(g)[0]
+        assert maximum_matching(g, MatchingState(6))[0].size() == best, g.edges
+        assert maximum_matching(g)[0].size() == best, g.edges
+        # Karp and Sipser's lemma: the cascade's pairs extend to a maximum
+        # matching, so it and a maximum matching of the rest make one.
+        cascade = degree_one_cascade(g)
+        partner = cascade.partner
+        rest = [(u, v) for u, v in g.edges if partner[u] is None and partner[v] is None]
+        assert cascade.size() + brute_max_matching(Graph.from_edges(6, rest))[0] == best, g.edges
+        seeded += cascade.size() > 0
         count += 1
-    assert count == GRAPHS_6
+    assert (count, seeded) == (GRAPHS_6, SEEDED_6)

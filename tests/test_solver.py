@@ -13,7 +13,7 @@ from mvmatching.graph import (
     validate_matching,
 )
 from mvmatching.oracle import brute_max_matching
-from mvmatching.solver import maximum_matching
+from mvmatching.solver import degree_one_cascade, maximum_matching
 
 import support
 
@@ -54,6 +54,74 @@ class TestNamedGraphs:
         before = m0.pairs()
         maximum_matching(g, m0)
         assert m0.pairs() == before
+
+
+def _old_greedy(g: Graph) -> MatchingState:
+    """The greedy pass alone: each edge in order whose ends are both free."""
+    m = MatchingState(g.n)
+    for u, v in g.edges:
+        if not m.is_matched(u) and not m.is_matched(v):
+            m.partner[u] = v
+            m.partner[v] = u
+    return m
+
+
+@st.composite
+def _forest(draw) -> tuple[Graph, int]:
+    """A random forest with its maximum matching size: each vertex v > 0
+    has a parent below v or none (a root, isolated if it gets no child);
+    names and edge order are shuffled."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    parent = [None] + [
+        draw(st.one_of(st.none(), st.integers(min_value=0, max_value=v - 1)))
+        for v in range(1, n)
+    ]
+    # Leaf to parent: match v to its parent when both are free; exact on
+    # forests, as every child comes after its parent.
+    matched = [False] * n
+    optimum = 0
+    for v in reversed(range(n)):
+        p = parent[v]
+        if p is not None and not matched[v] and not matched[p]:
+            matched[v] = matched[p] = True
+            optimum += 1
+    name = draw(st.permutations(range(n)))
+    edges = draw(st.permutations([(name[v], name[p]) for v, p in enumerate(parent) if p is not None]))
+    return Graph.from_edges(n, edges), optimum
+
+
+class TestDegreeOneSeed:
+    """With no start given, the seed is the degree-1 cascade and then the
+    greedy pass; a given start is used as it is."""
+
+    @PROPERTY_SETTINGS
+    @given(forest=_forest())
+    def test_forest_solves_in_one_phase(self, forest: tuple[Graph, int]) -> None:
+        g, optimum = forest
+        assert degree_one_cascade(g).size() == optimum
+        m, phases = maximum_matching(g)
+        assert validate_matching(g, m) == []
+        assert (m.size(), phases) == (optimum, 1)
+
+    @pytest.mark.parametrize(
+        "g",
+        [Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)]) for n in (3, 4, 7, 30)]
+        + [support.k4(), support.petersen(), support.barbell()],
+        ids=["c3", "c4", "c7", "c30", "k4", "petersen", "barbell"],
+    )
+    def test_pendant_free_seed_is_the_greedy_pass(self, g: Graph) -> None:
+        assert degree_one_cascade(g).size() == 0
+        seeded: list[str] = []
+        given_greedy: list[str] = []
+        m, phases = maximum_matching(g, trace=seeded.append)
+        assert (m, phases) == maximum_matching(g, _old_greedy(g), trace=given_greedy.append)
+        assert seeded == given_greedy
+
+    def test_given_start_is_not_seeded(self) -> None:
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        assert maximum_matching(g)[1] == 1
+        m, phases = maximum_matching(g, MatchingState(4))
+        assert (m.size(), phases) == (2, 2)
 
 
 class TestInvalidStart:

@@ -28,7 +28,7 @@ def _load_spans():
 def test_engine_spans_wrap_live_names(tmp_path, capsys) -> None:
     spans = _load_spans()
     f = tmp_path / "g.dimacs"
-    f.write_text(serialize_dimacs(support.deferred_bridge_graph()[0]))
+    f.write_text(serialize_dimacs(support.barbell()))
     tracer = spans.Tracer()
     try:
         spans.install_engine_spans(tracer)

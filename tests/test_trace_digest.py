@@ -9,8 +9,8 @@ from __future__ import annotations
 import trace_digest
 
 SOLVES = 3012
-BEHAVIOUR = "cd5e90c3c0b1c8e65a8c7dbbdb53f2a459c23bf86286b36726d052a89c0b1025"
-OUTCOME = "8dff78cec2085ffb424f44e94e1561d2589027a96c890d7907ccd15f87976027"
+BEHAVIOUR = "e0a3eee54170246abb1f2bfa2ebc4e10185533421a2e0ef9ab5405ee835b122a"
+OUTCOME = "1919d09904a0cf0e49a24455e983aa04022af9259acfef74833b28dd1c0713b3"
 
 
 def test_digests_are_pinned() -> None:
