@@ -13,11 +13,10 @@ from typing import Iterable, Optional, TextIO
 
 
 # The most vertices a graph may have.  Every array the engine keeps is
-# sized by n, about 200 bytes a vertex in all; a larger n is refused
+# sized by n, about 150 bytes a vertex in all; a larger n is refused
 # before anything is allocated.  The two limits are safe together: at
 # n = 2^21 and m = MAX_EDGES, `mvmatch bench` and `mvmatch solve` each
-# peaked near 1.2 GB, within a 1.5 GB address space (2^22 vertices with
-# 5*10^5 edges did not fit).
+# peaked near 530 MB, within a 1.5 GB address space.
 MAX_VERTICES = 1 << 21
 
 # The most edges `generate_random_graph` samples and the most edge lines
@@ -39,47 +38,51 @@ class Graph:
 
     Attributes:
         n: number of vertices (identified by indices 0..n-1).
-        edges: tuple of unordered vertex pairs (u, v) with u < v; an
-            edge's id is its position here.
-        adj: per-vertex tuple of (neighbor, edge_id) pairs.
-        edge_index: edge id of each pair (u, v) with u < v.
+        edges: tuple of unordered vertex pairs (u, v) with u < v, in
+            first-occurrence order; an edge's id is its position here.
+        adj: per-vertex tuple of neighbours, in edge-id order.
+
+    The edges are held once, in `edges`; `adj` holds each edge as its
+    two ends' neighbour ints, so no per-edge tuple or index outlives the
+    build.
     """
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    adj: tuple[tuple[tuple[int, int], ...], ...]
-    edge_index: dict[tuple[int, int], int]
+    adj: tuple[tuple[int, ...], ...]
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph from an edge iterable.
 
         Endpoints outside 0..n-1, self-loops and n below 0 or above
-        MAX_VERTICES are rejected; duplicate undirected edges are merged.
-        `parse_dimacs` relies on these checks for its column path.
+        MAX_VERTICES are rejected; duplicate undirected edges are merged,
+        keeping the first.  `parse_dimacs` relies on these checks for its
+        column path.
         """
         if n < 0:
             raise GraphFormatError(f"vertex count {n} is negative")
         if n > MAX_VERTICES:
             raise GraphFormatError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
-        index: dict[tuple[int, int], int] = {}
+        distinct: dict[tuple[int, int], None] = {}
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphFormatError(f"vertex index out of range: ({u}, {v})")
             if u == v:
                 raise GraphFormatError(f"self-loop at vertex {u}")
-            key = (u, v) if u < v else (v, u)
-            if key not in index:
-                index[key] = len(index)
-        adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for eid, (u, v) in enumerate(index):
-            adj[u].append((v, eid))
-            adj[v].append((u, eid))
-        return Graph(n, tuple(index), tuple(tuple(a) for a in adj), index)
+            distinct[(u, v) if u < v else (v, u)] = None
+        order = tuple(distinct)
+        del distinct  # free the dict before the adjacency is made
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for u, v in order:
+            adj[u].append(v)
+            adj[v].append(u)
+        return Graph(n, order, tuple(map(tuple, adj)))
 
     def has_edge(self, u: int, v: int) -> bool:
-        key = (u, v) if u < v else (v, u)
-        return key in self.edge_index
+        """Whether (u, v) is an edge: a scan of the shorter adjacency."""
+        a, b = self.adj[u], self.adj[v]
+        return v in a if len(a) <= len(b) else u in b
 
     @property
     def m(self) -> int:

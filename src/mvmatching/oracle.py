@@ -52,7 +52,7 @@ def _iter_alternating_paths(
         if max_len is not None and len(path) - 1 >= max_len:
             return
         v = path[-1]
-        for w, _eid in g.adj[v]:
+        for w in g.adj[v]:
             if w in in_path:
                 continue
             matched = m.partner[v] == w
@@ -95,7 +95,7 @@ def brute_max_matching(g: Graph) -> tuple[int, MatchingState]:
     index = {v: i for i, v in enumerate(verts)}
     nbr_mask = [0] * len(verts)
     for i, v in enumerate(verts):
-        for w, _eid in g.adj[v]:
+        for w in g.adj[v]:
             nbr_mask[i] |= 1 << index[w]
     memo: dict[int, int] = {}
 
@@ -180,9 +180,14 @@ class OracleProfile:
         return [v for v in range(self.g.n) if self.is_eligible_tenacity(self.tenacity[v])]
 
 
-def _path_eids(g: Graph, p: list[int]) -> list[int]:
-    """Edge ids along vertex path p, in order."""
-    return [g.edge_index[(a, b) if a < b else (b, a)] for a, b in zip(p, p[1:])]
+def _edge_ids(g: Graph) -> dict[tuple[int, int], int]:
+    """Each edge's id, its position in `g.edges`, keyed by its ends."""
+    return {e: k for k, e in enumerate(g.edges)}
+
+
+def _path_eids(ids: dict[tuple[int, int], int], p: list[int]) -> list[int]:
+    """Edge ids along vertex path p, in order, from an `_edge_ids` map."""
+    return [ids[(a, b) if a < b else (b, a)] for a, b in zip(p, p[1:])]
 
 
 def compute_profile(g: Graph, m: MatchingState) -> OracleProfile:
@@ -205,11 +210,12 @@ def compute_profile(g: Graph, m: MatchingState) -> OracleProfile:
     # An odd alternating path that ends at a free vertex augments.
     l_m = min((odd[f] for f in free), default=INF)
     # A prop is the last edge of some minlevel path; every other edge is a bridge.
+    ids = _edge_ids(g)
     is_prop = [False] * g.m
     for v in range(g.n):
         for p in min_paths[v][min(even[v], odd[v])]:
             if len(p) > 1:
-                is_prop[_path_eids(g, p[-2:])[0]] = True
+                is_prop[_path_eids(ids, p[-2:])[0]] = True
     edge_tenacity: list[float] = []
     for u, v in g.edges:
         if m.partner[u] == v:
@@ -334,12 +340,13 @@ def brute_support(profile: OracleProfile, eid: int) -> frozenset[int]:
     """Support of a bridge: vertices of the bridge's tenacity having a
     maxlevel path through the bridge edge."""
     t = profile.edge_tenacity[eid]
+    ids = _edge_ids(profile.g)
     return frozenset(
         w
         for w in range(profile.g.n)
         if profile.tenacity[w] == t
         and any(
-            eid in _path_eids(profile.g, p) for p in profile.min_paths[w][profile.maxlevel(w)]
+            eid in _path_eids(ids, p) for p in profile.min_paths[w][profile.maxlevel(w)]
         )
     )
 
@@ -347,6 +354,7 @@ def brute_support(profile: OracleProfile, eid: int) -> frozenset[int]:
 def check_structural_theorems(profile: OracleProfile) -> list[str]:
     """Verify the structural theorems by enumeration; returns violations."""
     g, m = profile.g, profile.m
+    ids = _edge_ids(g)
     violations: list[str] = []
 
     # (a) BFS-honesty along every minimal path.
@@ -396,7 +404,7 @@ def check_structural_theorems(profile: OracleProfile) -> list[str]:
         for p in profile.min_paths[v][profile.maxlevel(v)]:
             count = sum(
                 1
-                for eid in _path_eids(g, p)
+                for eid in _path_eids(ids, p)
                 if profile.edge_class[eid] == "bridge" and profile.edge_tenacity[eid] == t_v
             )
             if count != 1:

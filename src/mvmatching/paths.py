@@ -72,8 +72,7 @@ def _inner(s: PhaseState, x: int, pid: int) -> list[Item]:
     colour's tree to the bud."""
     petal = s.petals[pid]
     t = s.color[x]
-    bridge = s.g.edges[petal.bridge_eid]
-    c, d = bridge[t], bridge[1 - t]
+    c, d = petal.bridge[t], petal.bridge[1 - t]
     side = bridge_side(s, c, d)
     p = petal.bud_parent[1 - t]
     to_bud = [petal.bud] if p is None else tree_path(s.tree_parent, p) + [petal.bud]
@@ -111,10 +110,11 @@ def _walk(s: PhaseState, items: list[Item]) -> list[int]:
     return out
 
 
-def extract_path(s: PhaseState, outcome: TwoPaths, bridge: int) -> list[int]:
-    """Recover the augmenting path certified by a TwoPaths outcome, as
-    its vertex list."""
-    u, v = s.g.edges[bridge]
+def extract_path(s: PhaseState, outcome: TwoPaths, bridge: tuple[int, int]) -> list[int]:
+    """Recover the augmenting path certified by a TwoPaths outcome of the
+    DDFS from the bridge's ends (u, v), red at u's bud*, as its vertex
+    list."""
+    u, v = bridge
     side = bridge_side(s, u, v)
     red, green = (
         _down(s, end, side[end], descent, len(s.petals)) + [descent[-1]]
@@ -130,16 +130,17 @@ def extract_path(s: PhaseState, outcome: TwoPaths, bridge: int) -> list[int]:
 def recursive_remove(s: PhaseState, seed: set[int]) -> None:
     """Remove the seed vertices, then cascade: a vertex goes once its last
     live predecessor has gone.  w's successors are the z with w in
-    preds[z]; for a scanned edge (w, z), with side its `bridge_side`,
+    preds[z]; for a classified edge (w, z), with side its `bridge_side`,
     that holds iff side[w] + 1 is z's minlevel.  Scanned from w, the edge
     is a prop iff z has no level below side[w] + 1; scanned from z, the
     odd levels of a matched edge differ by an even number, and unmatched,
     side[w] >= side[z], or w would have scanned it first.  Removal runs
     after MIN at some level i, when every minlevel is at most i + 1 and
-    every edge on a side level at most i is scanned, so no scanned mark
-    is read here.  `pred_gone[z]` counts the removed predecessors of z,
-    and z goes when the count reaches len(preds[z]): z has no repeated
-    predecessor, and each removed w is walked once.
+    every edge on a side level at most i is classified, so the walk reads
+    w's neighbours in `adj[w]` and no scan mark.  `pred_gone[z]` counts
+    the removed predecessors of z, and z goes when the count reaches
+    len(preds[z]): z has no repeated predecessor, and each removed w is
+    walked once.
 
     Once l_m = 2i+1 is known the cascade stops at minlevel top = i: the
     phase ends after level i's MAX, whose DDFS runs and path extractions
@@ -173,7 +174,7 @@ def recursive_remove(s: PhaseState, seed: set[int]) -> None:
         if (ew if ew < ow else ow) >= top:
             continue
         mate = partner[w]
-        for z, _ in adj[w]:
+        for z in adj[w]:
             ez, oz = even[z], odd[z]
             lz = ez if ez < oz else oz
             if removed[z] or lz > top or (ow if z == mate else ew) + 1 != lz:

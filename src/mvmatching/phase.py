@@ -27,11 +27,12 @@ UNSET = 1 << 29
 
 @dataclass
 class PetalNode:
-    """Record of one formed petal: its bridge (red end first), bud, and
-    the bud's parent in the forming DDFS's red and green tree, None where
-    the bud is the root.  `petal_of` names the petal's members."""
+    """Record of one formed petal: its bridge as its ends (a, b) with
+    a < b, the red root's end first, its bud, and the bud's parent in the
+    forming DDFS's red and green tree, None where the bud is the root.
+    `petal_of` names the petal's members."""
 
-    bridge_eid: int
+    bridge: tuple[int, int]
     bud: int
     bud_parent: tuple[Optional[int], Optional[int]]
 
@@ -46,12 +47,18 @@ class PhaseState:
     vertex the search never reaches costs no list.  `pred_gone[v]` counts
     the removed predecessors of a live v that has lost some; successors
     are derived (see `paths.recursive_remove`).  `preds` alone records
-    props; `scanned[e]` marks an edge MIN has classified, and a scanned
-    edge that is no prop is a bridge.  `br[t]` queues the bridges filed at
-    tenacity t.  Only MIN classifies edges, and it files each bridge as it
-    classifies it.  A bridge whose relevant end levels are not both known
-    waits: only an unmatched bridge can, on an inner end v whose evenlevel
-    is still UNSET.  It waits in `waiting[v]` as (edge id, other end)
+    props; a classified edge that is no prop is a bridge.  MIN marks
+    scans per vertex, not per edge: bit 1 of `scanned[v]` is set once v's
+    even scan has started, bit 2 once its odd scan has (see `min_step`),
+    and an edge is classified once a scan of its parity has started at
+    either end, odd for the matched edge and even for the rest.  `br[t]`
+    queues the bridges filed at tenacity t, each as its ends a < b in
+    turn, in a flat list of ints: the tens of thousands of bridges a
+    certifying phase can file then allocate nothing that cyclic GC must
+    track.  Only MIN classifies edges, and it files each bridge as it
+    classifies it.  A bridge whose relevant end levels are not both
+    known waits: only an unmatched bridge can, on an inner end v whose
+    evenlevel is still UNSET.  It waits in `waiting[v]` as its other end
     until MAX gives v an even maxlevel, and `_assign_maxlevels` files it
     then.  Only even maxlevels are scheduled for MIN.  A member w of a
     petal has `color[w]` and its parent in that colour's DDFS tree,
@@ -63,7 +70,7 @@ class PhaseState:
     oddlevel: list[int]
     preds: list[list[int] | tuple[()]]
     pred_gone: dict[int, int]
-    waiting: defaultdict[int, list[tuple[int, int]]]
+    waiting: defaultdict[int, list[int]]
     scanned: bytearray
     br: defaultdict[int, list[int]]
     petal_of: list[Optional[int]]
@@ -95,7 +102,9 @@ class PhaseState:
         seen: set[int] = set()
         jump, removed = self.jump, self.removed
         for u in self.preds[v]:
-            b = u if jump[u] == u else bud_star(self, u)
+            b = jump[u]
+            if jump[b] != b:
+                b = bud_star(self, u)
             if removed[b] or b in seen:
                 continue
             seen.add(b)
@@ -105,7 +114,7 @@ class PhaseState:
 
 def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> PhaseState:
     """Fresh per-phase state: unmatched vertices at evenlevel 0, all else
-    unassigned, no edge scanned.  No per-vertex list or counter is built
+    unassigned, no vertex scanned.  No per-vertex list or counter is built
     here: MIN makes `preds[v]` at v's first prop and `waiting[v]` at v's
     first waiting bridge, and removal counts into `pred_gone`."""
     n = g.n
@@ -124,7 +133,7 @@ def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> P
         preds=[()] * n,
         pred_gone={},
         waiting=defaultdict(list),
-        scanned=bytearray(g.m),
+        scanned=bytearray(n),
         br=defaultdict(list),
         petal_of=[None] * n,
         petals=[],
@@ -144,7 +153,9 @@ def levels_with_inf(levels: list[int]) -> list[float]:
 
 
 def bud_star(s: PhaseState, v: int) -> int:
-    """Root of v's bud chain, with path compression (roots never change)."""
+    """Root of v's bud chain, with path compression (roots never change).
+    Callers test `jump[jump[v]] == jump[v]` first, as nearly every chain
+    is compressed to one step, and call this only for a longer one."""
     jump = s.jump
     root = v
     while jump[root] != root:
@@ -169,43 +180,49 @@ def _trace_bridge(s: PhaseState, u: int, v: int, t: int) -> None:
 
 def min_step(s: PhaseState, i: int) -> None:
     """MIN at search level i: extend minlevel assignments to i+1 and
-    classify newly scanned edges, each marked in `scanned` once.  A
-    prop's tail joins its head's `preds`, and the head gets that list at
-    its first prop, the one that sets its level.  A bridge is filed
-    into Br(tenacity) if its tenacity is at most l_m.  An UNSET end makes
-    the tenacity exceed every l_m, and the bridge waits under that end;
-    once l_m is known a bridge of higher tenacity is left unfiled, as
-    the phase ends before its level.
+    classify newly scanned edges, each once.  A prop's tail joins its
+    head's `preds`, and the head gets that list at its first prop, the
+    one that sets its level.  A bridge is filed into Br(tenacity) if its
+    tenacity is at most l_m.  An UNSET end makes the tenacity exceed
+    every l_m, and the bridge waits under that end; once l_m is known a
+    bridge of higher tenacity is left unfiled, as the phase ends before
+    its level.
 
     The scan's parity gives a bridge's levels (`bridge_side`): an even
     scan meets unmatched edges only, an odd scan the matched edge only.
     Only even maxlevels are scheduled, so a vertex scanned at an odd
     level has an odd minlevel and is matched: free vertices sit at
-    evenlevel 0.  At an even scan of u the matched edge is already
-    scanned: it gave u an even minlevel as a prop, or u's odd scan
-    classified it.  MIN never meets a removed vertex: only `max_step`
-    removes, after the phase's first path, and `run_phase` stops after
-    that level's MAX."""
+    evenlevel 0.  A vertex has one even level and at most one odd one,
+    each scheduled once, so it is scanned at most once per parity.  An
+    unmatched edge is therefore classified at the first even scan of
+    either end, and the matched edge at the first odd scan of either
+    end.  `scanned` marks the scans that have started, so no edge needs a
+    mark: an even scan of u skips each v whose even scan has started, and
+    an odd scan skips the partner once the partner's odd scan has.  An
+    even scan of u also skips the partner, as the matched edge is
+    classified by then: it gave u an even minlevel as a prop, or it was
+    classified by the time u's odd scan ran.  MIN never meets a removed
+    vertex: only `max_step` removes, after the phase's first path, and
+    `run_phase` stops after that level's MAX."""
     sources = s.schedule.pop(i, [])
     even, odd = s.evenlevel, s.oddlevel
     scanned, preds, br, waiting = s.scanned, s.preds, s.br, s.waiting
     l_m, trace = s.l_m, s.trace
-    adj, edge_index, partner = s.g.adj, s.g.edge_index, s.m.partner
+    adj, partner = s.g.adj, s.m.partner
     even_scan = i % 2 == 0
-    side, target_levels = (even, odd) if even_scan else (odd, even)
+    side, target_levels, bit = (even, odd, 1) if even_scan else (odd, even, 2)
     nxt = i + 1
     next_sched: Optional[list[int]] = None
     for u in sources:
+        scanned[u] |= bit
+        p = partner[u]
         if even_scan:
-            scan = adj[u]
+            scan, skip = adj[u], -1 if p is None else p
         else:
-            p = partner[u]
-            key = (u, p) if u < p else (p, u)
-            scan = ((p, edge_index[key]),)
-        for v, eid in scan:
-            if scanned[eid]:
+            scan, skip = (p,), -1
+        for v in scan:
+            if scanned[v] & bit or v == skip:
                 continue
-            scanned[eid] = 1
             if even[v] >= nxt and odd[v] >= nxt:
                 if target_levels[v] == UNSET:
                     target_levels[v] = nxt
@@ -220,11 +237,11 @@ def min_step(s: PhaseState, i: int) -> None:
             else:
                 t = side[u] + side[v] + 1
                 if t <= l_m:
-                    br[t].append(eid)
+                    br[t].extend((u, v) if u < v else (v, u))
                     if trace is not None:
                         _trace_bridge(s, u, v, t)
                 elif side[v] == UNSET:
-                    waiting[v].append((eid, u))
+                    waiting[v].append(u)
 
 
 def _assign_maxlevels(s: PhaseState, members: list[int], t: int) -> None:
@@ -237,9 +254,10 @@ def _assign_maxlevels(s: PhaseState, members: list[int], t: int) -> None:
     w would find nothing.  An even maxlevel is scheduled for MIN, and
     each bridge waiting at w, whose tenacity needed the evenlevel just
     set, is filed by MIN's rule: into Br(tenacity) if the tenacity is at
-    most l_m.  They are filed in edge-id order, which is the order of
-    w's adjacency (`Graph.from_edges`).  A matched bridge never waits:
-    both its ends have oddlevels.  An unscanned unmatched edge
+    most l_m.  `waiting[w]` holds each such bridge as its other end x;
+    two or more are filed in the order of w's adjacency, which is
+    edge-id order (`Graph.from_edges`).  A matched bridge never waits:
+    both its ends have oddlevels.  An unclassified unmatched edge
     (w, x) is left to MIN.  A live x has no evenlevel at or below the
     current level i, or its even scan would have classified the edge, so
     MIN scans the edge from its first even end at level L > i.  If x has
@@ -255,19 +273,22 @@ def _assign_maxlevels(s: PhaseState, members: list[int], t: int) -> None:
             continue
         even[w] = maxl
         s.schedule[maxl].append(w)
-        for eid, x in sorted(s.waiting.pop(w, ())):
+        ends = s.waiting.pop(w, ())
+        if len(ends) > 1:
+            ends = filter(set(ends).__contains__, s.g.adj[w])
+        for x in ends:
             tx = maxl + even[x] + 1
             if tx <= s.l_m:
-                s.br[tx].append(eid)
+                s.br[tx].extend((w, x) if w < x else (x, w))
                 if s.trace is not None:
                     _trace_bridge(s, w, x, tx)
 
 
-def _form_petal(s: PhaseState, eid: int, outcome: Bottleneck, i: int) -> None:
+def _form_petal(s: PhaseState, bridge: tuple[int, int], outcome: Bottleneck, i: int) -> None:
     b, color, parent = outcome.b, outcome.color, outcome.parent
     members = sorted(w for w in color if w != b)
     pid = len(s.petals)
-    s.petals.append(PetalNode(eid, b, (parent[RED][b], parent[GREEN][b])))
+    s.petals.append(PetalNode(bridge, b, (parent[RED][b], parent[GREEN][b])))
     for w in members:
         s.petal_of[w] = pid
         s.jump[w] = b
@@ -285,21 +306,26 @@ def max_step(s: PhaseState, i: int) -> None:
     from .paths import extract_path, recursive_remove
 
     t = 2 * i + 1
-    edges, jump, removed = s.g.edges, s.jump, s.removed
-    for eid in s.br.get(t, ()):
-        u, v = edges[eid]
-        ru = u if jump[u] == u else bud_star(s, u)
-        rv = v if jump[v] == v else bud_star(s, v)
+    jump, removed = s.jump, s.removed
+    # The queue may grow as petals form; its iterator takes the bridges
+    # filed meanwhile too, two ends at a time.
+    queue = iter(s.br.get(t, ()))
+    for u, v in zip(queue, queue):
+        ru, rv = jump[u], jump[v]
+        if jump[ru] != ru:
+            ru = bud_star(s, u)
+        if jump[rv] != rv:
+            rv = bud_star(s, v)
         # Ends sharing a bud* have empty support: no petal, no path.  A
         # removed end has a removed bud* (see `paths.recursive_remove`).
         if ru == rv or removed[ru] or removed[rv]:
             continue
         outcome = run_ddfs(s, ru, rv, trace=s.trace)
         if isinstance(outcome, Bottleneck):
-            _form_petal(s, eid, outcome, i)
+            _form_petal(s, (u, v), outcome, i)
             continue
         s.l_m = t
-        path = extract_path(s, outcome, eid)
+        path = extract_path(s, outcome, (u, v))
         s.paths.append(path)
         if s.trace is not None:
             s.trace("path " + "-".join(map(str, path)))

@@ -18,8 +18,9 @@ def degree_one_cascade(g: Graph) -> MatchingState:
     matching of g.  Matching u removes it from its unmatched neighbours'
     counts, and a neighbour whose count falls to 1 is matched in turn.
     `live[w]` holds w's count only once it has fallen below
-    `len(g.adj[w])`, so a graph with no degree-1 vertex pays one pass of
-    `len` over `adj`.  O(n + m).
+    `len(g.adj[w])`, w's degree, so a graph with no degree-1 vertex pays
+    one pass of `len` over `adj`.  The walks read neighbours only, in
+    `adj` order.  O(n + m).
     """
     adj = g.adj
     matching = MatchingState(g.n)
@@ -30,14 +31,14 @@ def degree_one_cascade(g: Graph) -> MatchingState:
         v = stack.pop()
         if partner[v] is not None:
             continue
-        for u, _ in adj[v]:
+        for u in adj[v]:
             if partner[u] is None:
                 break
         else:
             continue  # v's last neighbour was matched since v was pushed
         partner[v] = u
         partner[u] = v
-        for w, _ in adj[u]:
+        for w in adj[u]:
             if partner[w] is None:
                 count = live.get(w, len(adj[w])) - 1
                 live[w] = count

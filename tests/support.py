@@ -203,6 +203,37 @@ def greedy_matching(g: Graph, seed: int, accept: float = 0.7) -> MatchingState:
     return m
 
 
+def all_matchings(g: Graph) -> Iterator[MatchingState]:
+    """Every matching of g, each edge either taken or not, in edge order."""
+
+    def extend(eid: int, pairs: list[tuple[int, int]], used: set[int]):
+        if eid == g.m:
+            yield MatchingState(g.n, pairs)
+            return
+        yield from extend(eid + 1, pairs, used)
+        u, v = g.edges[eid]
+        if u not in used and v not in used:
+            yield from extend(eid + 1, pairs + [(u, v)], used | {u, v})
+
+    return extend(0, [], set())
+
+
+def all_graphs(n: int) -> Iterator[Graph]:
+    """Every labelled graph on n vertices, its edges in sorted order."""
+    pairs = list(itertools.combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph.from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
+
+
+def small_instances(max_n: int) -> Iterator[tuple[Graph, MatchingState]]:
+    """Every (graph, matching) pair of `all_graphs` and `all_matchings`
+    on 1..max_n vertices."""
+    for n in range(1, max_n + 1):
+        for g in all_graphs(n):
+            for m in all_matchings(g):
+                yield g, m
+
+
 def solve_phases(g: Graph, m: MatchingState) -> Iterator[tuple[PhaseState, list[str]]]:
     """Each phase of a solve from a copy of m, with its trace, before its
     paths are applied; the certifying phase comes last."""
@@ -231,10 +262,23 @@ def filed_bridges(lines: list[str]) -> list[tuple[int, int, int, int]]:
     return filed
 
 
-def is_prop(s: PhaseState, eid: int) -> bool:
-    """Whether MIN made edge `eid` a prop: one end lists the other in its
-    `preds`.  A scanned edge that is no prop is a bridge."""
-    u, v = s.g.edges[eid]
+def queued_bridges(s: PhaseState) -> list[tuple[int, int]]:
+    """The bridges queued in `s.br`, each as its ends (a, b), a < b: every
+    queue holds the two ends of each of its bridges in turn."""
+    return [(q[k], q[k + 1]) for q in s.br.values() for k in range(0, len(q), 2)]
+
+
+def classified(s: PhaseState, u: int, v: int) -> bool:
+    """Whether MIN has classified the edge (u, v), read from the per-vertex
+    scan marks: the matched edge once either end's odd scan (bit 2) has
+    started, an unmatched edge once either end's even scan (bit 1) has."""
+    bit = 2 if s.m.partner[u] == v else 1
+    return bool((s.scanned[u] | s.scanned[v]) & bit)
+
+
+def is_prop(s: PhaseState, u: int, v: int) -> bool:
+    """Whether MIN made the edge (u, v) a prop: one end lists the other in
+    its `preds`.  A classified edge that is no prop is a bridge."""
     return u in s.preds[v] or v in s.preds[u]
 
 

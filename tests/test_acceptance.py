@@ -70,7 +70,7 @@ def _connected(g: Graph) -> bool:
     stack = [0]
     while stack:
         v = stack.pop()
-        for w, _eid in g.adj[v]:
+        for w in g.adj[v]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)

@@ -53,7 +53,7 @@ def _bfs_levels(g: Graph, m: MatchingState) -> tuple[list[int], list[int]]:
         nxt = []
         for u in frontier:
             if d % 2 == 0:
-                for v, _ in g.adj[u]:
+                for v in g.adj[u]:
                     if m.partner[u] != v and odd[v] == UNSET:
                         odd[v] = d + 1
                         nxt.append(v)
@@ -79,7 +79,7 @@ def _layered_path(
         if j % 2:
             p = m.partner[v]
             return [p] if p is not None and even[p] == j + 1 else []
-        return [x for x, _ in g.adj[v] if m.partner[v] != x and odd[x] == j + 1]
+        return [x for x in g.adj[v] if m.partner[v] != x and odd[x] == j + 1]
 
     dead: set[tuple[int, int]] = set()
     for f in range(g.n):

@@ -5,21 +5,21 @@ order, is started from each of its matchings, the empty one included.
 The engine's l_m, and its levels at every vertex of tenacity below l_m,
 must equal those of `oracle.compute_profile`; its props (the edges one
 end lists in the other's `preds`) must be the oracle's props among the
-edges MIN scanned; every petal's members must lie in its bridge's
-support; and the oracle's profile must satisfy the paper's structural
-theorems.  Every labelled graph on six vertices is also solved from the
-empty matching and from the solver's own seed, and each size must equal
-`brute_max_matching`'s; the seed's degree-1 cascade must extend to a
-maximum matching (Karp and Sipser's lemma).  Vertex
-names are covered exhaustively; edge order only as sorted (the sampled
-shuffles of `test_acceptance.py` cover it).
+edges MIN classified, read from its per-vertex scan marks; every
+petal's members must lie in its bridge's support; and the oracle's
+profile must satisfy the paper's structural theorems.  Every labelled
+graph on six vertices is also solved from the empty matching and from
+the solver's own seed, and each size must equal `brute_max_matching`'s;
+the seed's degree-1 cascade must extend to a maximum matching (Karp and
+Sipser's lemma).  Vertex names are covered exhaustively; edge order
+only as sorted (the sampled shuffles of `test_acceptance.py` cover it).
+The enumerations live in `support.small_instances` and
+`support.all_graphs`.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
-from typing import Iterator
 
 from mvmatching.graph import Graph, MatchingState
 from mvmatching.oracle import (
@@ -37,47 +37,18 @@ MAX_N = 5
 
 # (graph, matching) pairs for n = 1..5: 1, 3, 20, 304 and 9,984.
 PAIRS = 10_312
-# Petals the engine forms over those pairs, and edges its MIN scans.
+# Petals the engine forms over those pairs, and edges its MIN classifies.
 PETALS = 3_675
-SCANNED = 50_676
+CLASSIFIED = 50_676
 # Labelled graphs on six vertices: one per subset of the 15 pairs, and
 # those in which the degree-1 cascade matches at least one pair.
 GRAPHS_6 = 32_768
 SEEDED_6 = 19_011
 
 
-def _matchings(g: Graph) -> Iterator[MatchingState]:
-    """Every matching of g, each edge either taken or not, in edge order."""
-
-    def extend(eid: int, pairs: list[tuple[int, int]], used: set[int]):
-        if eid == g.m:
-            yield MatchingState(g.n, pairs)
-            return
-        yield from extend(eid + 1, pairs, used)
-        u, v = g.edges[eid]
-        if u not in used and v not in used:
-            yield from extend(eid + 1, pairs + [(u, v)], used | {u, v})
-
-    return extend(0, [], set())
-
-
-def _graphs(n: int) -> Iterator[Graph]:
-    """Every labelled graph on n vertices, its edges in sorted order."""
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield Graph.from_edges(n, [p for k, p in enumerate(pairs) if mask >> k & 1])
-
-
-def _instances() -> Iterator[tuple[Graph, MatchingState]]:
-    for n in range(1, MAX_N + 1):
-        for g in _graphs(n):
-            for m in _matchings(g):
-                yield g, m
-
-
 def test_every_small_graph_from_every_matching() -> None:
-    count = petals = scanned = 0
-    for g, m in _instances():
+    count = petals = classified = 0
+    for g, m in support.small_instances(MAX_N):
         profile = compute_profile(g, m)
         s = run_phase(g, m)
         where = (g.edges, m.pairs())
@@ -88,22 +59,23 @@ def test_every_small_graph_from_every_matching() -> None:
             if profile.tenacity[v] < profile.l_m:
                 assert (even[v], odd[v]) == (profile.evenlevel[v], profile.oddlevel[v]), (v, where)
         props = 0
-        for eid in range(g.m):
-            if s.scanned[eid]:
-                assert support.is_prop(s, eid) == (profile.edge_class[eid] == "prop"), (eid, where)
-                props += support.is_prop(s, eid)
-                scanned += 1
+        for eid, (u, v) in enumerate(g.edges):
+            if support.classified(s, u, v):
+                prop = support.is_prop(s, u, v)
+                assert prop == (profile.edge_class[eid] == "prop"), (eid, where)
+                props += prop
+                classified += 1
         assert sum(map(len, s.preds)) == props, where
         for petal, members in zip(s.petals, support.petal_members(s)):
-            assert members <= brute_support(profile, petal.bridge_eid), (petal, where)
+            assert members <= brute_support(profile, g.edges.index(petal.bridge)), (petal, where)
             petals += 1
         count += 1
-    assert (count, petals, scanned) == (PAIRS, PETALS, SCANNED)
+    assert (count, petals, classified) == (PAIRS, PETALS, CLASSIFIED)
 
 
 def test_every_six_vertex_graph_solves_to_maximum() -> None:
     count = seeded = 0
-    for g in _graphs(6):
+    for g in support.all_graphs(6):
         best = brute_max_matching(g)[0]
         assert maximum_matching(g, MatchingState(6))[0].size() == best, g.edges
         assert maximum_matching(g)[0].size() == best, g.edges

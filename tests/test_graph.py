@@ -7,7 +7,7 @@ import io
 import tracemalloc
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mvmatching import graph
@@ -44,6 +44,22 @@ def _random_graph(draw: st.DrawFn) -> Graph:
     n = draw(st.integers(min_value=1, max_value=12))
     m = draw(st.integers(min_value=0, max_value=n * (n - 1) // 2))
     return generate_random_graph(n, m, draw(_SEED))
+
+
+@st.composite
+def _edge_input(draw: st.DrawFn) -> tuple[int, list[tuple[int, int]]]:
+    """A vertex count and an edge list over it: some vertices isolated,
+    some edges repeated, some given as reversed pairs, in any order."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    isolated = draw(st.integers(min_value=0, max_value=3))
+    if n < 2:
+        return n + isolated, []
+    end = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(end, end).filter(lambda e: e[0] != e[1]), max_size=30))
+    if edges:
+        repeats = draw(st.lists(st.tuples(st.sampled_from(edges), st.booleans()), max_size=10))
+        edges += [(v, u) if flip else (u, v) for (u, v), flip in repeats]
+    return n + isolated, draw(st.permutations(edges))
 
 
 class TestParseDimacs:
@@ -415,6 +431,51 @@ class TestGenerateRandomGraph:
         assert all(u != v for u, v in g1.edges)
 
 
+class TestGraphLayout:
+    @PROPERTY_SETTINGS
+    @given(given_edges=_edge_input())
+    @example(given_edges=(0, []))
+    def test_from_edges_against_a_reference(
+        self, given_edges: tuple[int, list[tuple[int, int]]]
+    ) -> None:
+        n, pairs = given_edges
+        g = Graph.from_edges(n, pairs)
+        ref: list[tuple[int, int]] = []
+        for u, v in pairs:
+            if (min(u, v), max(u, v)) not in ref:
+                ref.append((min(u, v), max(u, v)))
+        # Edge ids are first-occurrence order, each edge as (u, v), u < v.
+        assert (g.n, g.edges) == (n, tuple(ref))
+        # adj[v] is the other ends of v's edges in edge-id order, the
+        # order in which `phase._assign_maxlevels` files waiting bridges.
+        assert g.adj == tuple(
+            tuple(b if a == v else a for a, b in ref if v in (a, b)) for v in range(n)
+        )
+        for u in range(n):
+            for v in range(n):
+                want = (min(u, v), max(u, v)) in ref
+                assert g.has_edge(u, v) == g.has_edge(v, u) == want, (u, v)
+
+    def test_built_graph_holds_under_250_bytes_an_edge(self) -> None:
+        # Each edge is held once as a tuple in `edges` and as two
+        # neighbour ints in `adj`, with no id or index beside them: about
+        # 150 bytes an edge under tracemalloc, the endpoint ints the parse
+        # makes included.  Two (neighbour, edge id) tuples an edge in
+        # `adj` and an edge-id dict held 346.
+        text = serialize_dimacs(generate_random_graph(4000, 20000, 2020))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            g = parse_dimacs(text)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert g.m == 20000
+        assert held / g.m < 250
+
+
 class TestGraphProperties:
     @PROPERTY_SETTINGS
     @given(g=_random_graph())
@@ -462,7 +523,7 @@ def _find_augmenting_path(g: Graph, m: MatchingState) -> list[int] | None:
 def _extend(g: Graph, m: MatchingState, path: list[int], seen: set[int]) -> list[int] | None:
     v = path[-1]
     need_matched = len(path) % 2 == 0
-    for w, _eid in g.adj[v]:
+    for w in g.adj[v]:
         if w in seen or (m.partner[v] == w) != need_matched:
             continue
         if not need_matched and not m.is_matched(w):

@@ -154,14 +154,14 @@ class TestBruteSupport:
     def test_triangle_bridge(self) -> None:
         g, m = support.triangle()
         profile = compute_profile(g, m)
-        eid = g.edge_index[(1, 2)]
+        eid = g.edges.index((1, 2))
         assert profile.edge_class[eid] == "bridge"
         assert brute_support(profile, eid) == frozenset({1, 2})
 
     def test_p4_bridge_at_lm(self) -> None:
         g, m = support.p4()
         profile = compute_profile(g, m)
-        eid = g.edge_index[(1, 2)]
+        eid = g.edges.index((1, 2))
         assert profile.edge_class[eid] == "bridge"
         assert profile.edge_tenacity[eid] == 3
         # All four vertices have tenacity 3 and their maxlevel path
@@ -171,7 +171,7 @@ class TestBruteSupport:
     def test_empty_support_bridge(self) -> None:
         g, m = support.empty_support_graph()
         profile = compute_profile(g, m)
-        eid = g.edge_index[(1, 4)]
+        eid = g.edges.index((1, 4))
         assert profile.edge_class[eid] == "bridge"
         assert profile.edge_tenacity[eid] == 13
         assert brute_support(profile, eid) == frozenset()

@@ -116,7 +116,7 @@ class TestOpenPetal:
                 assert check_alternating(g, m, out) is None
 
 
-def _p4_before_extraction() -> tuple[PhaseState, TwoPaths, int]:
+def _p4_before_extraction() -> tuple[PhaseState, TwoPaths, tuple[int, int]]:
     """P4's phase at level 1, its one bridge and that bridge's TwoPaths
     outcome, before MAX extracts the path."""
     g, m = support.p4()
@@ -124,10 +124,11 @@ def _p4_before_extraction() -> tuple[PhaseState, TwoPaths, int]:
     min_step(s, 0)
     max_step(s, 0)
     min_step(s, 1)
-    (eid,) = s.br[3]
-    outcome = run_ddfs(s, *g.edges[eid])
+    bridge = tuple(s.br[3])
+    assert bridge == (1, 2)
+    outcome = run_ddfs(s, *bridge)
     assert isinstance(outcome, TwoPaths)
-    return s, outcome, eid
+    return s, outcome, bridge
 
 
 class TestExtractionFaults:
@@ -138,8 +139,8 @@ class TestExtractionFaults:
         s = _triangle_state()
         assert descend(s, 1, s.oddlevel[1], 0) == [1, 0]
         assert descend(s, 1, s.evenlevel[1], 0) == [1, 2, 0]
-        s, outcome, eid = _p4_before_extraction()
-        assert extract_path(s, outcome, eid) == [0, 1, 2, 3]
+        s, outcome, bridge = _p4_before_extraction()
+        assert extract_path(s, outcome, bridge) == [0, 1, 2, 3]
 
     @pytest.mark.parametrize(
         "level, emptied", [("odd", 1), ("even", 2)], ids=["outer_member", "tree_descent"]
@@ -168,13 +169,13 @@ class TestExtractionFaults:
 
     @pytest.mark.parametrize("fault", ["length", "free_end"])
     def test_path_check(self, fault: str) -> None:
-        s, outcome, eid = _p4_before_extraction()
+        s, outcome, bridge = _p4_before_extraction()
         if fault == "length":
             s.oddlevel[1] = 3  # the bridge's tenacity now promises 5 edges
         else:
             s.m.partner[0], s.m.partner[3] = 3, 0
         with pytest.raises(ExtractionError, match="no augmenting path through bridge"):
-            extract_path(s, outcome, eid)
+            extract_path(s, outcome, bridge)
 
 
 def _check_path_set(s: PhaseState) -> None:

@@ -74,28 +74,85 @@ class TestMinStep:
         min_step(s, 0)
         assert s.oddlevel[1] == 1 and s.oddlevel[2] == 1
         assert (s.preds[1], s.preds[2]) == ([0], [3])
-        for key in ((0, 1), (2, 3)):
-            eid = g.edge_index[key]
-            assert s.scanned[eid] and support.is_prop(s, eid)
-        assert not s.scanned[g.edge_index[(1, 2)]]
+        # The free ends' even scans have started, and nothing else.
+        assert list(s.scanned) == [1, 0, 0, 1]
+        for u, v in ((0, 1), (2, 3)):
+            assert support.classified(s, u, v) and support.is_prop(s, u, v)
+        assert not support.classified(s, 1, 2)
 
     def test_p4_level_1_files_matched_bridge(self) -> None:
         g, m = support.p4()
         s = init_phase(g, m)
         min_step(s, 0)
         min_step(s, 1)
-        eid = g.edge_index[(1, 2)]
-        assert s.scanned[eid] and not support.is_prop(s, eid)
-        assert list(s.br[3]) == [eid]
+        # 1's odd scan classified the matched edge, so 2's skipped it.
+        assert list(s.scanned) == [1, 2, 2, 1]
+        assert support.classified(s, 1, 2) and not support.is_prop(s, 1, 2)
+        assert s.br[3] == [1, 2]
 
     def test_triangle_matched_bridge(self) -> None:
         g, m = support.triangle()
         s = init_phase(g, m)
         min_step(s, 0)
         min_step(s, 1)
-        eid = g.edge_index[(1, 2)]
-        assert s.scanned[eid] and not support.is_prop(s, eid)
-        assert list(s.br[3]) == [eid]
+        assert support.classified(s, 1, 2) and not support.is_prop(s, 1, 2)
+        assert s.br[3] == [1, 2]
+
+
+def _stepped_phase(g: Graph, m: MatchingState) -> tuple[PhaseState, list[str], int]:
+    """Run one phase level by level, as `run_phase` does, and check the
+    scan rule `min_step` rests on before and after each MIN: each vertex
+    starts at most one even and one odd scan, `scanned` marks exactly the
+    scans started, and a matched vertex's matched edge is classified
+    before its even scan starts.  Returns the finished state, each break
+    of the rule, and how many even scans of matched vertices were met."""
+    s = init_phase(g, m)
+    started = bytearray(g.n)
+    faults: list[str] = []
+    matched_even = 0
+    for i in range(2 * g.n + 5):
+        bit = 2 if i % 2 else 1
+        for u in list(s.schedule.get(i, ())):
+            if started[u] & bit:
+                faults.append(f"{u} starts a second scan of parity {i % 2} at level {i}")
+            started[u] |= bit
+            p = m.partner[u]
+            if bit == 1 and p is not None:
+                matched_even += 1
+                if not support.classified(s, u, p):
+                    faults.append(f"({u}, {p}) unclassified at {u}'s even scan, level {i}")
+        min_step(s, i)
+        if s.scanned != started:
+            faults.append(f"marks {list(s.scanned)} after level {i}, scans {list(started)}")
+        max_step(s, i)
+        if s.paths or not (s.schedule or s.br):
+            break
+    return s, faults, matched_even
+
+
+class TestScanMarks:
+    @PROPERTY_SETTINGS
+    @given(inst=_small_instance())
+    def test_each_phase_of_a_solve(self, inst: tuple[Graph, MatchingState]) -> None:
+        g, m = inst
+        m = m.copy()
+        while True:
+            s, faults, _ = _stepped_phase(g, m)
+            assert faults == []
+            assert s.paths == run_phase(g, m).paths
+            if not s.paths:
+                return
+            for path in s.paths:
+                augment_in_place(m, g, path)
+
+    def test_every_small_graph_from_every_matching(self) -> None:
+        # The n <= 5 pairs of tests/test_exhaustive.py.
+        matched_even = 0
+        for g, m in support.small_instances(5):
+            _, faults, k = _stepped_phase(g, m)
+            assert faults == [], (g.edges, m.pairs())
+            matched_even += k
+        assert matched_even > 10_000
 
 
 class TestMaxStep:
@@ -128,20 +185,20 @@ class TestMaxStep:
 class TestDeferredBridge:
     def test_tenacity_known_only_after_petal(self) -> None:
         g, m = support.deferred_bridge_graph()
-        eid = g.edge_index[(1, 6)]
         s = init_phase(g, m)
         for i in range(3):
             min_step(s, i)
         # Scanned at level 2 but vertex 1's evenlevel is still unknown:
-        # classified bridge, waiting, not yet filed.
-        assert s.scanned[eid] and not support.is_prop(s, eid)
-        assert s.waiting[1] == [(eid, 6)]
+        # classified bridge, waiting under 1 as its other end, not yet
+        # filed.
+        assert support.classified(s, 1, 6) and not support.is_prop(s, 1, 6)
+        assert s.waiting[1] == [6]
         assert s.evenlevel[1] == UNSET
-        assert all(eid not in queue for queue in s.br.values())
+        assert (1, 6) not in support.queued_bridges(s)
         max_step(s, 2)  # forms the cycle petal, evenlevel(1) = 4
         assert s.evenlevel[1] == 4
-        assert not support.is_prop(s, eid) and 1 not in s.waiting
-        assert list(s.br[7]) == [eid]
+        assert not support.is_prop(s, 1, 6) and 1 not in s.waiting
+        assert s.br[7] == [1, 6]
 
     def test_full_phase_finds_length_7_path(self) -> None:
         g, m = support.deferred_bridge_graph()
@@ -229,8 +286,8 @@ class TestPetalInvariant:
         form, remove = phase._form_petal, paths.recursive_remove
         seen = {"petals": 0, "kept": 0}
 
-        def checked_form(s: PhaseState, eid, outcome, i: int) -> None:
-            form(s, eid, outcome, i)
+        def checked_form(s: PhaseState, bridge, outcome, i: int) -> None:
+            form(s, bridge, outcome, i)
             assert _stranded(s, len(s.petals) - 1) == []
             seen["petals"] += 1
 
@@ -325,7 +382,7 @@ class TestSynchronizationSafety:
 class TestPredsFollowReach:
     def test_preds_are_the_prop_tails_of_reached_vertices(self) -> None:
         # After every phase of a solve: a vertex that no prop reaches
-        # holds no list of its own; for each scanned edge (u, v), u is in
+        # holds no list of its own; for each classified edge (u, v), u is in
         # preds[v] exactly when u's level on the edge's side is one below
         # v's minlevel, the rule by which MIN makes (u, v) a prop; the
         # lists hold one entry per prop, so no tail repeats; and every
@@ -347,13 +404,13 @@ class TestPredsFollowReach:
                 assert len({id(p) for p in lists}) == len(lists)
                 heads = set()
                 phase_props = props
-                for eid, (u, v) in enumerate(g.edges):
-                    if not s.scanned[eid]:
+                for u, v in g.edges:
+                    if not support.classified(s, u, v):
                         continue
                     side = bridge_side(s, u, v)
                     for a, b in ((u, v), (v, u)):
                         assert (a in s.preds[b]) == (side[a] + 1 == s.minlevel(b)), (a, b)
-                    if support.is_prop(s, eid):
+                    if support.is_prop(s, u, v):
                         heads.add(u if v in s.preds[u] else v)
                         props += 1
                     else:
@@ -422,31 +479,27 @@ class TestEachBridgeFiledOnce:
             while True:
                 lines: list[str] = []
                 s = run_phase(g, m, trace=lines.append)
-                filed = [
-                    g.edge_index[(min(u, v), max(u, v))]
-                    for u, v, _, _ in support.filed_bridges(lines)
-                ]
+                filed = [(u, v) for u, v, _, _ in support.filed_bridges(lines)]
                 assert len(set(filed)) == len(filed), k
-                for eid in filed:
-                    u, v = g.edges[eid]
+                for u, v in filed:
                     if m.partner[u] != v and any(s.oddlevel[x] < s.evenlevel[x] for x in (u, v)):
                         at_inner += 1
-                for eid, (u, v) in enumerate(g.edges):
-                    # A bridge is a scanned edge that is no prop.
-                    if not s.scanned[eid] or support.is_prop(s, eid):
+                for u, v in g.edges:
+                    # A bridge is a classified edge that is no prop.
+                    if not support.classified(s, u, v) or support.is_prop(s, u, v):
                         continue
                     side = bridge_side(s, u, v)
                     # An UNSET end makes the tenacity exceed UNSET >= l_m.
                     if side[u] + side[v] + 1 <= s.l_m:
-                        assert eid in filed, (k, u, v)
+                        assert (u, v) in filed, (k, u, v)
                 if not s.paths:
                     assert not any(s.removed), k
-                    for eid, (u, v) in enumerate(g.edges):
+                    for u, v in g.edges:
                         side = bridge_side(s, u, v)
-                        if support.is_prop(s, eid) or UNSET in (side[u], side[v]):
+                        if support.is_prop(s, u, v) or UNSET in (side[u], side[v]):
                             continue
-                        assert s.scanned[eid], (k, u, v)
-                        assert filed.count(eid) == 1, (k, u, v)
+                        assert support.classified(s, u, v), (k, u, v)
+                        assert filed.count((u, v)) == 1, (k, u, v)
                         certified += 1
                     break
                 assert s.l_m > last_lm, (k, last_lm, s.l_m)
@@ -523,7 +576,7 @@ class TestEngineAgainstOracle:
                 and profile.edge_tenacity[eid] == t
             }
             engine_set = {
-                g.edge_index[(min(u, v), max(u, v))]
+                g.edges.index((u, v))
                 for u, v, tenacity, level in filed
                 if tenacity == t and level <= (t - 1) // 2
             }
@@ -558,7 +611,7 @@ class TestEngineAgainstOracle:
                 continue
             profile = compute_profile(g, m)
             for petal, members in zip(s.petals, support.petal_members(s)):
-                assert members <= brute_support(profile, petal.bridge_eid), (k, petal)
+                assert members <= brute_support(profile, g.edges.index(petal.bridge)), (k, petal)
                 petals += 1
         assert petals > 1000
 
