@@ -8,7 +8,7 @@ vertex-disjoint paths reaching distinct layer-0 vertices.
 
 A contested vertex changes colour alone.  It is always the centre of the
 tree that waits, and a waiting tree has no descendants below its centre
-(proof in `_Ddfs._meet`), so nothing below the vertex changes sides.
+(proof in `run_ddfs`), so nothing below the vertex changes sides.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ class Bottleneck:
     visited vertex, b included, and `parent[t]` links tree t's vertices
     to its root.  b lies in both trees and is no vertex's parent, and a
     vertex's ancestors in its own colour's tree have its colour, since a
-    vertex with a tree child never changes colour (see `_Ddfs._meet`)."""
+    vertex with a tree child never changes colour (see `run_ddfs`)."""
 
     b: int
     color: dict[int, int]
@@ -70,171 +70,6 @@ def tree_path(parent: dict[int, Optional[int]] | list[Optional[int]], v: int) ->
     return path[::-1]
 
 
-class _Ddfs:
-    def __init__(self, view: LayeredView, r: int, g: int, trace: Optional[TraceFn]):
-        self.view = view
-        self.trace = trace
-        self.color: dict[int, int] = {r: RED, g: GREEN}
-        self.parent: tuple[dict[int, Optional[int]], dict[int, Optional[int]]] = (
-            {r: None},
-            {g: None},
-        )
-        self.center = [r, g]
-        # Each tree's barrier, below which it may not backtrack: red's is
-        # its root, then each contested vertex it wins; green's stays g.
-        self.barrier = [r, g]
-        # None while the trees alternate by the keep-ahead rule; else the
-        # tree that must find a vertex at or below the contested vertex's
-        # layer while the other waits.  `contested` is None exactly when
-        # `seeker` is.
-        self.seeker: Optional[int] = None
-        self.contested: Optional[int] = None
-        # Each visited vertex's out-edges not yet taken.
-        self.pending: dict[int, Iterator[int]] = {}
-
-    # -- view access -------------------------------------------------
-
-    def _pending(self, v: int) -> Iterator[int]:
-        edges = self.pending.get(v)
-        if edges is None:
-            outs = self.view.out_edges(v)
-            lv = self.view.layer(v)
-            for u in outs:
-                if self.view.layer(u) >= lv:
-                    raise LayeredViewError(
-                        f"edge ({v}, {u}) does not strictly decrease layer"
-                    )
-            if not outs and lv > 0:
-                raise LayeredViewError(f"dead end at {v} (layer {lv})")
-            edges = self.pending[v] = iter(outs)
-        return edges
-
-    def _emit(self, action: str, tree: Optional[int], vertex: int) -> None:
-        if self.trace is not None:
-            name = _NAMES[tree] if tree is not None else "-"
-            self.trace(f"ddfs {action} {name} {vertex} {self.view.layer(vertex)}")
-
-    # -- tree maintenance ---------------------------------------------
-
-    def _claim(self, t: int, u: int) -> None:
-        c = self.center[t]
-        self.color[u] = t
-        self.parent[t][u] = c
-        self.center[t] = u
-        self._emit("advance", t, u)
-        if self.seeker == t and self.view.layer(u) <= self.view.layer(self.contested):
-            self._emit("terminate_seek", t, u)
-            self.seeker = None
-            self.contested = None
-
-    def _backtrack(self, t: int, v: int) -> None:
-        self.center[t] = self.parent[t][v]
-        self._emit("backtrack", t, v)
-
-    # -- coordination -------------------------------------------------
-
-    def run(self) -> DdfsOutcome:
-        while True:
-            t = self.seeker
-            if t is None:
-                lr = self.view.layer(self.center[RED])
-                lg = self.view.layer(self.center[GREEN])
-                if lr >= lg and lr > 0:
-                    t = RED
-                elif lg > 0:
-                    t = GREEN
-                else:
-                    return self._two_paths()
-            outcome = self._step(t)
-            if outcome is not None:
-                return outcome
-
-    def _step(self, t: int) -> Optional[DdfsOutcome]:
-        c = self.center[t]
-        for u in self._pending(c):
-            if u not in self.color:
-                self._claim(t, u)
-                return None
-            if self.seeker is None and u == self.center[1 - t]:
-                return self._meet(t, u)
-            # interior of a tree, or the contested vertex: skip
-        # Out-edges exhausted: back up or resolve the contest.
-        if c != self.barrier[t]:
-            self._backtrack(t, c)
-            return None
-        if self.seeker != t:
-            raise DdfsInternalError(
-                f"{_NAMES[t]} starved at barrier {c} outside a contest"
-            )
-        return self._concede_red() if t == RED else self._bottleneck(self.contested)
-
-    def _meet(self, prober: int, v: int) -> Optional[DdfsOutcome]:
-        """The prober reached the other tree's center: contest v.
-
-        v is first given to green; red must then find an equally deep
-        alternative.
-
-        v changes colour here or in `_concede_red` without descendants in
-        the tree it leaves, because that tree waits at v and a waiting
-        tree's centre has no children.  A tree gains a child only at its
-        centre, by stepping from it.  It waits only at its root before
-        its first step, at a vertex it has just claimed, or at a
-        contested vertex it has just been handed, and none of these has
-        a child yet.  It never waits at a vertex it backtracked into:
-        that parent lies strictly above the vertex it left, which was at
-        or above the other centre (red moves on lr >= lg, green on
-        lg > lr), so the keep-ahead rule picks the same tree again.  A
-        seeker keeps stepping until a claim ends its seek, it concedes,
-        or it reaches the bottleneck; a prober either takes v as its
-        centre or seeks from the centre that gained v.
-
-        Each tree's centre has that tree's colour: a tree centres only on
-        a vertex it claims, is handed or wins, and leaves a centre it
-        loses at once.  So off red's barrier, v is red exactly when green
-        probes, and one test on the prober decides the handover.
-        """
-        self.parent[prober][v] = self.center[prober]
-        self._emit("meet", prober, v)
-        self.contested = v
-        if self.barrier[RED] == v:
-            # Red already won v once and may not rescind: green (the
-            # prober) concedes the vertex immediately and must seek.
-            self.seeker = GREEN
-            self._emit("reassign", RED, v)
-            return None
-        if prober == GREEN:
-            self._backtrack(RED, v)
-            self.color[v] = GREEN
-            self.center[GREEN] = v
-        self.seeker = RED
-        self._emit("reassign", GREEN, v)
-        return None
-
-    def _concede_red(self) -> Optional[DdfsOutcome]:
-        """Red failed to find an alternative: the contested vertex is
-        reassigned to red and green must now seek below it."""
-        v = self.contested
-        self.color[v] = RED
-        self.center[RED] = v
-        self.barrier[RED] = v
-        self._emit("reassign", RED, v)
-        # v stays in green's tree; green can back up past it unless v is
-        # green's root, and then v is the bottleneck.
-        if v == self.barrier[GREEN]:
-            return self._bottleneck(v)
-        self._backtrack(GREEN, v)
-        self.seeker = GREEN
-        return None
-
-    def _bottleneck(self, b: int) -> Bottleneck:
-        self._emit("terminate", None, b)
-        return Bottleneck(b, self.color, self.parent)
-
-    def _two_paths(self) -> TwoPaths:
-        self._emit("terminate", None, self.center[RED])
-        return TwoPaths(*map(tree_path, self.parent, self.center))
-
-
 def run_ddfs(
     view: LayeredView, r: int, g: int, trace: Optional[TraceFn] = None
 ) -> DdfsOutcome:
@@ -242,7 +77,143 @@ def run_ddfs(
     g (green); raises ValueError when r == g, since coinciding roots
     leave nothing to search.
 
-    Each step is traced as `ddfs <action> <tree> <vertex> <layer>`."""
+    Each step is traced as `ddfs <action> <tree> <vertex> <layer>`.
+    Outside a contest the trees alternate by the keep-ahead rule: red
+    steps if its centre's layer is at least green's and above 0, else
+    green steps if its centre is above layer 0, and once both centres
+    lie at layer 0 the two descents are disjoint.  A tree steps from its
+    centre along an out-edge not taken yet: an unvisited vertex is
+    claimed (`advance`); reaching the other tree's centre outside a
+    contest contests it (`meet`).  A tree whose
+    centre has no edge left backs up to its parent (`backtrack`), except
+    at its barrier, where it either concedes the contested vertex (red)
+    or finds it to be the bottleneck (green).
+
+    At a meet the contested vertex v is first given to green; red must
+    then find an equally deep alternative, its seek ending at a claim at
+    or below v's layer (`terminate_seek`).  If red's barrier is v, red
+    already won v once and may not rescind: green concedes v at once
+    and must seek.  If red starves at its barrier, v is reassigned to
+    red, which makes v its barrier, and green must seek below v; v is
+    the bottleneck if it is green's root or green starves at its root.
+
+    v changes colour at a meet or a concession without descendants in
+    the tree it leaves, because that tree waits at v and a waiting
+    tree's centre has no children.  A tree gains a child only at its
+    centre, by stepping from it.  It waits only at its root before its
+    first step, at a vertex it has just claimed, or at a contested
+    vertex it has just been handed, and none of these has a child yet.
+    It never waits at a vertex it backtracked into: that parent lies
+    strictly above the vertex it left, which was at or above the other
+    centre (red moves on lr >= lg, green on lg > lr), so the keep-ahead
+    rule picks the same tree again.  A seeker keeps stepping until a
+    claim ends its seek, it concedes, or it reaches the bottleneck; a
+    prober either takes v as its centre or seeks from the centre that
+    gained v.
+
+    Each tree's centre has that tree's colour: a tree centres only on a
+    vertex it claims, is handed or wins, and leaves a centre it loses at
+    once.  So off red's barrier, v is red exactly when green probes,
+    and one test on the prober decides the handover."""
     if r == g:
         raise ValueError(f"DDFS roots coincide at {r}")
-    return _Ddfs(view, r, g, trace).run()
+    layer, out_edges = view.layer, view.out_edges
+    color: dict[int, int] = {r: RED, g: GREEN}
+    parent: tuple[dict[int, Optional[int]], dict[int, Optional[int]]] = ({r: None}, {g: None})
+    center = [r, g]
+    # Each tree's barrier, below which it may not backtrack: red's is its
+    # root, then each contested vertex it wins; green's stays g.
+    barrier = [r, g]
+    # None while the trees alternate by the keep-ahead rule; else the tree
+    # that must find a vertex at or below the contested vertex's layer
+    # while the other waits.  `contested` is None exactly when `seeker`
+    # is, and `contested_layer` is its layer.
+    seeker: Optional[int] = None
+    contested: Optional[int] = None
+    contested_layer = 0
+    # Each visited vertex's out-edges not yet taken.
+    pending: dict[int, Iterator[int]] = {}
+    while True:
+        t = seeker
+        if t is None:
+            lr, lg = layer(center[RED]), layer(center[GREEN])
+            if lr >= lg and lr > 0:
+                t = RED
+            elif lg > 0:
+                t = GREEN
+            else:
+                if trace is not None:
+                    trace(f"ddfs terminate - {center[RED]} {lr}")
+                return TwoPaths(*map(tree_path, parent, center))
+        c = center[t]
+        edges = pending.get(c)
+        if edges is None:
+            outs = out_edges(c)
+            lc = layer(c)
+            for u in outs:
+                if layer(u) >= lc:
+                    raise LayeredViewError(f"edge ({c}, {u}) does not strictly decrease layer")
+            if not outs and lc > 0:
+                raise LayeredViewError(f"dead end at {c} (layer {lc})")
+            edges = pending[c] = iter(outs)
+        for u in edges:
+            if u not in color:
+                # Claim u.
+                color[u] = t
+                parent[t][u] = c
+                center[t] = u
+                if trace is not None:
+                    trace(f"ddfs advance {_NAMES[t]} {u} {layer(u)}")
+                if seeker == t and layer(u) <= contested_layer:
+                    if trace is not None:
+                        trace(f"ddfs terminate_seek {_NAMES[t]} {u} {layer(u)}")
+                    seeker = contested = None
+                break
+            if seeker is None and u == center[1 - t]:
+                # Meet: t reached the other tree's centre, now contested.
+                parent[t][u] = c
+                contested, contested_layer = u, layer(u)
+                if trace is not None:
+                    trace(f"ddfs meet {_NAMES[t]} {u} {contested_layer}")
+                if barrier[RED] == u:
+                    seeker = GREEN
+                    if trace is not None:
+                        trace(f"ddfs reassign red {u} {contested_layer}")
+                    break
+                if t == GREEN:
+                    center[RED] = parent[RED][u]
+                    if trace is not None:
+                        trace(f"ddfs backtrack red {u} {contested_layer}")
+                    color[u] = GREEN
+                    center[GREEN] = u
+                seeker = RED
+                if trace is not None:
+                    trace(f"ddfs reassign green {u} {contested_layer}")
+                break
+            # interior of a tree, or the contested vertex: skip
+        else:
+            # Out-edges exhausted: back up or resolve the contest.
+            if c != barrier[t]:
+                center[t] = parent[t][c]
+                if trace is not None:
+                    trace(f"ddfs backtrack {_NAMES[t]} {c} {layer(c)}")
+                continue
+            if seeker != t:
+                raise DdfsInternalError(f"{_NAMES[t]} starved at barrier {c} outside a contest")
+            b = contested
+            if t == RED:
+                # Red concedes: the contested vertex goes to red, and green
+                # must seek below it unless it is green's root.
+                color[b] = RED
+                center[RED] = barrier[RED] = b
+                if trace is not None:
+                    trace(f"ddfs reassign red {b} {contested_layer}")
+                if b != barrier[GREEN]:
+                    center[GREEN] = parent[GREEN][b]
+                    if trace is not None:
+                        trace(f"ddfs backtrack green {b} {contested_layer}")
+                    seeker = GREEN
+                    continue
+            if trace is not None:
+                trace(f"ddfs terminate - {b} {contested_layer}")
+            return Bottleneck(b, color, parent)

@@ -163,20 +163,18 @@ def recursive_remove(s: PhaseState, seed: set[int]) -> None:
     same chain, a vertex whose bud chain stops at a live vertex is live:
     a removed vertex has a removed bud*."""
     adj, removed, preds, gone = s.g.adj, s.removed, s.preds, s.pred_gone
-    even, odd, partner = s.evenlevel, s.oddlevel, s.m.partner
+    even, odd, minl, partner = s.evenlevel, s.oddlevel, s.minlevels, s.m.partner
     top = (s.l_m - 1) // 2
     stack = [v for v in seed if not removed[v]]
     for v in stack:
         removed[v] = True
     while stack:
         w = stack.pop()
-        ew, ow = even[w], odd[w]
-        if (ew if ew < ow else ow) >= top:
+        if minl[w] >= top:
             continue
-        mate = partner[w]
+        ew, ow, mate = even[w], odd[w], partner[w]
         for z in adj[w]:
-            ez, oz = even[z], odd[z]
-            lz = ez if ez < oz else oz
+            lz = minl[z]
             if removed[z] or lz > top or (ow if z == mate else ew) + 1 != lz:
                 continue
             k = gone.get(z, 0) + 1

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .ddfs import GREEN, RED, Bottleneck, TraceFn, run_ddfs
 from .graph import Graph, MatchingState
@@ -40,11 +40,16 @@ class PetalNode:
 @dataclass
 class PhaseState:
     """One phase's search of graph `g` relative to matching `m`, each fact
-    held once.  `evenlevel` and `oddlevel` hold ints, UNSET where a level
-    is not assigned.  `paths` are vertex lists of `l_m` edges; `l_m` is
-    UNSET until the first path.  `preds[v]` lists the tails of v's props
-    in scan order; it is the shared empty tuple until v's first prop, so a
-    vertex the search never reaches costs no list.  `pred_gone[v]` counts
+    held once but one.  `evenlevel`, `oddlevel` and `minlevels` hold ints,
+    UNSET where a level is not assigned, and `minlevels[v]` is always
+    min(evenlevel[v], oddlevel[v]): DDFS, MAX and removal read it far
+    more often than levels are set, so it is stored, and written once,
+    with v's first level, by `init_phase` at level 0 or by MIN at v's
+    first prop; the maxlevel MAX sets later lies above it.  `paths` are
+    vertex lists of `l_m` edges; `l_m` is UNSET until the first path.
+    `preds[v]` lists the tails of v's props in scan order; it is the
+    shared empty tuple until v's first prop, so a vertex the search never
+    reaches costs no list.  `pred_gone[v]` counts
     the removed predecessors of a live v that has lost some; successors
     are derived (see `paths.recursive_remove`).  `preds` alone records
     props; a classified edge that is no prop is a bridge.  MIN marks
@@ -68,6 +73,7 @@ class PhaseState:
     m: MatchingState
     evenlevel: list[int]
     oddlevel: list[int]
+    minlevels: list[int]
     preds: list[list[int] | tuple[()]]
     pred_gone: dict[int, int]
     waiting: defaultdict[int, list[int]]
@@ -85,31 +91,34 @@ class PhaseState:
     trace: Optional[TraceFn] = None
 
     def minlevel(self, v: int) -> int:
-        e, o = self.evenlevel[v], self.oddlevel[v]
-        return e if e < o else o
+        return self.minlevels[v]
 
     def maxlevel(self, v: int) -> int:
         return max(self.evenlevel[v], self.oddlevel[v])
 
     # MAX's `ddfs.LayeredView`: predecessors, petals contracted to bud*s.
-    layer = minlevel
+    @property
+    def layer(self) -> Callable[[int], int]:
+        """The minlevel reader, `minlevels`'s own item lookup: `run_ddfs`
+        takes it once per run and then calls no Python method per read."""
+        return self.minlevels.__getitem__
 
     def out_edges(self, v: int) -> list[int]:
         """The distinct live bud*s of v's live predecessors, in scan
         order; each lies below v, as a bud lies below its members.  A
-        removed vertex has a removed bud* (see `paths.recursive_remove`)."""
+        removed vertex has a removed bud* (see `paths.recursive_remove`).
+        Most vertices have one predecessor and few have more than five,
+        but a hub can have thousands, so duplicates go in one linear
+        `dict.fromkeys` pass, not a search of the list per entry."""
         out: list[int] = []
-        seen: set[int] = set()
         jump, removed = self.jump, self.removed
         for u in self.preds[v]:
             b = jump[u]
             if jump[b] != b:
                 b = bud_star(self, u)
-            if removed[b] or b in seen:
-                continue
-            seen.add(b)
-            out.append(b)
-        return out
+            if not removed[b]:
+                out.append(b)
+        return list(dict.fromkeys(out)) if len(out) > 1 else out
 
 
 def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> PhaseState:
@@ -130,6 +139,7 @@ def init_phase(g: Graph, m: MatchingState, trace: Optional[TraceFn] = None) -> P
         m=m,
         evenlevel=evenlevel,
         oddlevel=[UNSET] * n,
+        minlevels=evenlevel.copy(),
         preds=[()] * n,
         pred_gone={},
         waiting=defaultdict(list),
@@ -205,7 +215,7 @@ def min_step(s: PhaseState, i: int) -> None:
     vertex: only `max_step` removes, after the phase's first path, and
     `run_phase` stops after that level's MAX."""
     sources = s.schedule.pop(i, [])
-    even, odd = s.evenlevel, s.oddlevel
+    even, odd, minl = s.evenlevel, s.oddlevel, s.minlevels
     scanned, preds, br, waiting = s.scanned, s.preds, s.br, s.waiting
     l_m, trace = s.l_m, s.trace
     adj, partner = s.g.adj, s.m.partner
@@ -225,7 +235,7 @@ def min_step(s: PhaseState, i: int) -> None:
                 continue
             if even[v] >= nxt and odd[v] >= nxt:
                 if target_levels[v] == UNSET:
-                    target_levels[v] = nxt
+                    target_levels[v] = minl[v] = nxt
                     preds[v] = [u]
                     if next_sched is None:
                         next_sched = s.schedule[nxt]
@@ -264,10 +274,9 @@ def _assign_maxlevels(s: PhaseState, members: list[int], t: int) -> None:
     a level, both ends lie below L + 1: MIN makes the edge a bridge and
     files it at level L, before MAX reaches its tenacity of at least
     2L + 1, or it waits for x's even maxlevel."""
-    even, odd = s.evenlevel, s.oddlevel
+    even, odd, minl = s.evenlevel, s.oddlevel, s.minlevels
     for w in members:
-        ew, ow = even[w], odd[w]
-        maxl = t - (ew if ew < ow else ow)
+        maxl = t - minl[w]
         if maxl % 2:
             odd[w] = maxl
             continue
@@ -286,14 +295,17 @@ def _assign_maxlevels(s: PhaseState, members: list[int], t: int) -> None:
 
 def _form_petal(s: PhaseState, bridge: tuple[int, int], outcome: Bottleneck, i: int) -> None:
     b, color, parent = outcome.b, outcome.color, outcome.parent
-    members = sorted(w for w in color if w != b)
-    pid = len(s.petals)
-    s.petals.append(PetalNode(bridge, b, (parent[RED][b], parent[GREEN][b])))
+    members = sorted(color)
+    members.remove(b)
+    petals, petal_of, jump = s.petals, s.petal_of, s.jump
+    member_color, tree_parent = s.color, s.tree_parent
+    pid = len(petals)
+    petals.append(PetalNode(bridge, b, (parent[RED][b], parent[GREEN][b])))
     for w in members:
-        s.petal_of[w] = pid
-        s.jump[w] = b
-        s.color[w] = color[w]
-        s.tree_parent[w] = parent[color[w]][w]
+        petal_of[w] = pid
+        jump[w] = b
+        c = member_color[w] = color[w]
+        tree_parent[w] = parent[c][w]
     if s.trace is not None:
         s.trace(f"petal bud {b} members {','.join(map(str, members))}")
     _assign_maxlevels(s, members, 2 * i + 1)

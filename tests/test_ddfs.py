@@ -8,7 +8,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from mvmatching import ddfs
 from mvmatching.ddfs import (
     GREEN,
     RED,
@@ -234,29 +233,46 @@ class TestPerVertexRecords:
 
 
 class TestMeetColours:
-    def test_contested_vertex_has_the_other_colour(self, monkeypatch) -> None:
-        # `_meet` decides on the prober alone: off red's barrier v has the
-        # colour of the tree that does not probe and goes to green, and
-        # only green probes red's barrier, which stays red.  Checked at
-        # every meet of every view with at most four vertices and of the
-        # five-vertex slice.
-        meets: list[tuple[int, int, int, bool]] = []
-        meet = ddfs._Ddfs._meet
-
-        def recording(self, prober: int, v: int):
-            before, at_barrier = self.color[v], v == self.barrier[RED]
-            out = meet(self, prober, v)
-            meets.append((prober, before, self.color[v], at_barrier))
-            return out
-
-        monkeypatch.setattr(ddfs._Ddfs, "_meet", recording)
+    def test_contested_vertex_has_the_other_colour(self) -> None:
+        # A meet decides on the prober alone: off red's barrier the
+        # contested vertex v has the colour of the tree that does not
+        # probe and goes to green, and only green probes red's barrier,
+        # which stays red.  Read from the trace: colours are rebuilt from
+        # `advance` and `reassign`, the only events that change one, and
+        # red's barrier moves to v at each `reassign red v`.  At the end
+        # of a bottleneck run the rebuilt colours must equal the
+        # outcome's.  Checked at every meet of every view with at most
+        # four vertices and of the five-vertex slice.
+        names = {"red": RED, "green": GREEN}
+        # (prober, colour of v before the meet, events after it), by
+        # whether v was red's barrier.
+        at_barrier: set[tuple[str, str, tuple[str, ...]]] = set()
+        elsewhere: set[tuple[str, str, tuple[str, ...]]] = set()
         views = itertools.chain(
             *(support.all_layered_views(n) for n in range(1, 5)),
             itertools.islice(support.all_layered_views(5), 0, None, 29),
         )
         for view, r, g in views:
-            run_ddfs(view, r, g)
-        at_barrier = {m[:3] for m in meets if m[3]}
-        elsewhere = {m[:3] for m in meets if not m[3]}
-        assert at_barrier == {(GREEN, RED, RED)}
-        assert elsewhere == {(GREEN, RED, GREEN), (RED, GREEN, GREEN)}
+            lines: list[str] = []
+            out = run_ddfs(view, r, g, trace=lines.append)
+            events = [(action, tree, int(v)) for _, action, tree, v, _ in map(str.split, lines)]
+            color, barrier = {r: "red", g: "green"}, r
+            for k, (action, tree, v) in enumerate(events):
+                if action == "meet":
+                    # The events up to and including the reassignment of v.
+                    after = list(itertools.takewhile(lambda e: e[0] != "reassign", events[k + 1:]))
+                    after.append(events[k + 1 + len(after)])
+                    assert {e[2] for e in after} == {v}, (view.outs, r, g, lines)
+                    sequence = tuple(f"{a} {t}" for a, t, _ in after)
+                    (at_barrier if v == barrier else elsewhere).add((tree, color[v], sequence))
+                if action in ("advance", "reassign"):
+                    color[v] = tree
+                if (action, tree) == ("reassign", "red"):
+                    barrier = v
+            if isinstance(out, Bottleneck):
+                assert {v: names[c] for v, c in color.items()} == out.color, (view.outs, r, g)
+        assert at_barrier == {("green", "red", ("reassign red",))}
+        assert elsewhere == {
+            ("green", "red", ("backtrack red", "reassign green")),
+            ("red", "green", ("reassign green",)),
+        }

@@ -163,7 +163,11 @@ class TestExtractionFaults:
     def test_entry_at_no_level(self) -> None:
         s = _triangle_state()
         entry = s.oddlevel[1]
+        # Move the level, and the stored minlevel with it, so that the
+        # state is consistent but has no level at the entry.
         s.oddlevel[1] = 3
+        s.minlevels[1] = min(s.evenlevel[1], s.oddlevel[1])
+        assert entry not in (s.minlevel(1), s.maxlevel(1))
         with pytest.raises(ExtractionError, match="vertex 1 has no level 1"):
             descend(s, 1, entry, 0)
 
