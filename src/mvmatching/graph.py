@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 
 # The most vertices a graph may have.  Every array the engine keeps is
@@ -148,12 +148,35 @@ def _parse_columns(text: str) -> Graph:
     return Graph.from_edges(n, zip(us, vs))
 
 
+# A line end of `str.splitlines`; "\r\n" is one end, not two.
+_LINE_END = re.compile("\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
+
+# The characters `_iter_lines` splits at once, give or take a line.
+_LINE_BLOCK = 1 << 13
+
+
+def _iter_lines(text: str) -> Iterator[str]:
+    """Yield the lines of `text.splitlines()`, in blocks of about
+    _LINE_BLOCK characters cut after a line end, so a line loop holds one
+    block's lines, not a list of them all."""
+    start, size = 0, len(text)
+    while start < size:
+        end = _LINE_END.search(text, start + _LINE_BLOCK)
+        stop = size if end is None else end.end()
+        yield from text[start:stop].splitlines()
+        start = stop
+
+
 def _parse_lines(text: str) -> Graph:
-    """Parse DIMACS text line by line, naming the line of any error."""
+    """Parse DIMACS text line by line, naming the line of any error.
+
+    The lines are read a block at a time (`_iter_lines`), so comment and
+    blank lines hold no more memory than one block's lines; the edge list
+    is bounded by MAX_EDGES."""
     n: Optional[int] = None
     declared_m = 0
     edges: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_iter_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -219,7 +242,7 @@ class MatchingState:
         return self.partner[v] is not None
 
     def size(self) -> int:
-        return sum(1 for p in self.partner if p is not None) // 2
+        return (len(self.partner) - self.partner.count(None)) // 2
 
     def pairs(self) -> list[tuple[int, int]]:
         return [(u, v) for u, v in enumerate(self.partner) if v is not None and u < v]
@@ -245,13 +268,74 @@ def serialize_matching(m: MatchingState) -> str:
     return "\n".join(lines) + "\n"
 
 
+# The layout `serialize_matching` writes, checked as `_CANONICAL` is.
+_CANONICAL_MATCHING = re.compile(r"size \d+(?:\nmatched \d+ \d+)*+\n?", re.ASCII)
+
+
 def parse_matching(text: str | TextIO, n: int) -> MatchingState:
-    """Parse the matching serialization produced by serialize_matching."""
+    """Parse the matching serialization produced by serialize_matching:
+    'size <k>' then 'matched <u> <v>' lines (1-based), with comment lines
+    ('c ...'), blank lines and other spacing accepted.  A vertex out of
+    range, a repeated vertex or a declared size that differs from the
+    number of matched lines is an error.
+
+    Text in the canonical layout, with at most n // 2 matched lines, is
+    converted a whole column at a time.  Any other text, and canonical
+    text that fails a check, goes through the line loop, which names the
+    offending line in its error.  Both paths give the same matching.
+    """
     if hasattr(text, "read"):
         text = text.read()
+    # More than n // 2 pairs must repeat a vertex or miss the declared
+    # size; they are counted before the text is split.
+    if text.count("\nmatched") <= n // 2 and _CANONICAL_MATCHING.fullmatch(text):
+        try:
+            return _parse_matching_columns(text, n)
+        except ValueError:
+            pass
+    return _parse_matching_lines(text, n)
+
+
+def _parse_matching_columns(text: str, n: int) -> MatchingState:
+    """Build the matching of a canonical text from its vertex columns.
+
+    Raises ValueError for a number past Python's int-conversion limit, a
+    declared size that differs from the pair count, a vertex out of range
+    and a repeated or self-paired vertex; the line loop then names the
+    fault.
+    """
+    tokens = text.split()
+    declared = int(tokens[1])
+    del tokens[2::3]  # the 'matched' keywords
+    ends = [int(t) - 1 for t in tokens[2:]]
+    del tokens
+    if declared != len(ends) // 2:
+        raise ValueError("declared size differs")
+    if ends and not (0 <= min(ends) and max(ends) < n):
+        raise ValueError("vertex out of range")
+    if len(set(ends)) != len(ends):
+        raise ValueError("vertex repeated")
+    m = MatchingState(n)
+    partner = m.partner
+    for u, v in zip(ends[::2], ends[1::2]):
+        partner[u] = v
+        partner[v] = u
+    return m
+
+
+def _parse_matching_lines(text: str, n: int) -> MatchingState:
+    """Parse a matching line by line, naming the line of any error.
+
+    The lines are read a block at a time (`_iter_lines`), and at most
+    n // 2 + 1 pairs are kept; the rest are only counted.  Among n // 2 + 1 pairs of
+    vertices in 1..n some vertex repeats, so the first repeat is among the
+    kept pairs and the errors are those of a loop that keeps them all.
+    """
     declared: Optional[int] = None
     pairs: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    count = 0
+    keep = n // 2 + 1
+    for lineno, raw in enumerate(_iter_lines(text), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
             continue
@@ -266,11 +350,13 @@ def parse_matching(text: str | TextIO, n: int) -> MatchingState:
             u, v = numbers
             if not (1 <= u <= n and 1 <= v <= n):
                 raise GraphFormatError(f"line {lineno}: vertex index out of range [1, {n}]")
-            pairs.append((u - 1, v - 1))
+            if count < keep:
+                pairs.append((u - 1, v - 1))
+            count += 1
         else:
             raise GraphFormatError(f"line {lineno}: unrecognized line {line!r}")
-    if declared is not None and declared != len(pairs):
-        raise GraphFormatError(f"declared size {declared} but {len(pairs)} matched lines")
+    if declared is not None and declared != count:
+        raise GraphFormatError(f"declared size {declared} but {count} matched lines")
     seen: set[int] = set()
     for u, v in pairs:
         if u in seen or v in seen or u == v:

@@ -471,11 +471,13 @@ class TestBench:
         assert err == f"error: --repeats {repeats} is below 1\n"
 
 
-def _run_under_memory_cap(args: list[str], stdin: str = "") -> subprocess.CompletedProcess:
+def _run_under_memory_cap(
+    args: list[str], stdin: str = "", cap_kb: int = 1_500_000
+) -> subprocess.CompletedProcess:
     """Run `mvmatch args` in a child process whose address space alone is
-    limited to 1.5 GB."""
+    limited to cap_kb KiB, 1.5 GB by default."""
     resource = pytest.importorskip("resource")
-    cap = 1_500_000 * 1024
+    cap = cap_kb * 1024
 
     def limit_memory() -> None:
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
@@ -541,6 +543,26 @@ class TestInputLimits:
             else:
                 args = ["bench", "--n", str(n), "--m", str(m)]
             _assert_limit_error(_run_under_memory_cap(args))
+
+    def test_repeated_pairs_exit_2_under_memory_cap(self, tmp_path) -> None:
+        # 2 * 10^6 copies of one pair (24 MB) for a 4-vertex graph: a list
+        # of every line and pair overflows a 160 MB cap, so the line loop
+        # reads the lines a block at a time and keeps three pairs.
+        dimacs, matching = tmp_path / "g.txt", tmp_path / "m.txt"
+        dimacs.write_text("p edge 4 1\ne 1 2\n")
+        matching.write_text("size 1\n" + "matched 1 2\n" * 2_000_000)
+        out = _run_under_memory_cap(["verify", str(dimacs), str(matching)], cap_kb=160_000)
+        assert (out.returncode, out.stdout) == (2, ""), out.stderr
+        assert out.stderr == "error: declared size 1 but 2000000 matched lines\n"
+
+    def test_comment_lines_solve_under_memory_cap(self, tmp_path) -> None:
+        # 3 * 10^6 comment lines (9 MB) around one edge: a list of every
+        # line overflows a 160 MB cap.
+        dimacs = tmp_path / "g.txt"
+        dimacs.write_text("p edge 2 1\n" + "cc\n" * 3_000_000 + "e 1 2\n")
+        out = _run_under_memory_cap(["solve", str(dimacs)], cap_kb=160_000)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "size 1\nmatched 1 2\n"
 
 
 class TestFileErrors:

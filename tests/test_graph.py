@@ -26,7 +26,7 @@ from mvmatching.graph import (
     serialize_matching,
     validate_matching,
 )
-from mvmatching.graph import _parse_lines
+from mvmatching.graph import _iter_lines, _parse_lines, _parse_matching_lines
 
 import support
 
@@ -277,6 +277,198 @@ class TestParsePaths:
             tracemalloc.stop()
         assert peak <= 128 * lines
 
+    def test_comment_lines_memory(self) -> None:
+        # The line loop reads its lines a block at a time: a list of every
+        # line would hold about 60 bytes a line, 18 MB here.
+        lines = 300_000
+        text = "p edge 2 1\n" + "cc\n" * lines + "e 1 2\n"
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = parse_dimacs(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.edges == ((0, 1),)
+        assert peak <= 1 << 20
+
+
+# Every line end of `str.splitlines`, and the characters near them.
+_LINE_TEXT = st.text(alphabet="ab \t\n\r\v\f\x1c\x1d\x1e\x1f\x85\u2028\u2029", max_size=60)
+
+
+class TestIterLines:
+    @PROPERTY_SETTINGS
+    @given(_LINE_TEXT, st.integers(min_value=0, max_value=8))
+    def test_matches_splitlines(self, text: str, block: int) -> None:
+        # Small blocks put block cuts inside lines and between "\r" and "\n".
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(graph, "_LINE_BLOCK", block)
+            assert list(_iter_lines(text)) == text.splitlines()
+
+    def test_default_block_matches_splitlines(self) -> None:
+        text = "".join(f"line {k}" + "\r\n\n\r\x85"[k % 5 :] for k in range(20_000))
+        assert list(_iter_lines(text)) == text.splitlines()
+
+
+def _every_pair_line_loop(text: str, n: int) -> MatchingState:
+    """The matching line loop as it reads with every pair kept: the
+    reference for `_parse_matching_lines`, which keeps n // 2 + 1."""
+    declared = None
+    pairs = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("c"):
+            continue
+        fields = line.split()
+        try:
+            numbers = [int(f) for f in fields[1:]]
+        except ValueError:
+            raise GraphFormatError(f"line {lineno}: malformed line {line!r}")
+        if fields[0] == "size" and len(numbers) == 1:
+            declared = numbers[0]
+        elif fields[0] == "matched" and len(numbers) == 2:
+            u, v = numbers
+            if not (1 <= u <= n and 1 <= v <= n):
+                raise GraphFormatError(f"line {lineno}: vertex index out of range [1, {n}]")
+            pairs.append((u - 1, v - 1))
+        else:
+            raise GraphFormatError(f"line {lineno}: unrecognized line {line!r}")
+    if declared is not None and declared != len(pairs):
+        raise GraphFormatError(f"declared size {declared} but {len(pairs)} matched lines")
+    seen: set[int] = set()
+    for u, v in pairs:
+        if u in seen or v in seen or u == v:
+            raise GraphFormatError(f"vertex repeated in matching: ({u + 1}, {v + 1})")
+        seen.update((u, v))
+    return MatchingState(n, pairs)
+
+
+# Departures from a valid canonical matching text: the first eight keep
+# the canonical layout, the rest leave it.
+_MATCHING_PERTURBATIONS = (
+    "size_mismatch",
+    "vertex_0",
+    "vertex_n_plus_1",
+    "self_pair",
+    "repeat",
+    "many_repeats",
+    "leading_zero",
+    "huge_number",
+    "comment",
+    "blank_line",
+    "crlf",
+    "tab",
+    "no_final_newline",
+)
+
+
+@st.composite
+def _matching_text(draw: st.DrawFn) -> tuple[str, int]:
+    """A vertex count and a matching text over it: a valid canonical text
+    with up to three perturbations applied."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    order = draw(st.permutations(range(1, n + 1)))
+    k = draw(st.integers(min_value=0, max_value=n // 2))
+    pairs = [(order[2 * i], order[2 * i + 1]) for i in range(k)]
+    declared = k
+    lines = [f"matched {u} {v}" for u, v in pairs]
+    newline, final = "\n", "\n"
+    vertex = st.integers(1, max(n, 1))
+
+    def insert(line: str) -> None:
+        lines.insert(draw(st.integers(0, len(lines))), line)
+
+    for kind in draw(st.lists(st.sampled_from(_MATCHING_PERTURBATIONS), max_size=3)):
+        if kind == "size_mismatch":
+            declared += draw(st.sampled_from([-1, 1]))
+        elif kind == "vertex_0":
+            insert(f"matched 0 {draw(vertex)}")
+        elif kind == "vertex_n_plus_1":
+            insert(f"matched {draw(vertex)} {n + 1}")
+        elif kind == "self_pair":
+            v = draw(vertex)
+            insert(f"matched {v} {v}")
+        elif kind == "repeat":
+            insert(f"matched {draw(vertex)} {draw(vertex)}")
+        elif kind == "many_repeats":
+            # More pairs than n // 2 + 1, past what the line loop keeps.
+            line = f"matched {draw(vertex)} {draw(vertex)}"
+            lines += [line] * draw(st.integers(n // 2 + 1, n + 3))
+        elif kind == "leading_zero" and lines:
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[k] = lines[k].replace(" ", " 0", 1)
+        elif kind == "huge_number":
+            insert("matched 1 " + "7" * 5000)
+        elif kind == "comment":
+            insert(draw(st.sampled_from(["c", "c 1 2", "c matched 1 2"])))
+        elif kind == "blank_line":
+            insert("")
+        elif kind == "crlf":
+            newline = final = "\r\n"
+        elif kind == "tab" and lines:
+            k = draw(st.integers(0, len(lines) - 1))
+            lines[k] = lines[k].replace(" ", "\t", 1)
+        elif kind == "no_final_newline":
+            final = ""
+    if declared < 0:
+        # No canonical size is below 0: take one past the int-conversion
+        # limit instead.
+        declared = "9" * 5000
+    return newline.join([f"size {declared}"] + lines) + final, n
+
+
+class TestMatchingPaths:
+    """The column path of `parse_matching` agrees with the line loop, and
+    the line loop with one that keeps every pair."""
+
+    @PROPERTY_SETTINGS
+    @given(_matching_text())
+    def test_column_path_matches_line_loop(self, case: tuple[str, int]) -> None:
+        text, n = case
+        outcome = _parse_outcome(lambda t: parse_matching(t, n), text)
+        assert outcome == _parse_outcome(lambda t: _parse_matching_lines(t, n), text)
+        assert outcome == _parse_outcome(lambda t: _every_pair_line_loop(t, n), text)
+
+    def test_canonical_text_skips_line_loop(self, monkeypatch) -> None:
+        def refuse(text: str, n: int) -> MatchingState:
+            raise AssertionError("canonical text reached the line loop")
+
+        monkeypatch.setattr(graph, "_parse_matching_lines", refuse)
+        m = parse_matching("size 2\nmatched 4 1\nmatched 2 3", 5)
+        assert m.partner == [3, 2, 1, 0, None]
+        assert parse_matching("size 0\n", 0).partner == []
+
+    def test_canonical_memory_per_line(self) -> None:
+        n = 100_000
+        text = serialize_matching(MatchingState(n, [(2 * i, 2 * i + 1) for i in range(n // 2)]))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            m = parse_matching(text, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.size() == n // 2
+        assert peak <= 288 * (n // 2)
+
+    def test_repeated_pairs_memory(self) -> None:
+        # Pairs past n // 2 + 1 are counted, not kept: a list of every
+        # line and every pair would hold about 35 MB here.
+        lines = 300_000
+        text = "size 1\n" + "matched 1 2\n" * lines
+        gc.collect()
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphFormatError, match=f"^declared size 1 but {lines} matched"):
+                parse_matching(text, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 20
+        with pytest.raises(GraphFormatError, match=r"^vertex repeated in matching: \(1, 2\)"):
+            parse_matching("size 1000\n" + "matched 1 2\n" * 1000, 4)
+
 
 class TestValidateMatching:
     def test_p4_middle_edge_valid(self) -> None:
@@ -384,6 +576,11 @@ class TestSerialization:
 
     def test_matching_reads_a_text_stream(self) -> None:
         assert parse_matching(io.StringIO("size 1\nmatched 2 3\n"), 4) == support.p4()[1]
+
+    def test_matching_size_counts_pairs(self) -> None:
+        m = MatchingState(5, [(0, 3), (1, 2)])
+        assert m.size() == 2
+        assert MatchingState(3).size() == 0
 
 
 class TestGenerateRandomGraph:
