@@ -42,8 +42,8 @@ class PhaseState:
     """One phase's search of graph `g` relative to matching `m`, each fact
     held once but one.  `evenlevel`, `oddlevel` and `minlevels` hold ints,
     UNSET where a level is not assigned, and `minlevels[v]` is always
-    min(evenlevel[v], oddlevel[v]): DDFS, MAX and removal read it far
-    more often than levels are set, so it is stored, and written once,
+    min(evenlevel[v], oddlevel[v]): MIN, DDFS, MAX and removal read it
+    far more often than levels are set, so it is stored, and written once,
     with v's first level, by `init_phase` at level 0 or by MIN at v's
     first prop; the maxlevel MAX sets later lies above it.  `paths` are
     vertex lists of `l_m` edges; `l_m` is UNSET until the first path.
@@ -230,10 +230,11 @@ def min_step(s: PhaseState, i: int) -> None:
             scan, skip = adj[u], -1 if p is None else p
         else:
             scan, skip = (p,), -1
+        su = side[u] + 1
         for v in scan:
             if scanned[v] & bit or v == skip:
                 continue
-            if even[v] >= nxt and odd[v] >= nxt:
+            if minl[v] >= nxt:
                 if target_levels[v] == UNSET:
                     target_levels[v] = minl[v] = nxt
                     preds[v] = [u]
@@ -245,7 +246,7 @@ def min_step(s: PhaseState, i: int) -> None:
                 else:
                     preds[v].append(u)
             else:
-                t = side[u] + side[v] + 1
+                t = su + side[v]
                 if t <= l_m:
                     br[t].extend((u, v) if u < v else (v, u))
                     if trace is not None:
