@@ -3,7 +3,7 @@ path remains."""
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Iterator, Optional
 
 from .graph import Graph, MatchingState, augment_in_place, validate_matching
 from .phase import TraceFn, run_phase
@@ -47,6 +47,59 @@ def degree_one_cascade(g: Graph) -> MatchingState:
     return matching
 
 
+def _free_vertices(partner: list[Optional[int]]) -> Iterator[int]:
+    """The free vertices in vertex order, found by `list.index`."""
+    v = -1
+    try:
+        while True:
+            v = partner.index(None, v + 1)
+            yield v
+    except ValueError:
+        return
+
+
+def two_free_in_one_component(g: Graph, m: MatchingState) -> bool:
+    """Whether some connected component of g holds two or more vertices
+    that m leaves free.  When none does, m is maximum: by Berge's lemma
+    an augmenting path joins two free vertices of one component.  This
+    is the empty-barrier case of the Tutte-Berge formula.
+
+    One breadth-first search grows from the free vertices, and `root`
+    labels each vertex it reaches with the free vertex it grew from.  It
+    takes one more free vertex, in vertex order, before each vertex it
+    expands, so on a matching with many free vertices the answer comes
+    after a few steps, with no pass over all of `partner`.  The answer is
+    True at the first edge whose ends carry two labels, or at a free
+    vertex already reached from another one, and False once every free
+    vertex is a root and their components are exhausted.  O(n + m).
+    """
+    adj = g.adj
+    root = [-1] * g.n
+    free = _free_vertices(m.partner)
+    first = next(free, None)
+    if first is None:
+        return False
+    root[first] = first
+    queue = [first]
+    # The list iterator also yields the vertices appended while it runs.
+    for u in queue:
+        f = next(free, None)
+        if f is not None:
+            if root[f] >= 0:
+                return True
+            root[f] = f
+            queue.append(f)
+        r = root[u]
+        for v in adj[u]:
+            rv = root[v]
+            if rv < 0:
+                root[v] = r
+                queue.append(v)
+            elif rv != r:
+                return True
+    return False
+
+
 def maximum_matching(
     g: Graph,
     m: Optional[MatchingState] = None,
@@ -77,8 +130,10 @@ def maximum_matching(
                 partner[v] = u
     phases = 0
     while True:
-        s = run_phase(g, matching, trace=trace)
         phases += 1
+        if not two_free_in_one_component(g, matching):
+            return matching, phases
+        s = run_phase(g, matching, trace=trace)
         if not s.paths:
             return matching, phases
         for path in s.paths:

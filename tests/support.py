@@ -203,6 +203,53 @@ def greedy_matching(g: Graph, seed: int, accept: float = 0.7) -> MatchingState:
     return m
 
 
+def planted_components(
+    sizes: list[int], chords: int, seed: int
+) -> tuple[Graph, MatchingState]:
+    """Disjoint connected components of the given sizes, with a maximum
+    matching that leaves one free vertex in each odd component and none
+    in an even one.  Each component is a path with every other edge
+    matched from its start, plus up to `chords` random edges inside it;
+    the vertex names and the edge order are shuffled by `seed`."""
+    rng = random.Random(seed)
+    n = sum(sizes)
+    names = list(range(n))
+    rng.shuffle(names)
+    edges: set[tuple[int, int]] = set()
+    pairs = []
+    start = 0
+    for size in sizes:
+        comp = names[start:start + size]
+        start += size
+        for k in range(size - 1):
+            edges.add((min(comp[k], comp[k + 1]), max(comp[k], comp[k + 1])))
+            if k % 2 == 0:
+                pairs.append((comp[k], comp[k + 1]))
+        for _ in range(chords if size > 2 else 0):
+            u, v = rng.sample(comp, 2)
+            edges.add((min(u, v), max(u, v)))
+    order = sorted(edges)
+    rng.shuffle(order)
+    return Graph.from_edges(n, order), MatchingState(n, pairs)
+
+
+def free_per_component(g: Graph, m: MatchingState) -> list[int]:
+    """How many vertices m leaves free in each connected component of g
+    that holds one, found by union-find over `g.edges`, apart from the
+    engine's searches of the adjacency."""
+    parent = list(range(g.n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in g.edges:
+        parent[find(u)] = find(v)
+    return list(Counter(find(v) for v in range(g.n) if m.partner[v] is None).values())
+
+
 def all_matchings(g: Graph) -> Iterator[MatchingState]:
     """Every matching of g, each edge either taken or not, in edge order."""
 

@@ -20,6 +20,7 @@ from mvmatching.graph import (
     parse_matching,
     serialize_dimacs,
 )
+from mvmatching.phase import run_phase
 
 import support
 
@@ -32,12 +33,22 @@ BARBELL_DIMACS = serialize_dimacs(support.barbell())
 # vertex has degree 1 and the seed's degree-1 cascade matches nothing.
 DIAMOND_DIMACS = "p edge 4 5\ne 1 3\ne 1 4\ne 2 3\ne 1 2\ne 3 4\n"
 
+# The five-cycle 1-2-3-4-5 with a hub 6 on vertex 1 and two leaves 7 and
+# 8 on the hub.  The seed matches leaf 8 to the hub and two pairs of the
+# cycle, leaving 5 and 7 free in one component, and by Tutte-Berge with
+# the barrier {6} no augmenting path exists, so the certifying search runs.
+C5_HUB_DIMACS = "p edge 8 8\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\ne 1 6\ne 6 7\ne 6 8\n"
+
 # Full `solve --trace` streams, line for line.  Neither the barbell nor
 # the diamond has a vertex of degree 1, so the seed is the greedy pass
 # alone and leaves one short augmenting path in each.  The barbell's
-# bridge (2, 3) forms a petal before the path is found; the five-cycle's
-# bridge forms a petal through meet, reassign and backtrack steps; the
-# diamond's bridge ends its DDFS with a terminated seek.
+# bridge (2, 3) forms a petal before the path is found; the diamond's
+# bridge ends its DDFS with a terminated seek.  After each path the
+# matching is perfect, so the certifying step runs no search.  The
+# five-cycle's seed leaves one free vertex, so its one certifying step
+# runs no search either.  In the hub graph's certifying search the
+# cycle's bridge forms a petal through meet, reassign and backtrack
+# steps, and two more levels find no path.
 BARBELL_TRACE = """\
 mvtrace 1
 level 0
@@ -60,17 +71,22 @@ ddfs advance red 1 0
 ddfs advance green 4 0
 ddfs terminate - 1 0
 path 1-0-5-4
-level 0
 phases 2
 """
 C5_TRACE = """\
 mvtrace 1
+phases 1
+"""
+C5_HUB_TRACE = """\
+mvtrace 1
 level 0
 minlevel 3 1
 minlevel 0 1
+minlevel 5 1
 level 1
 minlevel 2 2
 minlevel 1 2
+minlevel 7 2
 level 2
 bridge 1 2 tenacity 5
 ddfs advance red 0 1
@@ -104,7 +120,6 @@ ddfs advance red 3 0
 ddfs terminate_seek red 3 0
 ddfs terminate - 3 0
 path 3-0-2-1
-level 0
 phases 2
 """
 
@@ -188,9 +203,10 @@ class TestSolve:
         [
             (BARBELL_DIMACS, BARBELL_TRACE),
             (C5_DIMACS, C5_TRACE),
+            (C5_HUB_DIMACS, C5_HUB_TRACE),
             (DIAMOND_DIMACS, DIAMOND_TRACE),
         ],
-        ids=["barbell", "c5", "diamond"],
+        ids=["barbell", "c5", "c5_hub", "diamond"],
     )
     def test_golden_trace(self, tmp_path, capsys, dimacs, expected) -> None:
         f = tmp_path / "g.dimacs"
@@ -226,6 +242,45 @@ class TestVerify:
         code, out, _ = _run(capsys, ["verify", str(g), str(m)])
         assert code == 0
         assert "valid maximum matching of size 2" in out
+
+    def test_one_free_vertex_per_component_runs_no_search(
+        self, tmp_path, capsys, monkeypatch
+    ) -> None:
+        # Two triangles and a five-cycle, each with one free vertex: Berge's
+        # lemma alone shows the matching maximum.
+        def no_search(g, m, trace=None):
+            raise AssertionError("run_phase called")
+
+        monkeypatch.setattr(cli, "run_phase", no_search)
+        g = tmp_path / "g.dimacs"
+        g.write_text(
+            "p edge 11 11\ne 1 2\ne 2 3\ne 1 3\ne 4 5\ne 5 6\ne 4 6\n"
+            "e 7 8\ne 8 9\ne 9 10\ne 10 11\ne 7 11\n"
+        )
+        m = tmp_path / "m.txt"
+        m.write_text("size 4\nmatched 1 2\nmatched 5 6\nmatched 7 8\nmatched 9 10\n")
+        code, out, _ = _run(capsys, ["verify", str(g), str(m)])
+        assert (code, out) == (0, "valid maximum matching of size 4\n")
+
+    def test_two_free_leaves_of_a_star_run_the_search(
+        self, tmp_path, capsys, monkeypatch
+    ) -> None:
+        # K_{1,3} with the centre matched: maximum, with two free leaves
+        # in one component, so only the search can show it.
+        calls = []
+
+        def counted(g, m, trace=None):
+            calls.append(m.partner[:])
+            return run_phase(g, m, trace)
+
+        monkeypatch.setattr(cli, "run_phase", counted)
+        g = tmp_path / "g.dimacs"
+        g.write_text("p edge 4 3\ne 1 2\ne 1 3\ne 1 4\n")
+        m = tmp_path / "m.txt"
+        m.write_text("size 1\nmatched 1 2\n")
+        code, out, _ = _run(capsys, ["verify", str(g), str(m)])
+        assert (code, out) == (0, "valid maximum matching of size 1\n")
+        assert calls == [[1, 0, None, None]]
 
     def test_invalid_matching_rejected(self, tmp_path, capsys) -> None:
         g = tmp_path / "g.dimacs"

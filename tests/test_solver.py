@@ -13,7 +13,8 @@ from mvmatching.graph import (
     validate_matching,
 )
 from mvmatching.oracle import brute_max_matching
-from mvmatching.solver import degree_one_cascade, maximum_matching
+from mvmatching.phase import run_phase
+from mvmatching.solver import degree_one_cascade, maximum_matching, two_free_in_one_component
 
 import support
 
@@ -176,3 +177,58 @@ class TestAgainstBruteForce:
         engine, _ = maximum_matching(g, start)
         assert validate_matching(g, engine) == []
         assert engine.size() == brute_max_matching(g)[0]
+
+
+class TestComponentCheck:
+    """`two_free_in_one_component` against a union-find count of the free
+    vertices in each component, and what the solver skips by it."""
+
+    def _check(self, g: Graph, m: MatchingState) -> bool:
+        answer = two_free_in_one_component(g, m)
+        assert answer == any(c >= 2 for c in support.free_per_component(g, m))
+        if not answer:
+            # Berge's lemma: no augmenting path, so the search finds none.
+            assert run_phase(g, m).paths == []
+        return answer
+
+    @PROPERTY_SETTINGS
+    @given(
+        sizes=st.lists(st.integers(min_value=1, max_value=9), max_size=6),
+        chords=st.integers(min_value=0, max_value=8),
+        unmatched=st.integers(min_value=0, max_value=3),
+        seed=_SEED,
+    )
+    def test_planted_components(
+        self, sizes: list[int], chords: int, unmatched: int, seed: int
+    ) -> None:
+        g, m = support.planted_components(sizes, chords, seed)
+        assert not self._check(g, m)
+        for u, v in m.pairs()[:unmatched]:
+            m.partner[u] = m.partner[v] = None
+            self._check(g, m)
+
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(min_value=0, max_value=30),
+        frac=st.floats(min_value=0.0, max_value=0.3),
+        accept=st.floats(min_value=0.0, max_value=1.0),
+        seed=_SEED,
+    )
+    def test_random_graphs(self, n: int, frac: float, accept: float, seed: int) -> None:
+        g = generate_random_graph(n, int(frac * (n * (n - 1) // 2)), seed)
+        self._check(g, support.greedy_matching(g, seed, accept))
+        self._check(g, maximum_matching(g)[0])
+
+    def test_no_search_after_the_last_path(self) -> None:
+        # Odd components solved from the empty matching: the solve ends
+        # with one free vertex in each, so the certifying step runs no
+        # search, and no `level` line (nor a petal of a later level)
+        # follows the last path.  The phase count still includes it.
+        for seed in range(20):
+            g, planted = support.planted_components([5, 7, 9, 11], 6, seed)
+            lines: list[str] = []
+            m, phases = maximum_matching(g, MatchingState(g.n), trace=lines.append)
+            assert m.size() == planted.size() == 14
+            last = max(k for k, line in enumerate(lines) if line.startswith("path "))
+            assert not any(line.startswith("level ") for line in lines[last:])
+            assert phases == sum(line == "level 0" for line in lines) + 1

@@ -9,7 +9,7 @@ from __future__ import annotations
 import trace_digest
 
 SOLVES = 3012
-BEHAVIOUR = "e0a3eee54170246abb1f2bfa2ebc4e10185533421a2e0ef9ab5405ee835b122a"
+BEHAVIOUR = "3d438e2eff4762aba26cfc353cffd60d47fa7c8a87cad86e180250b440a3ce5b"
 OUTCOME = "1919d09904a0cf0e49a24455e983aa04022af9259acfef74833b28dd1c0713b3"
 
 
