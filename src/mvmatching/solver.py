@@ -107,8 +107,12 @@ def maximum_matching(
 ) -> tuple[MatchingState, int]:
     """Compute a maximum-cardinality matching.
 
-    Returns the matching and the number of phases run (including the
-    final phase that certifies no augmenting path exists).  When no
+    Returns the matching and the number of phases run, the certifying
+    one included.  Before each phase's search, `two_free_in_one_component`
+    checks the matching; when no component holds two free vertices, the
+    check alone certifies it maximum and counts as that phase, with no
+    search and no trace event.  Otherwise the last phase is a search
+    that finds no augmenting path.  When no
     starting matching is given, the search is seeded by
     `degree_one_cascade`, then by a greedy pass over `g.edges` that
     matches each edge whose ends are both still free; on a forest the
