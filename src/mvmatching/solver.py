@@ -112,8 +112,9 @@ def maximum_matching(
     checks the matching; when no component holds two free vertices, the
     check alone certifies it maximum and counts as that phase, with no
     search and no trace event.  Otherwise the last phase is a search
-    that finds no augmenting path.  When no
-    starting matching is given, the search is seeded by
+    that finds no augmenting path.
+
+    When no starting matching is given, the search is seeded by
     `degree_one_cascade`, then by a greedy pass over `g.edges` that
     matches each edge whose ends are both still free; on a forest the
     cascade alone is maximum, so one certifying phase remains.  A given
