@@ -6,10 +6,16 @@ is used only at the I/O boundary.
 
 from __future__ import annotations
 
+import functools
+import gc
+import json
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import Callable, Iterable, Iterator, Optional, ParamSpec, TextIO, TypeVar
+
+_P = ParamSpec("_P")
+_R = TypeVar("_R")
 
 
 # The most vertices a graph may have.  Every array the engine keeps is
@@ -92,11 +98,40 @@ class Graph:
         return len(self.adj[v])
 
 
+def gc_paused(call: Callable[_P, _R]) -> Callable[_P, _R]:
+    """Run `call` with cyclic GC held off, then pay its young pass once.
+
+    The parse and the solve allocate tuples and lists by the thousand and
+    make no reference cycles, so the collections their allocations would
+    trigger free nothing.  When the call ends, by a return or by an
+    exception, GC is enabled again and one generation-0 collection runs,
+    so the deferred pass is paid inside the call, not by whatever
+    allocates next.  It runs after the call's frame is gone, so it walks
+    only what the call returns, not its dead locals.  A caller that had GC
+    disabled keeps it so, and no collection runs.  The pause is
+    process-wide while the call runs.
+    """
+
+    @functools.wraps(call)
+    def paused(*args: _P.args, **kwargs: _P.kwargs) -> _R:
+        if not gc.isenabled():
+            return call(*args, **kwargs)
+        gc.disable()
+        try:
+            return call(*args, **kwargs)
+        finally:
+            gc.enable()
+            gc.collect(0)
+
+    return paused
+
+
 # The canonical layout.  The possessive repeat (new in Python 3.11) keeps
 # no backtracking record per line, so the check takes constant memory.
 _CANONICAL = re.compile(r"p edge \d+ \d+(?:\ne \d+ \d+)*+\n?", re.ASCII)
 
 
+@gc_paused
 def parse_dimacs(text: str | TextIO) -> Graph:
     """Parse a graph in DIMACS edge format.
 
@@ -107,10 +142,13 @@ def parse_dimacs(text: str | TextIO) -> Graph:
 
     Text in the canonical layout (the problem line, then the edge lines,
     fields split by single spaces, lines ended by a newline save perhaps
-    the last) is converted a whole column at a time.  Any other text, and
-    canonical text that fails to convert or build, goes through the line
-    loop, which names the offending line in its error.  Both paths give the
-    same graph.
+    the last) is converted all at once: its endpoints are read as one
+    JSON array (`_endpoints`).  Any other text, and canonical text that
+    fails to convert or build, goes through the line loop, which names the
+    offending line in its error; JSON refuses an endpoint with a leading
+    zero, such as `e 01 2`, or past Python's int-conversion limit, so
+    those take the line loop too.  Both paths give the same graph.  The
+    call runs with cyclic GC paused (`gc_paused`).
     """
     if hasattr(text, "read"):
         text = text.read()
@@ -134,18 +172,35 @@ def check_edge_lines(text: str) -> None:
 
 
 def _parse_columns(text: str) -> Graph:
-    """Build the graph of a canonical text from its endpoint columns.
+    """Build the graph of a canonical text from its endpoints.
 
-    Raises ValueError (GraphFormatError among them) for a number past
-    Python's int-conversion limit, an endpoint out of range, a self-loop or
-    too many vertices; `Graph.from_edges` does the checks.
+    Raises ValueError (GraphFormatError among them) for a number JSON or
+    `int` refuses, an endpoint out of range, a self-loop or too many
+    vertices; `Graph.from_edges` does the checks.
     """
-    tokens = text.split()
-    n = int(tokens[2])
-    us = [int(t) - 1 for t in tokens[5::3]]
-    vs = [int(t) - 1 for t in tokens[6::3]]
-    del tokens  # free the 3m strings before the build allocates
-    return Graph.from_edges(n, zip(us, vs))
+    head, _, body = text.partition("\n")
+    ends = iter(_endpoints(body, "e"))
+    del body  # free the copy of the text before the build allocates
+    return Graph.from_edges(int(head.split()[2]), zip(ends, ends))
+
+
+def _endpoints(body: str, word: str) -> list[int]:
+    """The vertices of `body`, canonical lines '<word> <a> <b>' (1-based)
+    joined by newlines, as one list in text order, each made 0-based.
+
+    The canonical pattern has shown that past each line's word `body`
+    holds only ASCII digits and single spaces, so turning every newline,
+    word and space into a comma makes one JSON array, which `json.loads`
+    converts in C; a final newline is JSON whitespace.  It raises
+    ValueError for a number with a leading zero, such as `01`, or past
+    Python's int-conversion limit.  Each step copies the text, and each
+    copy adds to peak memory, so the steps are as few as the conversion
+    needs.
+    """
+    flat = body.replace(f"\n{word} ", ",").replace(" ", ",")
+    numbers = json.loads(f"[{flat[len(word) + 1 :]}]")
+    del flat
+    return [x - 1 for x in numbers]
 
 
 # A line end of `str.splitlines`; "\r\n" is one end, not two.
@@ -272,6 +327,7 @@ def serialize_matching(m: MatchingState) -> str:
 _CANONICAL_MATCHING = re.compile(r"size \d+(?:\nmatched \d+ \d+)*+\n?", re.ASCII)
 
 
+@gc_paused
 def parse_matching(text: str | TextIO, n: int) -> MatchingState:
     """Parse the matching serialization produced by serialize_matching:
     'size <k>' then 'matched <u> <v>' lines (1-based), with comment lines
@@ -280,14 +336,18 @@ def parse_matching(text: str | TextIO, n: int) -> MatchingState:
     number of matched lines is an error.
 
     Text in the canonical layout, with at most n // 2 matched lines, is
-    converted a whole column at a time.  Any other text, and canonical
-    text that fails a check, goes through the line loop, which names the
-    offending line in its error.  Both paths give the same matching.
+    converted all at once: its vertices are read as one JSON array
+    (`_endpoints`).  Any other text, and canonical text that fails a
+    check, goes through the line loop, which names the offending line in
+    its error; JSON refuses a vertex with a leading zero or past Python's
+    int-conversion limit, so those take the line loop too.  Both paths
+    give the same matching.  The call runs with cyclic GC paused
+    (`gc_paused`).
     """
     if hasattr(text, "read"):
         text = text.read()
     # More than n // 2 pairs must repeat a vertex or miss the declared
-    # size; they are counted before the text is split.
+    # size; they are counted before the text is converted.
     if text.count("\nmatched") <= n // 2 and _CANONICAL_MATCHING.fullmatch(text):
         try:
             return _parse_matching_columns(text, n)
@@ -297,18 +357,15 @@ def parse_matching(text: str | TextIO, n: int) -> MatchingState:
 
 
 def _parse_matching_columns(text: str, n: int) -> MatchingState:
-    """Build the matching of a canonical text from its vertex columns.
+    """Build the matching of a canonical text from its vertices.
 
-    Raises ValueError for a number past Python's int-conversion limit, a
-    declared size that differs from the pair count, a vertex out of range
-    and a repeated or self-paired vertex; the line loop then names the
-    fault.
+    Raises ValueError for a number JSON or `int` refuses, a declared size
+    that differs from the pair count, a vertex out of range and a repeated
+    or self-paired vertex; the line loop then names the fault.
     """
-    tokens = text.split()
-    declared = int(tokens[1])
-    del tokens[2::3]  # the 'matched' keywords
-    ends = [int(t) - 1 for t in tokens[2:]]
-    del tokens
+    head, _, body = text.partition("\n")
+    declared = int(head[5:])
+    ends = _endpoints(body, "matched")
     if declared != len(ends) // 2:
         raise ValueError("declared size differs")
     if ends and not (0 <= min(ends) and max(ends) < n):

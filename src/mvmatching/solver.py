@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Iterator, Optional
 
-from .graph import Graph, MatchingState, augment_in_place, validate_matching
+from .graph import Graph, MatchingState, augment_in_place, gc_paused, validate_matching
 from .phase import TraceFn, run_phase
 
 
@@ -100,6 +100,7 @@ def two_free_in_one_component(g: Graph, m: MatchingState) -> bool:
     return False
 
 
+@gc_paused
 def maximum_matching(
     g: Graph,
     m: Optional[MatchingState] = None,
@@ -120,6 +121,8 @@ def maximum_matching(
     cascade alone is maximum, so one certifying phase remains.  A given
     matching is used as it is; one that is not valid for g raises
     ValueError naming its first fault (see `validate_matching`).
+
+    The call runs with cyclic GC paused (`gc_paused`).
     """
     if m is not None:
         violations = validate_matching(g, m)

@@ -9,6 +9,8 @@ petal classes are read from a finished phase's petal records.
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import itertools
 import random
 from collections import Counter
@@ -17,6 +19,27 @@ from typing import Iterator, Optional
 from mvmatching.ddfs import GREEN, RED, Bottleneck, DdfsOutcome, run_ddfs
 from mvmatching.graph import Graph, MatchingState, augment_in_place
 from mvmatching.phase import UNSET, PhaseState, run_phase
+
+
+# ---------------------------------------------------------------------------
+# Cyclic GC
+
+
+@contextlib.contextmanager
+def gc_collections() -> Iterator[list[int]]:
+    """Record the generation of each cyclic GC collection started inside
+    the block, in order."""
+    started: list[int] = []
+
+    def record(phase: str, info: dict) -> None:
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        yield started
+    finally:
+        gc.callbacks.remove(record)
 
 
 # ---------------------------------------------------------------------------

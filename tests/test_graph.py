@@ -168,6 +168,7 @@ _PERTURBATIONS = (
     "second_problem_line",
     "edge_before_problem_line",
     "huge_number",
+    "leading_zero",
 )
 
 
@@ -219,6 +220,12 @@ def _dimacs_text(draw: st.DrawFn) -> str:
             insert("e 1 2", first=0)
         elif kind == "huge_number":
             insert("e 1 " + "7" * 5000)
+        elif kind == "leading_zero":
+            # Canonical for the pattern, refused by JSON.
+            edge_lines = [k for k, line in enumerate(lines) if line.startswith("e ")]
+            if edge_lines:
+                k = draw(st.sampled_from(edge_lines))
+                lines[k] = lines[k].replace(" ", " 0", 1)
     return newline.join(lines) + final
 
 
@@ -241,6 +248,7 @@ class TestParsePaths:
             f"p edge {MAX_VERTICES + 1} 0\ne 1 2\n",
             "p edge 3 1\ne 1 " + "2" * 5000 + "\n",
             "p edge " + "3" * 5000 + " 0\n",
+            "p edge 3 1\ne 01 2\n",
         ],
     )
     def test_edge_cases_match_line_loop(self, text: str) -> None:
@@ -291,6 +299,60 @@ class TestParsePaths:
             tracemalloc.stop()
         assert g.edges == ((0, 1),)
         assert peak <= 1 << 20
+
+
+class _Source(io.StringIO):
+    """A text file that records whether cyclic GC was enabled when read."""
+
+    def __init__(self, text: str) -> None:
+        super().__init__(text)
+        self.gc_enabled: list[bool] = []
+
+    def read(self, size: int | None = -1) -> str:
+        self.gc_enabled.append(gc.isenabled())
+        return super().read(size)
+
+
+# Each parse call with a text it accepts from its column path, one from
+# its line loop, and one its line loop refuses (True).
+_PARSES = [
+    (parse_dimacs, "p edge 3 2\ne 1 2\ne 2 3\n", False),
+    (parse_dimacs, "c comment\np edge 3 2\ne 1 2\ne 2 3\n", False),
+    (parse_dimacs, "p edge 3 1\ne 1 4\n", True),
+    (lambda text: parse_matching(text, 4), "size 1\nmatched 1 2\n", False),
+    (lambda text: parse_matching(text, 4), "size 1\n\nmatched 1 2\n", False),
+    (lambda text: parse_matching(text, 4), "size 1\nmatched 1 5\n", True),
+]
+
+
+class TestGcPause:
+    """`parse_dimacs` and `parse_matching` run with cyclic GC paused and
+    run one young collection on exit, by a return or by an error; a
+    caller's own pause is kept, with no collection."""
+
+    @pytest.mark.parametrize("parse, text, refused", _PARSES)
+    def test_paused_then_restored(self, parse, text: str, refused: bool) -> None:
+        assert gc.isenabled()
+        source = _Source(text)
+        with support.gc_collections() as collections:
+            outcome = _parse_outcome(parse, source)
+        assert source.gc_enabled == [False]
+        assert gc.isenabled()
+        assert collections == [0]
+        assert isinstance(outcome, str) == refused
+        if refused:
+            assert outcome.startswith("line 2: vertex index out of range")
+
+    @pytest.mark.parametrize("parse, text, refused", _PARSES)
+    def test_caller_pause_is_kept(self, parse, text: str, refused: bool) -> None:
+        gc.disable()
+        try:
+            with support.gc_collections() as collections:
+                _parse_outcome(parse, text)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert collections == []
 
 
 # Every line end of `str.splitlines`, and the characters near them.

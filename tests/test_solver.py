@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,10 @@ from mvmatching.graph import (
     Graph,
     MatchingState,
     generate_random_graph,
+    parse_dimacs,
+    parse_matching,
+    serialize_dimacs,
+    serialize_matching,
     validate_matching,
 )
 from mvmatching.oracle import brute_max_matching
@@ -232,3 +238,67 @@ class TestComponentCheck:
             last = max(k for k, line in enumerate(lines) if line.startswith("path "))
             assert not any(line.startswith("level ") for line in lines[last:])
             assert phases == sum(line == "level 0" for line in lines) + 1
+
+
+class TestGcPause:
+    """`maximum_matching` runs with cyclic GC paused and runs one young
+    collection on exit, by a return or by an error; a caller's own pause
+    is kept, with no collection."""
+
+    def test_paused_then_restored(self) -> None:
+        g, m = support.nested_blossoms(3)
+        enabled: list[bool] = []
+        with support.gc_collections() as collections:
+            matching, _ = maximum_matching(g, m, trace=lambda line: enabled.append(gc.isenabled()))
+        assert enabled and not any(enabled)
+        assert gc.isenabled()
+        assert collections == [0]
+        assert matching.size() == m.size() + 1
+
+    def test_restored_after_invalid_start(self) -> None:
+        g, _ = support.p4()
+        with support.gc_collections() as collections:
+            with pytest.raises(ValueError, match="invalid starting matching"):
+                maximum_matching(g, MatchingState(4, [(0, 2)]))
+        assert gc.isenabled()
+        assert collections == [0]
+
+    def test_caller_pause_is_kept(self) -> None:
+        g, _ = support.p4()
+        gc.disable()
+        try:
+            with support.gc_collections() as collections:
+                maximum_matching(g)
+                with pytest.raises(ValueError, match="invalid starting matching"):
+                    maximum_matching(g, MatchingState(4, [(0, 2)]))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert collections == []
+
+
+class TestNoCycles:
+    """The pause rests on the parse and the solve making no reference
+    cycles: with GC off throughout, a full collection afterwards finds
+    nothing to free, so no memory waits on the collector."""
+
+    @pytest.mark.parametrize("case", ["random", "nested_blossoms"])
+    def test_parse_and_solve_leave_no_cycles(self, case: str) -> None:
+        if case == "random":
+            g, start = generate_random_graph(400, 1_200, seed=11), None
+        else:
+            g, start = support.nested_blossoms(6)
+        text = serialize_dimacs(g)
+        lines: list[str] = []
+        gc.collect()
+        gc.disable()
+        try:
+            parsed = parse_dimacs(text)
+            matching, _ = maximum_matching(parsed, start)
+            maximum_matching(parsed, start, trace=lines.append)
+            parse_matching(serialize_matching(matching), g.n)
+            unreachable = gc.collect()
+        finally:
+            gc.enable()
+        assert parsed == g
+        assert unreachable == 0
