@@ -9,51 +9,72 @@ from .graph import Graph, MatchingState, augment_in_place, gc_paused, validate_m
 from .phase import TraceFn, run_phase
 
 
-def degree_one_cascade(g: Graph) -> MatchingState:
-    """Match every vertex left with one unmatched neighbour to it, until
-    none is left: the degree-1 rule of Karp and Sipser (1981).
+def karp_sipser(g: Graph) -> tuple[MatchingState, int]:
+    """The Karp-Sipser (1981) matching of g, and the number of greedy
+    picks it made.
 
-    Some maximum matching of what is still unmatched matches a vertex of
-    degree 1 to its one neighbour, so each such pair extends to a maximum
-    matching of g.  Matching u removes it from its unmatched neighbours'
-    counts, and a neighbour whose count falls to 1 is matched in turn.
-    `live[w]` holds w's count only once it has fallen below
-    `len(g.adj[w])`, w's degree, so a graph with no degree-1 vertex pays
-    one pass of `len` over `adj`.  The walks read neighbours only, in
-    `adj` order.  O(n + m).
+    The degree-1 rule matches a free vertex that has one free neighbour
+    to that neighbour, until no such vertex is left.  Then the next edge
+    of `g.edges` whose ends are both free is matched, a greedy pick, and
+    the rule runs again, until no edge joins two free vertices.
+
+    `live[w]` is w's degree less its matched neighbours, so while w is
+    free it counts w's free neighbours.  Each new pair lowers the counts
+    of its ends' neighbours, and a vertex whose count falls to 1 is
+    pushed for the rule, once, as counts only fall.  A pair of the rule
+    lowers only its second end's neighbours: the first has no other
+    free neighbour.  Each adjacency is walked at most once for the counts
+    and once to find a partner, so the pass is O(n + m).
+
+    Some maximum matching of what is still free matches a vertex of
+    degree 1 to its one neighbour, so every pair the rule makes extends
+    to a maximum matching.  With no greedy pick every pair is one of
+    these, and no edge is left between free vertices, so the matching is
+    maximum.
     """
     adj = g.adj
     matching = MatchingState(g.n)
     partner = matching.partner
-    stack = [v for v, nbrs in enumerate(adj) if len(nbrs) == 1]
-    live: dict[int, int] = {}
-    while stack:
-        v = stack.pop()
-        if partner[v] is not None:
-            continue
-        for u in adj[v]:
-            if partner[u] is None:
-                break
+    live = [len(nbrs) for nbrs in adj]
+    stack = [v for v, count in enumerate(live) if count == 1]
+    edges = iter(g.edges)
+    picks = 0
+    while True:
+        if stack:
+            u = stack.pop()
+            if partner[u] is not None or not live[u]:
+                continue
+            for v in adj[u]:
+                if partner[v] is None:
+                    break
+            walk = adj[v]
         else:
-            continue  # v's last neighbour was matched since v was pushed
-        partner[v] = u
+            for u, v in edges:
+                if partner[u] is None and partner[v] is None:
+                    break
+            else:
+                return matching, picks
+            picks += 1
+            walk = adj[u] + adj[v]
         partner[u] = v
-        for w in adj[u]:
-            if partner[w] is None:
-                count = live.get(w, len(adj[w])) - 1
-                live[w] = count
-                if count == 1:
-                    stack.append(w)
-    return matching
+        partner[v] = u
+        for w in walk:
+            count = live[w] - 1
+            live[w] = count
+            if count == 1:
+                stack.append(w)
 
 
-def _free_vertices(partner: list[Optional[int]]) -> Iterator[int]:
-    """The free vertices in vertex order, found by `list.index`."""
+def _free_vertices(g: Graph, partner: list[Optional[int]]) -> Iterator[int]:
+    """The free vertices that have a neighbour, in vertex order, found by
+    `list.index`."""
+    adj = g.adj
     v = -1
     try:
         while True:
             v = partner.index(None, v + 1)
-            yield v
+            if adj[v]:
+                yield v
     except ValueError:
         return
 
@@ -64,23 +85,28 @@ def two_free_in_one_component(g: Graph, m: MatchingState) -> bool:
     an augmenting path joins two free vertices of one component.  This
     is the empty-barrier case of the Tutte-Berge formula.
 
-    One breadth-first search grows from the free vertices, and `root`
-    labels each vertex it reaches with the free vertex it grew from.  It
-    takes one more free vertex, in vertex order, before each vertex it
-    expands, so on a matching with many free vertices the answer comes
-    after a few steps, with no pass over all of `partner`.  The answer is
-    True at the first edge whose ends carry two labels, or at a free
-    vertex already reached from another one, and False once every free
-    vertex is a root and their components are exhausted.  O(n + m).
+    A free vertex of degree 0 is a component by itself, so it is passed
+    over, and when at most one free vertex is left the answer is False
+    at once.  Otherwise one breadth-first search grows from the free
+    vertices, and `root` labels each vertex it reaches with the free
+    vertex it grew from.  It takes one more free vertex, in vertex
+    order, before each vertex it expands, so on a matching with many
+    free vertices the answer comes after a few steps, with no pass over
+    all of `partner`.  The answer is True at the first edge whose ends
+    carry two labels, or at a free vertex already reached from another
+    one, and False once every free vertex is a root and their components
+    are exhausted.  O(n + m).
     """
     adj = g.adj
     root = [-1] * g.n
-    free = _free_vertices(m.partner)
+    free = _free_vertices(g, m.partner)
     first = next(free, None)
-    if first is None:
+    second = next(free, None)
+    if second is None:
         return False
     root[first] = first
-    queue = [first]
+    root[second] = second
+    queue = [first, second]
     # The list iterator also yields the vertices appended while it runs.
     for u in queue:
         f = next(free, None)
@@ -116,9 +142,9 @@ def maximum_matching(
     that finds no augmenting path.
 
     When no starting matching is given, the search is seeded by
-    `degree_one_cascade`, then by a greedy pass over `g.edges` that
-    matches each edge whose ends are both still free; on a forest the
-    cascade alone is maximum, so one certifying phase remains.  A given
+    `karp_sipser`.  A seed made with no greedy pick is maximum by
+    itself, as on every forest: it is returned at once, and that counts
+    as the certifying phase, again with no trace event.  A given
     matching is used as it is; one that is not valid for g raises
     ValueError naming its first fault (see `validate_matching`).
 
@@ -130,12 +156,9 @@ def maximum_matching(
             raise ValueError(f"invalid starting matching: {violations[0]}")
         matching = m.copy()
     else:
-        matching = degree_one_cascade(g)
-        partner = matching.partner
-        for u, v in g.edges:
-            if partner[u] is None and partner[v] is None:
-                partner[u] = v
-                partner[v] = u
+        matching, picks = karp_sipser(g)
+        if not picks:
+            return matching, 1
     phases = 0
     while True:
         phases += 1

@@ -30,7 +30,7 @@ C5_DIMACS = serialize_dimacs(support.c5())
 TRIANGLE_DIMACS = serialize_dimacs(support.triangle()[0])
 BARBELL_DIMACS = serialize_dimacs(support.barbell())
 # The paw (triangle 1-2-3 with 4 on 1) plus the edge 3-4, so that no
-# vertex has degree 1 and the seed's degree-1 cascade matches nothing.
+# vertex has degree 1 and the seed opens with a greedy pick.
 DIAMOND_DIMACS = "p edge 4 5\ne 1 3\ne 1 4\ne 2 3\ne 1 2\ne 3 4\n"
 
 # The five-cycle 1-2-3-4-5 with a hub 6 on vertex 1 and two leaves 7 and
@@ -40,8 +40,9 @@ DIAMOND_DIMACS = "p edge 4 5\ne 1 3\ne 1 4\ne 2 3\ne 1 2\ne 3 4\n"
 C5_HUB_DIMACS = "p edge 8 8\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\ne 1 6\ne 6 7\ne 6 8\n"
 
 # Full `solve --trace` streams, line for line.  Neither the barbell nor
-# the diamond has a vertex of degree 1, so the seed is the greedy pass
-# alone and leaves one short augmenting path in each.  The barbell's
+# the diamond has a vertex of degree 1, so the seed opens with a greedy
+# pick; it makes the pairs of a greedy pass over the edges, and leaves
+# one short augmenting path in each.  The barbell's
 # bridge (2, 3) forms a petal before the path is found; the diamond's
 # bridge ends its DDFS with a terminated seek.  After each path the
 # matching is perfect, so the certifying step runs no search.  The

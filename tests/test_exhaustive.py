@@ -13,9 +13,9 @@ run on every edge order of every labelled graph on four vertices, from
 each of its matchings: the DDFS takes out-edges in scan order, which
 follows the adjacency and so the edge order.  Every labelled graph on
 six vertices is also solved from the empty matching and from the
-solver's own seed, and each size must equal `brute_max_matching`'s; the
-seed's degree-1 cascade must extend to a maximum matching (Karp and
-Sipser's lemma).  The enumerations live in `support.small_instances`
+solver's own seed, and each size must equal `brute_max_matching`'s; a
+Karp-Sipser seed made with no greedy pick must be maximum by itself
+(Karp and Sipser's lemma).  The enumerations live in `support.small_instances`
 and `support.all_graphs`; `tests/edge_order_sweep.py` runs the
 edge-order checks on five vertices and up to six edges, outside pytest.
 """
@@ -33,7 +33,7 @@ from mvmatching.oracle import (
     compute_profile,
 )
 from mvmatching.phase import levels_with_inf, run_phase
-from mvmatching.solver import degree_one_cascade, maximum_matching
+from mvmatching.solver import karp_sipser, maximum_matching
 
 import support
 
@@ -49,9 +49,9 @@ CLASSIFIED = 50_676
 ORDERED_4 = 15_853
 ORDERED_PETALS_4 = 72
 # Labelled graphs on six vertices: one per subset of the 15 pairs, and
-# those in which the degree-1 cascade matches at least one pair.
+# those whose Karp-Sipser seed makes no greedy pick.
 GRAPHS_6 = 32_768
-SEEDED_6 = 19_011
+CERTIFIED_6 = 12_982
 
 
 def check_phase(s, profile, edges: list[tuple[int, int]]) -> tuple[int, int]:
@@ -104,17 +104,17 @@ def test_every_edge_order_on_four_vertices() -> None:
 
 
 def test_every_six_vertex_graph_solves_to_maximum() -> None:
-    count = seeded = 0
+    count = certified = 0
     for g in support.all_graphs(6):
         best = brute_max_matching(g)[0]
         assert maximum_matching(g, MatchingState(6))[0].size() == best, g.edges
         assert maximum_matching(g)[0].size() == best, g.edges
-        # Karp and Sipser's lemma: the cascade's pairs extend to a maximum
-        # matching, so it and a maximum matching of the rest make one.
-        cascade = degree_one_cascade(g)
-        partner = cascade.partner
-        rest = [(u, v) for u, v in g.edges if partner[u] is None and partner[v] is None]
-        assert cascade.size() + brute_max_matching(Graph.from_edges(6, rest))[0] == best, g.edges
-        seeded += cascade.size() > 0
+        # Karp and Sipser's lemma: every pair of the degree-1 rule extends
+        # to a maximum matching, so a seed made of such pairs alone, with
+        # no edge left between free vertices, is maximum.
+        seed, picks = karp_sipser(g)
+        if not picks:
+            assert seed.size() == best, g.edges
+            certified += 1
         count += 1
-    assert (count, seeded) == (GRAPHS_6, SEEDED_6)
+    assert (count, certified) == (GRAPHS_6, CERTIFIED_6)

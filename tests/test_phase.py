@@ -522,14 +522,16 @@ class TestFilingStopsAtLm:
         # level, so a bridge of higher tenacity is never filed after it,
         # and MIN, which runs before MAX at each level, never runs after
         # a removal: no `minlevel` line and no `level` line follow the
-        # phase's first path until the next phase's `level 0`.
+        # phase's first path until the next phase's `level 0`.  Each graph
+        # starts from the solver's seed, the empty matching or a seeded
+        # greedy matching in turn.
         rng = random.Random(6006)
         phases_with_paths = 0
-        for k in range(300):
+        for k in range(400):
             n = rng.randint(2, 40)
             edges = rng.randint(0, min(n * (n - 1) // 2, 4 * n))
             g = generate_random_graph(n, edges, rng.randrange(2**32))
-            start = MatchingState(n) if k % 2 else None
+            start = (None, MatchingState(n), support.greedy_matching(g, k))[k % 3]
             lines: list[str] = []
             maximum_matching(g, start, trace=lines.append)
             l_m = None

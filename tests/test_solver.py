@@ -20,7 +20,7 @@ from mvmatching.graph import (
 )
 from mvmatching.oracle import brute_max_matching
 from mvmatching.phase import run_phase
-from mvmatching.solver import degree_one_cascade, maximum_matching, two_free_in_one_component
+from mvmatching.solver import karp_sipser, maximum_matching, two_free_in_one_component
 
 import support
 
@@ -63,14 +63,40 @@ class TestNamedGraphs:
         assert m0.pairs() == before
 
 
-def _old_greedy(g: Graph) -> MatchingState:
-    """The greedy pass alone: each edge in order whose ends are both free."""
+def _reference_karp_sipser(g: Graph) -> tuple[MatchingState, int]:
+    """Karp and Sipser's seed from its definition, in O(n * m) time, with
+    the solver's choices; returns the matching and its greedy picks.
+
+    While some free vertex has exactly one free neighbour, match the two,
+    taking first the vertex left with one last: at the start the
+    highest-numbered, and after a pair (u, v) the one reached last in a
+    walk of u's neighbours, then v's.  When none has, match the first
+    edge of `g.edges` whose ends are both free, a greedy pick.
+    """
     m = MatchingState(g.n)
-    for u, v in g.edges:
-        if not m.is_matched(u) and not m.is_matched(v):
-            m.partner[u] = v
-            m.partner[v] = u
-    return m
+    partner = m.partner
+
+    def free_degree(v: int) -> int:
+        return sum(partner[w] is None for w in g.adj[v])
+
+    pendant = [v for v in range(g.n) if free_degree(v) == 1]  # oldest first
+    picks = 0
+    while True:
+        pendant = [v for v in pendant if partner[v] is None and free_degree(v) == 1]
+        if pendant:
+            u = pendant.pop()
+            (v,) = [w for w in g.adj[u] if partner[w] is None]
+        else:
+            pair = next(((a, b) for a, b in g.edges if partner[a] is None and partner[b] is None), None)
+            if pair is None:
+                return m, picks
+            u, v = pair
+            picks += 1
+        before = [free_degree(w) for w in range(g.n)]
+        partner[u], partner[v] = v, u
+        walk = g.adj[u] + g.adj[v]
+        last = {w: k for k, w in enumerate(walk) if partner[w] is None and free_degree(w) == 1 < before[w]}
+        pendant += sorted(last, key=last.__getitem__)
 
 
 @st.composite
@@ -98,17 +124,35 @@ def _forest(draw) -> tuple[Graph, int]:
 
 
 class TestDegreeOneSeed:
-    """With no start given, the seed is the degree-1 cascade and then the
-    greedy pass; a given start is used as it is."""
+    """With no start given, the seed is `karp_sipser`: the degree-1 rule,
+    with a greedy pick whenever it runs out.  A seed made with no greedy
+    pick is returned as maximum; a given start is used as it is."""
+
+    def _check_seed(self, g: Graph) -> int:
+        """The seed is the reference Karp-Sipser, and the solve from it is
+        the solve from the reference's matching; returns the picks."""
+        seed, picks = karp_sipser(g)
+        assert (seed, picks) == _reference_karp_sipser(g)
+        seeded: list[str] = []
+        m, phases = maximum_matching(g, trace=seeded.append)
+        if picks:
+            given_seed: list[str] = []
+            assert (m, phases) == maximum_matching(g, seed, trace=given_seed.append)
+            assert seeded == given_seed
+        else:
+            assert (m, phases, seeded) == (seed, 1, [])
+        return picks
 
     @PROPERTY_SETTINGS
     @given(forest=_forest())
     def test_forest_solves_in_one_phase(self, forest: tuple[Graph, int]) -> None:
         g, optimum = forest
-        assert degree_one_cascade(g).size() == optimum
-        m, phases = maximum_matching(g)
+        assert self._check_seed(g) == 0
+        lines: list[str] = []
+        m, phases = maximum_matching(g, trace=lines.append)
         assert validate_matching(g, m) == []
         assert (m.size(), phases) == (optimum, 1)
+        assert not any(line.startswith("level ") for line in lines)
 
     @pytest.mark.parametrize(
         "g",
@@ -117,12 +161,17 @@ class TestDegreeOneSeed:
         ids=["c3", "c4", "c7", "c30", "k4", "petersen", "barbell"],
     )
     def test_pendant_free_seed_is_the_greedy_pass(self, g: Graph) -> None:
-        assert degree_one_cascade(g).size() == 0
-        seeded: list[str] = []
-        given_greedy: list[str] = []
-        m, phases = maximum_matching(g, trace=seeded.append)
-        assert (m, phases) == maximum_matching(g, _old_greedy(g), trace=given_greedy.append)
-        assert seeded == given_greedy
+        # No vertex has degree 1, so the seed opens with a greedy pick.
+        assert self._check_seed(g) > 0
+
+    @PROPERTY_SETTINGS
+    @given(
+        n=st.integers(min_value=0, max_value=30),
+        frac=st.floats(min_value=0.0, max_value=0.3),
+        seed=_SEED,
+    )
+    def test_seed_is_the_reference_karp_sipser(self, n: int, frac: float, seed: int) -> None:
+        self._check_seed(generate_random_graph(n, int(frac * (n * (n - 1) // 2)), seed))
 
     def test_given_start_is_not_seeded(self) -> None:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
@@ -224,6 +273,24 @@ class TestComponentCheck:
         g = generate_random_graph(n, int(frac * (n * (n - 1) // 2)), seed)
         self._check(g, support.greedy_matching(g, seed, accept))
         self._check(g, maximum_matching(g)[0])
+
+    @pytest.mark.parametrize(
+        "sizes, unmatched, answer",
+        [
+            ([19, 1, 1, 1], 0, False),
+            ([20, 1, 1], 0, False),
+            ([1, 1, 1], 0, False),
+            ([19, 1, 1], 1, True),
+        ],
+        ids=["odd-giant", "even-giant", "all-isolated", "giant-with-three-free"],
+    )
+    def test_isolated_free_vertices(self, sizes: list[int], unmatched: int, answer: bool) -> None:
+        # A free vertex of degree 0 is a component by itself, whatever the
+        # free vertices elsewhere.
+        g, m = support.planted_components(sizes, 6, seed=7)
+        for u, v in m.pairs()[:unmatched]:
+            m.partner[u] = m.partner[v] = None
+        assert self._check(g, m) == answer
 
     def test_no_search_after_the_last_path(self) -> None:
         # Odd components solved from the empty matching: the solve ends

@@ -9,8 +9,8 @@ from __future__ import annotations
 import trace_digest
 
 SOLVES = 3012
-BEHAVIOUR = "3d438e2eff4762aba26cfc353cffd60d47fa7c8a87cad86e180250b440a3ce5b"
-OUTCOME = "1919d09904a0cf0e49a24455e983aa04022af9259acfef74833b28dd1c0713b3"
+BEHAVIOUR = "7c7ebd052b106ac89fb0258d0a8fba4102b1846ab299cefb89649358381666ac"
+OUTCOME = "27a837b92a6cdeea77aa730f2e2013017ed46937fe9203068d6f6d6603e23e33"
 
 
 def test_digests_are_pinned() -> None:

@@ -10,8 +10,8 @@ not depend on search order, so a change that reorders work can still show
 identical outcomes.
 
 The corpus: 3,000 seeded random graphs with n < 60, started from no
-matching (the solver's own seed: the degree-1 cascade, then a greedy
-pass), the empty matching, or a seeded greedy partial matching in turn;
+matching (the solver's own seed, `karp_sipser`), the empty matching, or
+a seeded greedy partial matching in turn;
 `triangle_chain(200)`, `nested_blossoms(12)` and `inner_matched_path(2000)`;
 and every named graph of `support.py`.
 
