@@ -21,10 +21,9 @@ from mvmatching.phase import run_phase
 
 def greedy(g, rng):
     m = MatchingState(g.n)
-    order = list(range(g.m))
-    rng.shuffle(order)
-    for eid in order:
-        u, v = g.edges[eid]
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    for u, v in edges:
         if not m.is_matched(u) and not m.is_matched(v) and rng.random() < 0.7:
             m.partner[u] = v
             m.partner[v] = u

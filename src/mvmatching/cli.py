@@ -132,11 +132,10 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
 
 def _greedy_matching(g: Graph, seed: int) -> MatchingState:
     rng = random.Random(seed)
-    order = list(range(g.m))
-    rng.shuffle(order)
+    edges = list(g.edges)
+    rng.shuffle(edges)
     m = MatchingState(g.n)
-    for eid in order:
-        u, v = g.edges[eid]
+    for u, v in edges:
         if not m.is_matched(u) and not m.is_matched(v) and rng.random() < 0.75:
             m.partner[u] = v
             m.partner[v] = u

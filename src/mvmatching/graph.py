@@ -45,8 +45,8 @@ class Graph:
     Attributes:
         n: number of vertices (identified by indices 0..n-1).
         edges: tuple of unordered vertex pairs (u, v) with u < v, in
-            first-occurrence order; an edge's id is its position here.
-        adj: per-vertex tuple of neighbours, in edge-id order.
+            first-occurrence order.
+        adj: per-vertex tuple of neighbours, in the order of `edges`.
 
     The edges are held once, in `edges`; `adj` holds each edge as its
     two ends' neighbour ints, so no per-edge tuple or index outlives the

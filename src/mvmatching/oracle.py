@@ -4,10 +4,11 @@ Every quantity here is computed by definitional enumeration over simple
 alternating paths, never by the phase engine's algorithm.  Exponential
 time; hard size guards protect against accidental large inputs.
 
-`compute_profile` enumerates twice: once for the levels, and once more
-to keep the minimal alternating paths, those whose length is their end
-vertex's evenlevel or oddlevel.  Props, bases, blossoms, supports and
-the structural theorems all read those paths from the profile.
+`compute_profile` enumerates once, keeping per vertex and parity the
+shortest length so far and the paths of that length: the levels, and the
+minimal alternating paths, those whose length is their end vertex's
+evenlevel or oddlevel.  Props, bases, blossoms, supports and the
+structural theorems all read those paths; an edge is named by its ends.
 """
 
 from __future__ import annotations
@@ -67,21 +68,31 @@ def _iter_alternating_paths(
     yield from extend(None)
 
 
-def brute_levels(g: Graph, m: MatchingState) -> tuple[list[float], list[float]]:
-    """Exact evenlevel/oddlevel per vertex by exhaustive path enumeration."""
+def _minimal_paths(
+    g: Graph, m: MatchingState
+) -> tuple[list[float], list[float], list[dict[float, list[list[int]]]]]:
+    """Evenlevels, oddlevels and minimal paths from one enumeration that
+    keeps, per vertex and parity, the shortest length so far and its paths."""
     check_level_guard(g.n)
-    even = [INF] * g.n
-    odd = [INF] * g.n
+    shortest = [[INF, INF] for _ in range(g.n)]
+    found: list[list[list[list[int]]]] = [[[], []] for _ in range(g.n)]
     for f in range(g.n):
         if m.is_matched(f):
             continue
         for p in _iter_alternating_paths(g, m, f):
-            length = len(p) - 1
-            v = p[-1]
-            if length % 2 == 0:
-                even[v] = min(even[v], length)
-            else:
-                odd[v] = min(odd[v], length)
+            v, length = p[-1], len(p) - 1
+            best, parity = shortest[v], length % 2
+            if length < best[parity]:
+                best[parity], found[v][parity] = length, []
+            if length == best[parity]:
+                found[v][parity].append(p)
+    even, odd = [s[0] for s in shortest], [s[1] for s in shortest]
+    return even, odd, [{e: pe, o: po} for (e, o), (pe, po) in zip(shortest, found)]
+
+
+def brute_levels(g: Graph, m: MatchingState) -> tuple[list[float], list[float]]:
+    """Exact evenlevel/oddlevel per vertex by exhaustive path enumeration."""
+    even, odd, _ = _minimal_paths(g, m)
     return even, odd
 
 
@@ -146,7 +157,9 @@ class OracleProfile:
     Only `compute_profile` makes one, so every profile is within the
     level guard.  `min_paths[v]` maps each of v's two levels to the
     alternating paths of that length from a free vertex to v, in
-    enumeration order; an infinite level maps to no paths.
+    enumeration order; an infinite level maps to no paths.  `props`
+    holds each prop as its ends (u, v), u < v; every other edge is a
+    bridge.
     """
 
     g: Graph
@@ -154,8 +167,7 @@ class OracleProfile:
     evenlevel: list[float]
     oddlevel: list[float]
     tenacity: list[float]
-    edge_class: list[str]  # 'prop' | 'bridge'
-    edge_tenacity: list[float]
+    props: frozenset[tuple[int, int]]
     t_m: float
     l_m: float
     min_paths: list[dict[float, list[list[int]]]]
@@ -179,57 +191,41 @@ class OracleProfile:
     def eligible_vertices(self) -> list[int]:
         return [v for v in range(self.g.n) if self.is_eligible_tenacity(self.tenacity[v])]
 
+    def edge_tenacity(self, u: int, v: int) -> float:
+        """Tenacity of edge (u, v), its ends in either order: their
+        oddlevels plus one if it is matched, else their evenlevels plus one."""
+        level = self.oddlevel if self.m.partner[u] == v else self.evenlevel
+        return level[u] + level[v] + 1
 
-def _edge_ids(g: Graph) -> dict[tuple[int, int], int]:
-    """Each edge's id, its position in `g.edges`, keyed by its ends."""
-    return {e: k for k, e in enumerate(g.edges)}
 
-
-def _path_eids(ids: dict[tuple[int, int], int], p: list[int]) -> list[int]:
-    """Edge ids along vertex path p, in order, from an `_edge_ids` map."""
-    return [ids[(a, b) if a < b else (b, a)] for a, b in zip(p, p[1:])]
+def _path_edges(p: list[int]) -> list[tuple[int, int]]:
+    """The edges along vertex path p, in order, each as (a, b), a < b."""
+    return [(a, b) if a < b else (b, a) for a, b in zip(p, p[1:])]
 
 
 def compute_profile(g: Graph, m: MatchingState) -> OracleProfile:
     """Compute an OracleProfile, base sets and blossoms included."""
-    even, odd = brute_levels(g, m)
+    even, odd, min_paths = _minimal_paths(g, m)
     free = [f for f in range(g.n) if not m.is_matched(f)]
-    min_paths: list[dict[float, list[list[int]]]] = [
-        {even[v]: [], odd[v]: []} for v in range(g.n)
-    ]
-    longest = max((x for x in even + odd if x != INF), default=0)
-    for f in free:
-        for p in _iter_alternating_paths(g, m, f, max_len=longest):
-            paths = min_paths[p[-1]].get(len(p) - 1)
-            if paths is not None:
-                paths.append(p)
-
     tenacity = [even[v] + odd[v] for v in range(g.n)]
     finite_ts = [t for t in tenacity if t != INF]
     t_m = min(finite_ts) if finite_ts else INF
     # An odd alternating path that ends at a free vertex augments.
     l_m = min((odd[f] for f in free), default=INF)
     # A prop is the last edge of some minlevel path; every other edge is a bridge.
-    ids = _edge_ids(g)
-    is_prop = [False] * g.m
-    for v in range(g.n):
-        for p in min_paths[v][min(even[v], odd[v])]:
-            if len(p) > 1:
-                is_prop[_path_eids(ids, p[-2:])[0]] = True
-    edge_tenacity: list[float] = []
-    for u, v in g.edges:
-        if m.partner[u] == v:
-            edge_tenacity.append(odd[u] + odd[v] + 1)
-        else:
-            edge_tenacity.append(even[u] + even[v] + 1)
+    props = frozenset(
+        e
+        for v in range(g.n)
+        for p in min_paths[v][min(even[v], odd[v])]
+        for e in _path_edges(p[-2:])
+    )
     profile = OracleProfile(
         g=g,
         m=m,
         evenlevel=even,
         oddlevel=odd,
         tenacity=tenacity,
-        edge_class=["prop" if f else "bridge" for f in is_prop],
-        edge_tenacity=edge_tenacity,
+        props=props,
         t_m=t_m,
         l_m=l_m,
         min_paths=min_paths,
@@ -336,25 +332,22 @@ def brute_blossoms(
     return out
 
 
-def brute_support(profile: OracleProfile, eid: int) -> frozenset[int]:
-    """Support of a bridge: vertices of the bridge's tenacity having a
-    maxlevel path through the bridge edge."""
-    t = profile.edge_tenacity[eid]
-    ids = _edge_ids(profile.g)
+def brute_support(profile: OracleProfile, bridge: tuple[int, int]) -> frozenset[int]:
+    """Support of a bridge, given as its ends in either order: vertices of
+    the bridge's tenacity having a maxlevel path through the bridge edge."""
+    u, v = bridge
+    edge, t = (min(u, v), max(u, v)), profile.edge_tenacity(u, v)
     return frozenset(
         w
         for w in range(profile.g.n)
         if profile.tenacity[w] == t
-        and any(
-            eid in _path_eids(ids, p) for p in profile.min_paths[w][profile.maxlevel(w)]
-        )
+        and any(edge in _path_edges(p) for p in profile.min_paths[w][profile.maxlevel(w)])
     )
 
 
 def check_structural_theorems(profile: OracleProfile) -> list[str]:
     """Verify the structural theorems by enumeration; returns violations."""
     g, m = profile.g, profile.m
-    ids = _edge_ids(g)
     violations: list[str] = []
 
     # (a) BFS-honesty along every minimal path.
@@ -379,15 +372,14 @@ def check_structural_theorems(profile: OracleProfile) -> list[str]:
                         )
 
     # (b) Matched-edge tenacity equality (below l_m).
-    for eid, (u, v) in enumerate(g.edges):
+    for u, v in g.edges:
         if m.partner[u] != v:
             continue
-        tu, tv = profile.tenacity[u], profile.tenacity[v]
+        tu, tv, t_e = profile.tenacity[u], profile.tenacity[v], profile.edge_tenacity(u, v)
         if tu != INF and tv != INF and max(tu, tv) < profile.l_m:
-            if not (tu == tv == profile.edge_tenacity[eid]):
+            if not (tu == tv == t_e):
                 violations.append(
-                    f"matched edge ({u},{v}): tenacities {tu}, {tv}, "
-                    f"edge {profile.edge_tenacity[eid]} differ"
+                    f"matched edge ({u},{v}): tenacities {tu}, {tv}, edge {t_e} differ"
                 )
 
     # (c) Singleton base for every eligible vertex.
@@ -404,8 +396,8 @@ def check_structural_theorems(profile: OracleProfile) -> list[str]:
         for p in profile.min_paths[v][profile.maxlevel(v)]:
             count = sum(
                 1
-                for eid in _path_eids(ids, p)
-                if profile.edge_class[eid] == "bridge" and profile.edge_tenacity[eid] == t_v
+                for e in _path_edges(p)
+                if e not in profile.props and profile.edge_tenacity(*e) == t_v
             )
             if count != 1:
                 violations.append(
@@ -432,10 +424,10 @@ def check_structural_theorems(profile: OracleProfile) -> list[str]:
             )
 
     # (g) Bridge endpoint cases.
-    for eid, (u, v) in enumerate(g.edges):
-        if profile.edge_class[eid] != "bridge":
+    for u, v in g.edges:
+        if (u, v) in profile.props:
             continue
-        t_e = profile.edge_tenacity[eid]
+        t_e = profile.edge_tenacity(u, v)
         if t_e == INF or t_e > profile.l_m:
             continue
         if m.partner[u] == v:

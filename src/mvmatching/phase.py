@@ -266,8 +266,8 @@ def _assign_maxlevels(s: PhaseState, members: list[int], t: int) -> None:
     each bridge waiting at w, whose tenacity needed the evenlevel just
     set, is filed by MIN's rule: into Br(tenacity) if the tenacity is at
     most l_m.  `waiting[w]` holds each such bridge as its other end x;
-    two or more are filed in the order of w's adjacency, which is
-    edge-id order (`Graph.from_edges`).  A matched bridge never waits:
+    two or more are filed in the order of w's adjacency, which is the
+    first-occurrence order of `g.edges` (`Graph.from_edges`).  A matched bridge never waits:
     both its ends have oddlevels.  An unclassified unmatched edge
     (w, x) is left to MIN.  A live x has no evenlevel at or below the
     current level i, or its even scan would have classified the edge, so

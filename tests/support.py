@@ -215,11 +215,10 @@ def nested_blossoms(depth: int) -> tuple[Graph, MatchingState]:
 def greedy_matching(g: Graph, seed: int, accept: float = 0.7) -> MatchingState:
     """Seeded greedy partial matching used for corpus instances."""
     rng = random.Random(seed)
-    order = list(range(g.m))
-    rng.shuffle(order)
+    edges = list(g.edges)
+    rng.shuffle(edges)
     m = MatchingState(g.n)
-    for eid in order:
-        u, v = g.edges[eid]
+    for u, v in edges:
         if not m.is_matched(u) and not m.is_matched(v) and rng.random() < accept:
             m.partner[u] = v
             m.partner[v] = u
@@ -276,14 +275,14 @@ def free_per_component(g: Graph, m: MatchingState) -> list[int]:
 def all_matchings(g: Graph) -> Iterator[MatchingState]:
     """Every matching of g, each edge either taken or not, in edge order."""
 
-    def extend(eid: int, pairs: list[tuple[int, int]], used: set[int]):
-        if eid == g.m:
+    def extend(k: int, pairs: list[tuple[int, int]], used: set[int]):
+        if k == g.m:
             yield MatchingState(g.n, pairs)
             return
-        yield from extend(eid + 1, pairs, used)
-        u, v = g.edges[eid]
+        yield from extend(k + 1, pairs, used)
+        u, v = g.edges[k]
         if u not in used and v not in used:
-            yield from extend(eid + 1, pairs + [(u, v)], used | {u, v})
+            yield from extend(k + 1, pairs + [(u, v)], used | {u, v})
 
     return extend(0, [], set())
 

@@ -703,9 +703,9 @@ class TestGraphLayout:
         for u, v in pairs:
             if (min(u, v), max(u, v)) not in ref:
                 ref.append((min(u, v), max(u, v)))
-        # Edge ids are first-occurrence order, each edge as (u, v), u < v.
+        # Edges are in first-occurrence order, each as (u, v), u < v.
         assert (g.n, g.edges) == (n, tuple(ref))
-        # adj[v] is the other ends of v's edges in edge-id order, the
+        # adj[v] is the other ends of v's edges in that order, the
         # order in which `phase._assign_maxlevels` files waiting bridges.
         assert g.adj == tuple(
             tuple(b if a == v else a for a, b in ref if v in (a, b)) for v in range(n)
@@ -719,8 +719,7 @@ class TestGraphLayout:
         # Each edge is held once as a tuple in `edges` and as two
         # neighbour ints in `adj`, with no id or index beside them: about
         # 150 bytes an edge under tracemalloc, the endpoint ints the parse
-        # makes included.  Two (neighbour, edge id) tuples an edge in
-        # `adj` and an edge-id dict held 346.
+        # makes included.
         text = serialize_dimacs(generate_random_graph(4000, 20000, 2020))
         gc.collect()
         tracemalloc.start()

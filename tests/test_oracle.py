@@ -154,27 +154,36 @@ class TestBruteSupport:
     def test_triangle_bridge(self) -> None:
         g, m = support.triangle()
         profile = compute_profile(g, m)
-        eid = g.edges.index((1, 2))
-        assert profile.edge_class[eid] == "bridge"
-        assert brute_support(profile, eid) == frozenset({1, 2})
+        assert (1, 2) in g.edges and (1, 2) not in profile.props
+        assert brute_support(profile, (1, 2)) == frozenset({1, 2})
 
     def test_p4_bridge_at_lm(self) -> None:
         g, m = support.p4()
         profile = compute_profile(g, m)
-        eid = g.edges.index((1, 2))
-        assert profile.edge_class[eid] == "bridge"
-        assert profile.edge_tenacity[eid] == 3
+        assert (1, 2) in g.edges and (1, 2) not in profile.props
+        assert profile.edge_tenacity(1, 2) == 3
         # All four vertices have tenacity 3 and their maxlevel path
         # 0-1-2-3 crosses the bridge.
-        assert brute_support(profile, eid) == frozenset({0, 1, 2, 3})
+        assert brute_support(profile, (1, 2)) == frozenset({0, 1, 2, 3})
 
     def test_empty_support_bridge(self) -> None:
         g, m = support.empty_support_graph()
         profile = compute_profile(g, m)
-        eid = g.edges.index((1, 4))
-        assert profile.edge_class[eid] == "bridge"
-        assert profile.edge_tenacity[eid] == 13
-        assert brute_support(profile, eid) == frozenset()
+        assert (1, 4) in g.edges and (1, 4) not in profile.props
+        assert profile.edge_tenacity(1, 4) == 13
+        assert brute_support(profile, (1, 4)) == frozenset()
+
+    @pytest.mark.parametrize(
+        "make, bridge",
+        [(support.triangle, (1, 2)), (support.p4, (1, 2)), (support.empty_support_graph, (1, 4))],
+    )
+    def test_ends_in_either_order(self, make, bridge: tuple[int, int]) -> None:
+        # An edge is named by its ends, so (v, u) names the same bridge as
+        # (u, v); an unsorted pair must not miss the sorted path edges.
+        profile = compute_profile(*make())
+        u, v = bridge
+        assert brute_support(profile, (v, u)) == brute_support(profile, (u, v))
+        assert profile.edge_tenacity(v, u) == profile.edge_tenacity(u, v)
 
 
 class TestStructuralTheorems:
@@ -219,7 +228,7 @@ class TestProfileDeterminism:
         b = compute_profile(g, m)
         assert a.evenlevel == b.evenlevel
         assert a.oddlevel == b.oddlevel
-        assert a.edge_class == b.edge_class
+        assert a.props == b.props
         assert a.blossoms == b.blossoms
 
 
@@ -229,8 +238,9 @@ class TestProfileFields:
         profile = compute_profile(g, m)
         assert profile.evenlevel == [0, 2, 2, 0]
         assert profile.oddlevel == [3, 1, 1, 3]
-        assert profile.edge_class == ["prop", "bridge", "prop"]
-        assert profile.edge_tenacity == [3, 3, 3]
+        assert g.edges == ((0, 1), (1, 2), (2, 3))
+        assert profile.props == {(0, 1), (2, 3)}
+        assert [profile.edge_tenacity(u, v) for u, v in g.edges] == [3, 3, 3]
         assert profile.min_paths[1] == {2: [[3, 2, 1]], 1: [[0, 1]]}
 
     def test_matched_k2_is_infinite(self) -> None:
@@ -238,4 +248,4 @@ class TestProfileFields:
         profile = compute_profile(g, MatchingState(2, [(0, 1)]))
         assert profile.evenlevel == [INF, INF]
         assert profile.oddlevel == [INF, INF]
-        assert profile.edge_tenacity == [INF]
+        assert profile.edge_tenacity(0, 1) == INF
