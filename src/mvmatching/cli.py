@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
-import random
 import re
 import sys
 import time
@@ -17,7 +16,6 @@ from typing import ContextManager, Optional, TextIO
 
 from . import oracle
 from .graph import (
-    Graph,
     GraphFormatError,
     MatchingState,
     check_edge_lines,
@@ -35,8 +33,7 @@ TRACE_HEADER = "mvtrace 1"
 
 # A problem line that `parse_dimacs` accepts, fields split by spaces or
 # tabs and LF or CRLF line ends, with a vertex count short enough to
-# convert.  `oracle-check`
-# refuses on its n before the parse.
+# convert.  `oracle-check` refuses on its n before the parse.
 _PROBLEM_LINE = re.compile(r"^[ \t]*p[ \t]+edge[ \t]+(\d{1,18})[ \t]+\d+[ \t\r]*$", re.M | re.ASCII)
 
 
@@ -130,18 +127,6 @@ def cmd_gen(cfg: argparse.Namespace) -> int:
     return 0
 
 
-def _greedy_matching(g: Graph, seed: int) -> MatchingState:
-    rng = random.Random(seed)
-    edges = list(g.edges)
-    rng.shuffle(edges)
-    m = MatchingState(g.n)
-    for u, v in edges:
-        if not m.is_matched(u) and not m.is_matched(v) and rng.random() < 0.75:
-            m.partner[u] = v
-            m.partner[v] = u
-    return m
-
-
 def cmd_oracle_check(cfg: argparse.Namespace) -> int:
     try:
         text = _read_text(cfg.input)
@@ -161,25 +146,17 @@ def cmd_oracle_check(cfg: argparse.Namespace) -> int:
     # The empty matching, then three greedy ones.
     seeds = [None] + [cfg.seed + k for k in range(3)]
     for idx, seed in enumerate(seeds):
-        m = MatchingState(g.n) if seed is None else _greedy_matching(g, seed)
+        m = MatchingState(g.n) if seed is None else oracle.greedy_matching(g, seed)
         profile = oracle.compute_profile(g, m)
-        violations = oracle.check_structural_theorems(profile)
-        for v in violations:
+        for v in oracle.check_structural_theorems(profile):
             print(f"matching {idx}: {v}")
             failures += 1
         s = run_phase(g, m)
-        even = levels_with_inf(s.evenlevel)
-        odd = levels_with_inf(s.oddlevel)
-        for v in range(g.n):
-            if profile.tenacity[v] >= profile.l_m:
-                continue
-            if even[v] != profile.evenlevel[v] or odd[v] != profile.oddlevel[v]:
-                print(
-                    f"matching {idx}: engine levels for {v + 1} "
-                    f"({even[v]}, {odd[v]}) != oracle "
-                    f"({profile.evenlevel[v]}, {profile.oddlevel[v]})"
-                )
-                failures += 1
+        even, odd = levels_with_inf(s.evenlevel), levels_with_inf(s.oddlevel)
+        for v in profile.level_mismatches(s.evenlevel, s.oddlevel):
+            ours = (profile.evenlevel[v], profile.oddlevel[v])
+            print(f"matching {idx}: engine levels for {v + 1} {(even[v], odd[v])} != oracle {ours}")
+            failures += 1
         engine_lm = s.l_m if s.paths else math.inf
         if engine_lm != profile.l_m:
             print(f"matching {idx}: engine l_m {engine_lm} != oracle {profile.l_m}")

@@ -222,6 +222,14 @@ def _iter_lines(text: str) -> Iterator[str]:
         start = stop
 
 
+def _number(field: str) -> int:
+    """A line-loop number: ASCII digits after an optional '-'.  Raises
+    ValueError for the '+1', '1_0' and other digits that `int` takes."""
+    if not (field.isascii() and field.removeprefix("-").isdigit()):
+        raise ValueError(f"not a number: {field!r}")
+    return int(field)
+
+
 def _parse_lines(text: str) -> Graph:
     """Parse DIMACS text line by line, naming the line of any error.
 
@@ -242,7 +250,7 @@ def _parse_lines(text: str) -> Graph:
             if len(fields) != 4 or fields[1] != "edge":
                 raise GraphFormatError(f"line {lineno}: malformed problem line {line!r}")
             try:
-                n, declared_m = int(fields[2]), int(fields[3])
+                n, declared_m = _number(fields[2]), _number(fields[3])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: malformed problem line {line!r}")
             if n < 0 or declared_m < 0:
@@ -255,7 +263,7 @@ def _parse_lines(text: str) -> Graph:
             if len(fields) != 3:
                 raise GraphFormatError(f"line {lineno}: malformed edge line {line!r}")
             try:
-                u, v = int(fields[1]), int(fields[2])
+                u, v = _number(fields[1]), _number(fields[2])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: malformed edge line {line!r}")
             if not (1 <= u <= n and 1 <= v <= n):
@@ -398,7 +406,7 @@ def _parse_matching_lines(text: str, n: int) -> MatchingState:
             continue
         fields = line.split()
         try:
-            numbers = [int(f) for f in fields[1:]]
+            numbers = [_number(f) for f in fields[1:]]
         except ValueError:
             raise GraphFormatError(f"line {lineno}: malformed line {line!r}")
         if fields[0] == "size" and len(numbers) == 1:
@@ -460,7 +468,7 @@ def augment_in_place(m: MatchingState, g: Graph, path: list[int]) -> None:
     """Flip the matched/unmatched edges of m along an augmenting path.
 
     Raises ValueError unless the vertex list is a simple alternating path
-    between two unmatched vertices starting and ending with unmatched edges."""
+    between two unmatched vertices, which makes its edge count odd."""
     if len(path) < 2:
         raise ValueError(f"augmenting path must have at least 2 vertices, got {len(path)}")
     defect = check_alternating(g, m, path)
@@ -469,8 +477,6 @@ def augment_in_place(m: MatchingState, g: Graph, path: list[int]) -> None:
     for endpoint in (path[0], path[-1]):
         if m.is_matched(endpoint):
             raise ValueError(f"endpoint {endpoint} matched")
-    if len(path) % 2 != 0:
-        raise ValueError(f"augmenting path must have even vertex count, got {len(path)}")
     for k, (a, b) in enumerate(zip(path, path[1:])):
         if k % 2 == 0:
             m.partner[a] = b

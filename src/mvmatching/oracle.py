@@ -9,13 +9,17 @@ shortest length so far and the paths of that length: the levels, and the
 minimal alternating paths, those whose length is their end vertex's
 evenlevel or oddlevel.  Props, bases, blossoms, supports and the
 structural theorems all read those paths; an edge is named by its ends.
+Every cross-check of the engine starts from `greedy_matching` and
+compares levels with `OracleProfile.level_mismatches`; neither reads
+more than it is given, so the oracle stays apart from the engine.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 from .graph import Graph, MatchingState
 
@@ -36,22 +40,29 @@ def check_level_guard(n: int) -> None:
         raise OracleGuardError(f"n = {n} exceeds oracle guard {LEVEL_GUARD_N}")
 
 
-def _iter_alternating_paths(
-    g: Graph, m: MatchingState, start: int, max_len: Optional[int] = None
-) -> Iterator[list[int]]:
+def greedy_matching(g: Graph, seed: int, accept: float = 0.7) -> MatchingState:
+    """Seeded partial matching: each shuffled edge with free ends is taken at odds `accept`."""
+    rng = random.Random(seed)
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    m = MatchingState(g.n)
+    for u, v in edges:
+        if not m.is_matched(u) and not m.is_matched(v) and rng.random() < accept:
+            m.partner[u], m.partner[v] = v, u
+    return m
+
+
+def _iter_alternating_paths(g: Graph, m: MatchingState, start: int) -> Iterator[list[int]]:
     """Yield every simple alternating path from unmatched vertex `start`.
 
     Paths are vertex lists beginning with [start]; the first edge is
-    necessarily unmatched since `start` has no partner.  `max_len` caps
-    the edge count (inclusive).
+    necessarily unmatched since `start` has no partner.
     """
     path = [start]
     in_path = {start}
 
     def extend(last_matched: Optional[bool]) -> Iterator[list[int]]:
         yield list(path)
-        if max_len is not None and len(path) - 1 >= max_len:
-            return
         v = path[-1]
         for w in g.adj[v]:
             if w in in_path:
@@ -196,6 +207,12 @@ class OracleProfile:
         oddlevels plus one if it is matched, else their evenlevels plus one."""
         level = self.oddlevel if self.m.partner[u] == v else self.evenlevel
         return level[u] + level[v] + 1
+
+    def level_mismatches(self, evenlevel: Sequence[float], oddlevel: Sequence[float]) -> list[int]:
+        """The vertices of tenacity below l_m whose given levels differ from
+        the oracle's, which are finite there, so any stand-in for inf differs."""
+        rows = zip(self.tenacity, zip(evenlevel, oddlevel), zip(self.evenlevel, self.oddlevel))
+        return [v for v, (t, given, ours) in enumerate(rows) if t < self.l_m and given != ours]
 
 
 def _path_edges(p: list[int]) -> list[tuple[int, int]]:

@@ -33,7 +33,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import support  # noqa: E402
 from mvmatching.graph import Graph  # noqa: E402
 from mvmatching.oracle import compute_profile  # noqa: E402
-from mvmatching.phase import levels_with_inf, run_phase  # noqa: E402
+from mvmatching.phase import run_phase  # noqa: E402
 
 N = 5
 MAX_EDGES = 6
@@ -50,19 +50,17 @@ def sweep() -> tuple[int, list[str], str]:
             continue
         for m in support.all_matchings(g):
             profile = compute_profile(g, m)
-            low = [v for v in range(N) if profile.tenacity[v] < profile.l_m]
-            expected = (profile.l_m, [(profile.evenlevel[v], profile.oddlevel[v]) for v in low])
             for order in itertools.permutations(g.edges):
                 lines: list[str] = []
                 s = run_phase(Graph.from_edges(N, list(order)), m, trace=lines.append)
                 lines.append(f"even {s.evenlevel}")
                 lines.append(f"odd {s.oddlevel}")
                 h.update(("\n".join(lines) + "\n").encode())
-                even, odd = levels_with_inf(s.evenlevel), levels_with_inf(s.oddlevel)
-                got = (s.l_m if s.paths else math.inf, [(even[v], odd[v]) for v in low])
-                if got != expected:
-                    where = f"edges {list(order)} matching {m.pairs()}"
-                    mismatches.append(f"{where}: {got} != {expected}")
+                l_m = s.l_m if s.paths else math.inf
+                bad = profile.level_mismatches(s.evenlevel, s.oddlevel)
+                if l_m != profile.l_m or bad:
+                    where = f"edges {list(order)} matching {m.pairs()}: l_m {l_m}"
+                    mismatches.append(f"{where} != {profile.l_m}, levels differ at {bad}")
                 count += 1
     return count, mismatches, h.hexdigest()
 

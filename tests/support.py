@@ -17,7 +17,7 @@ from collections import Counter
 from typing import Iterator, Optional
 
 from mvmatching.ddfs import GREEN, RED, Bottleneck, DdfsOutcome, run_ddfs
-from mvmatching.graph import Graph, MatchingState, augment_in_place
+from mvmatching.graph import Graph, MatchingState, augment_in_place, check_alternating
 from mvmatching.phase import UNSET, PhaseState, run_phase
 
 
@@ -212,19 +212,6 @@ def nested_blossoms(depth: int) -> tuple[Graph, MatchingState]:
     return Graph.from_edges(n, edges), MatchingState(n, pairs)
 
 
-def greedy_matching(g: Graph, seed: int, accept: float = 0.7) -> MatchingState:
-    """Seeded greedy partial matching used for corpus instances."""
-    rng = random.Random(seed)
-    edges = list(g.edges)
-    rng.shuffle(edges)
-    m = MatchingState(g.n)
-    for u, v in edges:
-        if not m.is_matched(u) and not m.is_matched(v) and rng.random() < accept:
-            m.partner[u] = v
-            m.partner[v] = u
-    return m
-
-
 def planted_components(
     sizes: list[int], chords: int, seed: int
 ) -> tuple[Graph, MatchingState]:
@@ -315,6 +302,30 @@ def solve_phases(g: Graph, m: MatchingState) -> Iterator[tuple[PhaseState, list[
             return
         for path in s.paths:
             augment_in_place(m, g, path)
+
+
+def path_set_faults(s: PhaseState, profile) -> list[str]:
+    """How the paths of a finished phase `s` fail to be augmenting, of
+    length l_m, vertex-disjoint and maximal: no augmenting path of length
+    l_m misses them all.  As l_m is the least oddlevel of a free vertex,
+    each such path is in the oracle's `profile.min_paths` of its free end."""
+    g, m, l_m = s.g, s.m, s.l_m
+    faults: list[str] = []
+    used: set[int] = set()
+    for p in s.paths:
+        ends = (m.is_matched(p[0]), m.is_matched(p[-1]))
+        if len(p) - 1 != l_m or check_alternating(g, m, p) or any(ends) or not used.isdisjoint(p):
+            faults.append(f"path {p} is not a disjoint augmenting path of length {l_m}")
+        used.update(p)
+    if not s.paths:
+        return faults
+    if l_m != profile.l_m:
+        faults.append(f"l_m {l_m} != oracle {profile.l_m}")
+    for x in range(g.n):
+        if not m.is_matched(x):
+            missed = [p for p in profile.min_paths[x].get(l_m, []) if used.isdisjoint(p)]
+            faults += [f"missed disjoint augmenting path {p}" for p in missed]
+    return faults
 
 
 def filed_bridges(lines: list[str]) -> list[tuple[int, int, int, int]]:

@@ -18,15 +18,14 @@ from mvmatching.ddfs import Bottleneck, TwoPaths, run_ddfs
 from mvmatching.graph import (
     Graph,
     MatchingState,
-    check_alternating,
     generate_random_graph,
     validate_matching,
 )
 from mvmatching.oracle import (
-    _iter_alternating_paths,
     brute_max_matching,
     compute_profile,
     check_structural_theorems,
+    greedy_matching,
 )
 from mvmatching.phase import UNSET, run_phase
 from mvmatching.solver import maximum_matching
@@ -57,7 +56,7 @@ def corpus():
         n = rng.randint(2, CORPUS_MAX_N)
         m_edges = rng.randint(0, n * (n - 1) // 2)
         g = generate_random_graph(n, m_edges, rng.randrange(2**32))
-        m = support.greedy_matching(g, rng.randrange(2**32))
+        m = greedy_matching(g, rng.randrange(2**32))
         profile = compute_profile(g, m)
         instances.append((g, m, profile, run_phase(g, m)))
     return instances
@@ -112,16 +111,7 @@ def test_criterion_1_exactness():
 
 
 def test_criterion_2_level_correctness(corpus):
-    mismatches = 0
-    for g, m, profile, s in corpus:
-        for v in range(g.n):
-            if profile.tenacity[v] >= profile.l_m:
-                continue
-            if (
-                s.evenlevel[v] != profile.evenlevel[v]
-                or s.oddlevel[v] != profile.oddlevel[v]
-            ):
-                mismatches += 1
+    mismatches = sum(len(p.level_mismatches(s.evenlevel, s.oddlevel)) for _, _, p, s in corpus)
     _report(
         2,
         "level correctness below l_m",
@@ -199,35 +189,7 @@ def test_criterion_5_petal_blossom_correspondence(corpus):
 
 
 def test_criterion_6_maximality(corpus):
-    violations = 0
-    for g, m, profile, s in corpus:
-        used: set[int] = set()
-        bad = False
-        for p in s.paths:
-            if (
-                len(p) - 1 != s.l_m
-                or check_alternating(g, m, p) is not None
-                or m.is_matched(p[0])
-                or m.is_matched(p[-1])
-                or (set(p) & used)
-            ):
-                bad = True
-            used |= set(p)
-        if s.paths and not bad:
-            for f in range(g.n):
-                if m.is_matched(f) or f in used or bad:
-                    continue
-                for p in _iter_alternating_paths(g, m, f, max_len=s.l_m):
-                    if (
-                        len(p) - 1 == s.l_m
-                        and len(p) > 1
-                        and not m.is_matched(p[-1])
-                        and not (set(p) & used)
-                    ):
-                        bad = True
-                        break
-        if bad:
-            violations += 1
+    violations = sum(bool(support.path_set_faults(s, profile)) for _, _, profile, s in corpus)
     _report(
         6,
         "per-phase path-set maximality",

@@ -28,6 +28,7 @@ from hypothesis import strategies as st
 
 from mvmatching import paths, phase
 from mvmatching.graph import Graph, MatchingState, augment_in_place
+from mvmatching.oracle import greedy_matching
 from mvmatching.phase import UNSET, PhaseState
 
 import support
@@ -156,7 +157,7 @@ def _bipartite_instance(draw: st.DrawFn) -> tuple[Graph, MatchingState]:
     edges = [(x, a + y) for x in range(a) for y in range(b) if rng.random() < density]
     g = _named(Graph.from_edges(a + b, edges), rng)
     accept = draw(st.sampled_from([0.0, 0.3, 0.8]))
-    return g, support.greedy_matching(g, rng.randrange(2**32), accept)
+    return g, greedy_matching(g, rng.randrange(2**32), accept)
 
 
 def _grid(rows: int, cols: int) -> Graph:
@@ -197,7 +198,7 @@ class TestBipartitePhases:
         rng = random.Random(5)
         g = _named(Graph.from_edges(2001, [(i, i + 1) for i in range(2000)]), rng)
         _check_solve(g, MatchingState(g.n))
-        _check_solve(g, support.greedy_matching(g, 5, 0.5))
+        _check_solve(g, greedy_matching(g, 5, 0.5))
 
     def test_grids(self) -> None:
         rng = random.Random(6)
@@ -206,14 +207,14 @@ class TestBipartitePhases:
             _check_solve(g, MatchingState(g.n))
             g = _named(g, rng)
             _check_solve(g, MatchingState(g.n))
-            _check_solve(g, support.greedy_matching(g, rows, 0.5))
+            _check_solve(g, greedy_matching(g, rows, 0.5))
 
     def test_near_trees(self) -> None:
         rng = random.Random(7)
         for n in (1000, 6000, 20000):
             g = _near_tree(n, rng)
             assert _check_solve(g, MatchingState(n)) > 5
-            _check_solve(g, support.greedy_matching(g, n, 0.5))
+            _check_solve(g, greedy_matching(g, n, 0.5))
 
     def test_large_random(self) -> None:
         rng = random.Random(8)

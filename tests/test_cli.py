@@ -171,6 +171,13 @@ class TestSolve:
         assert code == 2
         assert "error:" in err
 
+    def test_number_with_underscore_exits_2(self, tmp_path, capsys) -> None:
+        f = tmp_path / "bad.dimacs"
+        f.write_text("p edge 12 1\ne 1_0 2\n")
+        code, out, err = _run(capsys, ["solve", str(f)])
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: malformed edge line 'e 1_0 2'\n"
+
     def test_out_file_and_size_line(self, tmp_path, capsys) -> None:
         f = tmp_path / "g.dimacs"
         f.write_text(P4_DIMACS)
@@ -312,7 +319,7 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
-    @pytest.mark.parametrize("line", ["size x", "matched 1 y"])
+    @pytest.mark.parametrize("line", ["size x", "matched 1 y", "size +1"])
     def test_non_integer_field_exits_2(self, tmp_path, capsys, line) -> None:
         g = tmp_path / "g.dimacs"
         g.write_text(P4_DIMACS)
@@ -385,7 +392,7 @@ class TestOracleCheck:
         def no_greedy(g, seed):
             raise AssertionError("greedy matching built before the guard")
 
-        monkeypatch.setattr(cli, "_greedy_matching", no_greedy)
+        monkeypatch.setattr(cli.oracle, "greedy_matching", no_greedy)
         f = tmp_path / "g.dimacs"
         f.write_text("p edge 20 1\ne 1 2\n")
         code, _, err = _run(capsys, ["oracle-check", str(f)])

@@ -32,7 +32,7 @@ from mvmatching.oracle import (
     check_structural_theorems,
     compute_profile,
 )
-from mvmatching.phase import levels_with_inf, run_phase
+from mvmatching.phase import run_phase
 from mvmatching.solver import karp_sipser, maximum_matching
 
 import support
@@ -60,10 +60,7 @@ def check_phase(s, profile) -> tuple[int, int]:
     and the edges classified."""
     g, where = s.g, (s.g.edges, s.m.pairs())
     assert (s.l_m if s.paths else math.inf) == profile.l_m, where
-    even, odd = levels_with_inf(s.evenlevel), levels_with_inf(s.oddlevel)
-    for v in range(g.n):
-        if profile.tenacity[v] < profile.l_m:
-            assert (even[v], odd[v]) == (profile.evenlevel[v], profile.oddlevel[v]), (v, where)
+    assert profile.level_mismatches(s.evenlevel, s.oddlevel) == [], where
     assert s.minlevels == list(map(min, s.evenlevel, s.oddlevel)), where
     props = classified = 0
     for u, v in g.edges:

@@ -26,7 +26,8 @@ from mvmatching.graph import (
     serialize_matching,
     validate_matching,
 )
-from mvmatching.graph import _iter_lines, _parse_lines, _parse_matching_lines
+from mvmatching.graph import _iter_lines, _number, _parse_lines, _parse_matching_lines
+from mvmatching.oracle import _iter_alternating_paths, greedy_matching
 
 import support
 
@@ -86,7 +87,7 @@ class TestParseDimacs:
             with pytest.raises(GraphFormatError, match="missing problem line"):
                 parse_dimacs(text)
 
-    @pytest.mark.parametrize("text", ["p edge x 1", "p edge 3", "p col 3 1"])
+    @pytest.mark.parametrize("text", ["p edge x 1", "p edge 3", "p col 3 1", "p edge +2 1"])
     def test_malformed_problem_line(self, text: str) -> None:
         with pytest.raises(GraphFormatError, match="line 1: malformed problem line"):
             parse_dimacs(text)
@@ -94,6 +95,19 @@ class TestParseDimacs:
     def test_negative_count_in_problem_line(self) -> None:
         with pytest.raises(GraphFormatError, match="line 1: negative count"):
             parse_dimacs("p edge -1 0")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("p edge 12 1\ne 1_0 2", "line 2: malformed edge line"),
+            ("p edge 2 1\ne \u0661 2", "line 2: malformed edge line"),
+            ("p edge 2 1\ne -1 2", "line 2: vertex index out of range"),
+        ],
+    )
+    def test_numbers_are_ascii_digits(self, text: str, message: str) -> None:
+        # `int` alone takes the first two fields; '-' still reads as a sign.
+        with pytest.raises(GraphFormatError, match=f"^{message}"):
+            parse_dimacs(text)
 
     def test_reads_a_text_stream(self) -> None:
         for text in ("p edge 3 2\ne 1 2\ne 2 3\n", "c header\np edge 3 2\ne 1 2\ne 2 3\n"):
@@ -384,7 +398,7 @@ def _every_pair_line_loop(text: str, n: int) -> MatchingState:
             continue
         fields = line.split()
         try:
-            numbers = [int(f) for f in fields[1:]]
+            numbers = [_number(f) for f in fields[1:]]
         except ValueError:
             raise GraphFormatError(f"line {lineno}: malformed line {line!r}")
         if fields[0] == "size" and len(numbers) == 1:
@@ -597,6 +611,19 @@ class TestAugment:
         with pytest.raises(ValueError, match="alternate"):
             augment_in_place(MatchingState(4), g, [0, 1, 2, 3])
 
+    def test_even_edge_count_refused_at_an_endpoint(self) -> None:
+        # An alternating path with an even number of edges ends in a
+        # matched edge, so the endpoint check refuses each one.
+        count = 0
+        for g, m in support.small_instances(5):
+            for start in range(g.n):
+                for path in _iter_alternating_paths(g, m, start):
+                    if len(path) % 2 and len(path) > 1:
+                        with pytest.raises(ValueError, match=r"^endpoint \d+ matched$"):
+                            augment_in_place(m, g, path)
+                        count += 1
+        assert count == 93_336
+
     def test_one_vertex_path_rejected(self) -> None:
         g = Graph.from_edges(2, [(0, 1)])
         m = MatchingState(2)
@@ -627,6 +654,11 @@ class TestSerialization:
     def test_matching_out_of_range_vertex_rejected(self) -> None:
         with pytest.raises(GraphFormatError, match=r"line 2: vertex index out of range \[1, 4\]"):
             parse_matching("size 1\nmatched 1 5\n", 4)
+
+    @pytest.mark.parametrize("field", ["1_0", "\u0661", "+1"])
+    def test_matching_numbers_are_ascii_digits(self, field: str) -> None:
+        with pytest.raises(GraphFormatError, match="^line 2: malformed line"):
+            parse_matching(f"size 1\nmatched {field} 2\n", 12)
 
     def test_matching_unrecognized_line_rejected(self) -> None:
         with pytest.raises(GraphFormatError, match="line 2: unrecognized line 'pair 1 2'"):
@@ -750,14 +782,14 @@ class TestGraphProperties:
     @PROPERTY_SETTINGS
     @given(g=_random_graph(), seed=_SEED)
     def test_greedy_matchings_validate_and_round_trip(self, g: Graph, seed: int) -> None:
-        m = support.greedy_matching(g, seed)
+        m = greedy_matching(g, seed)
         assert validate_matching(g, m) == []
         assert parse_matching(serialize_matching(m), g.n) == m
 
     @PROPERTY_SETTINGS
     @given(g=_random_graph(), seed=_SEED)
     def test_augment_grows_matching_by_one(self, g: Graph, seed: int) -> None:
-        m = support.greedy_matching(g, seed)
+        m = greedy_matching(g, seed)
         path = _find_augmenting_path(g, m)
         if path is None:
             return

@@ -17,6 +17,7 @@ from mvmatching.oracle import (
     brute_support,
     check_structural_theorems,
     compute_profile,
+    greedy_matching,
 )
 
 import support
@@ -37,7 +38,7 @@ def _small_instance(draw: st.DrawFn) -> tuple[Graph, MatchingState]:
     n = draw(st.integers(min_value=1, max_value=9))
     m = draw(st.integers(min_value=0, max_value=n * (n - 1) // 2))
     g = generate_random_graph(n, m, draw(_SEED))
-    return g, support.greedy_matching(g, draw(_SEED))
+    return g, greedy_matching(g, draw(_SEED))
 
 
 class TestBruteLevels:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import mvmatching
 from mvmatching.graph import Graph, MatchingState, check_alternating, generate_random_graph
 from mvmatching.graph import serialize_dimacs, serialize_matching
-from mvmatching.oracle import _iter_alternating_paths, compute_profile
+from mvmatching.oracle import compute_profile, greedy_matching
 from mvmatching.ddfs import TwoPaths, run_ddfs
 from mvmatching.paths import ExtractionError, _walk, extract_path, recursive_remove
 from mvmatching.phase import (
@@ -44,7 +44,7 @@ def _small_instance(draw: st.DrawFn) -> tuple[Graph, MatchingState]:
     n = draw(st.integers(min_value=1, max_value=10))
     m = draw(st.integers(min_value=0, max_value=n * (n - 1) // 2))
     g = generate_random_graph(n, m, draw(_SEED))
-    return g, support.greedy_matching(g, draw(_SEED))
+    return g, greedy_matching(g, draw(_SEED))
 
 
 def _triangle_state() -> PhaseState:
@@ -182,33 +182,6 @@ class TestExtractionFaults:
             extract_path(s, outcome, bridge)
 
 
-def _check_path_set(s: PhaseState) -> None:
-    """The phase's paths are augmenting, of length l_m, vertex-disjoint
-    and maximal: no augmenting path of length l_m misses them all."""
-    g, m, l_m = s.g, s.m, s.l_m
-    used: set[int] = set()
-    for p in s.paths:
-        assert len(p) - 1 == l_m
-        assert check_alternating(g, m, p) is None
-        assert not m.is_matched(p[0])
-        assert not m.is_matched(p[-1])
-        assert not (set(p) & used)
-        used |= set(p)
-    if l_m == UNSET:
-        return
-    for f in range(g.n):
-        if m.is_matched(f) or f in used:
-            continue
-        for p in _iter_alternating_paths(g, m, f, max_len=l_m):
-            if (
-                len(p) - 1 == l_m
-                and len(p) > 1
-                and not m.is_matched(p[-1])
-                and not (set(p) & used)
-            ):
-                raise AssertionError(f"missed disjoint augmenting path {p}")
-
-
 class TestRecursiveRemove:
     def test_p4_total_removal(self) -> None:
         g, m = support.p4()
@@ -258,7 +231,7 @@ class TestRecursiveRemove:
             n = rng.randint(2, 60)
             edges = rng.randint(0, min(n * (n - 1) // 2, 3 * n))
             g = generate_random_graph(n, edges, rng.randrange(2**32))
-            instances.append((g, support.greedy_matching(g, k, (0.0, 0.7, 0.4)[k % 3])))
+            instances.append((g, greedy_matching(g, k, (0.0, 0.7, 0.4)[k % 3])))
         checked = partly_gone = 0
         for g, m in instances:
             for s, _ in support.solve_phases(g, m):
@@ -361,7 +334,7 @@ class TestCollectMaximal:
         )
         m = MatchingState(9, [(1, 2), (5, 6)])
         s = run_phase(g, m)
-        _check_path_set(s)
+        assert support.path_set_faults(s, compute_profile(g, m)) == []
         assert len(s.paths) == 2
         used = {v for p in s.paths for v in p}
         assert 8 not in used and {1, 5} <= used
@@ -381,7 +354,7 @@ class TestPathSetProperties:
         self, inst: tuple[Graph, MatchingState]
     ) -> None:
         g, m = inst
-        _check_path_set(run_phase(g, m))
+        assert support.path_set_faults(run_phase(g, m), compute_profile(g, m)) == []
 
 
 def _run_shallow(script: str, *args: str) -> subprocess.CompletedProcess:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mvmatching import paths, phase
 from mvmatching.ddfs import GREEN, RED
 from mvmatching.graph import Graph, MatchingState, augment_in_place, generate_random_graph
-from mvmatching.oracle import brute_support, compute_profile
+from mvmatching.oracle import brute_support, compute_profile, greedy_matching
 from mvmatching.phase import (
     UNSET,
     PhaseState,
@@ -42,7 +42,7 @@ def _small_instance(draw: st.DrawFn) -> tuple[Graph, MatchingState]:
     n = draw(st.integers(min_value=1, max_value=10))
     m = draw(st.integers(min_value=0, max_value=n * (n - 1) // 2))
     g = generate_random_graph(n, m, draw(_SEED))
-    return g, support.greedy_matching(g, draw(_SEED))
+    return g, greedy_matching(g, draw(_SEED))
 
 
 class TestInitPhase:
@@ -309,7 +309,7 @@ class TestPetalInvariant:
             edges = rng.randint(0, min(n * (n - 1) // 2, 3 * n))
             g = generate_random_graph(n, edges, rng.randrange(2**32))
             accept = (0.0, 0.7, 0.4)[k % 3]
-            m, _ = maximum_matching(g, support.greedy_matching(g, k, accept))
+            m, _ = maximum_matching(g, greedy_matching(g, k, accept))
             # The solver runs no search to certify a matching that leaves
             # at most one free vertex in each component, so the final
             # matching's certifying phase is run here.
@@ -400,7 +400,7 @@ class TestPredsFollowReach:
             cap = n * (n - 1) // 2
             edges = rng.randint(0, min(cap, 3 * n)) if k % 3 else rng.randint(cap // 4, cap // 2)
             g = generate_random_graph(n, edges, rng.randrange(2**32))
-            instances.append((g, MatchingState(n) if k % 2 else support.greedy_matching(g, k)))
+            instances.append((g, MatchingState(n) if k % 2 else greedy_matching(g, k)))
         reached = unreached = props = bridges = filed = petals = 0
         for g, m in instances:
             for s, lines in support.solve_phases(g, m):
@@ -478,7 +478,7 @@ class TestEachBridgeFiledOnce:
             n = rng.randint(2, 40)
             edges = rng.randint(0, min(n * (n - 1) // 2, 4 * n))
             g = generate_random_graph(n, edges, rng.randrange(2**32))
-            m = MatchingState(n) if k % 2 else support.greedy_matching(g, k)
+            m = MatchingState(n) if k % 2 else greedy_matching(g, k)
             last_lm = 0
             while True:
                 lines: list[str] = []
@@ -531,7 +531,7 @@ class TestFilingStopsAtLm:
             n = rng.randint(2, 40)
             edges = rng.randint(0, min(n * (n - 1) // 2, 4 * n))
             g = generate_random_graph(n, edges, rng.randrange(2**32))
-            start = (None, MatchingState(n), support.greedy_matching(g, k))[k % 3]
+            start = (None, MatchingState(n), greedy_matching(g, k))[k % 3]
             lines: list[str] = []
             maximum_matching(g, start, trace=lines.append)
             l_m = None
@@ -557,10 +557,7 @@ class TestEngineAgainstOracle:
         profile = compute_profile(g, m)
         s = run_phase(g, m)
         assert (s.l_m if s.paths else INF) == profile.l_m
-        for v in range(g.n):
-            if profile.tenacity[v] < profile.l_m:
-                assert s.evenlevel[v] == profile.evenlevel[v]
-                assert s.oddlevel[v] == profile.oddlevel[v]
+        assert profile.level_mismatches(s.evenlevel, s.oddlevel) == []
 
     @PROPERTY_SETTINGS
     @given(inst=_small_instance())
@@ -610,7 +607,7 @@ class TestEngineAgainstOracle:
         for k in range(3000):
             n = rng.randint(2, 10)
             g = generate_random_graph(n, rng.randint(0, n * (n - 1) // 2), rng.randrange(2**32))
-            m = support.greedy_matching(g, rng.randrange(2**32))
+            m = greedy_matching(g, rng.randrange(2**32))
             s = run_phase(g, m)
             if not s.petals:
                 continue

@@ -18,7 +18,7 @@ from mvmatching.graph import (
     serialize_matching,
     validate_matching,
 )
-from mvmatching.oracle import brute_max_matching
+from mvmatching.oracle import brute_max_matching, greedy_matching
 from mvmatching.phase import run_phase
 from mvmatching.solver import karp_sipser, maximum_matching, two_free_in_one_component
 
@@ -228,7 +228,7 @@ class TestAgainstBruteForce:
     ) -> None:
         m_edges = int(frac * (n * (n - 1) // 2))
         g = generate_random_graph(n, m_edges, seed)
-        start = support.greedy_matching(g, seed)
+        start = greedy_matching(g, seed)
         engine, _ = maximum_matching(g, start)
         assert validate_matching(g, engine) == []
         assert engine.size() == brute_max_matching(g)[0]
@@ -271,7 +271,7 @@ class TestComponentCheck:
     )
     def test_random_graphs(self, n: int, frac: float, accept: float, seed: int) -> None:
         g = generate_random_graph(n, int(frac * (n * (n - 1) // 2)), seed)
-        self._check(g, support.greedy_matching(g, seed, accept))
+        self._check(g, greedy_matching(g, seed, accept))
         self._check(g, maximum_matching(g)[0])
 
     @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import support  # noqa: E402
 from mvmatching import Graph, MatchingState, generate_random_graph, maximum_matching  # noqa: E402
+from mvmatching.oracle import greedy_matching  # noqa: E402
 from mvmatching.phase import run_phase  # noqa: E402
 
 
@@ -40,7 +41,7 @@ def corpus():
     for k in range(3000):
         n = rng.randint(1, 59)
         g = generate_random_graph(n, rng.randint(0, min(n * (n - 1) // 2, 3 * n)), k)
-        start = (None, MatchingState(n), support.greedy_matching(g, k))[k % 3]
+        start = (None, MatchingState(n), greedy_matching(g, k))[k % 3]
         yield g, start
     yield support.triangle_chain(200)
     yield support.nested_blossoms(12)
