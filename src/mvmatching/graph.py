@@ -12,6 +12,7 @@ import json
 import random
 import re
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Optional, ParamSpec, TextIO, TypeVar
 
 _P = ParamSpec("_P")
@@ -19,16 +20,20 @@ _R = TypeVar("_R")
 
 
 # The most vertices a graph may have.  Every array the engine keeps is
-# sized by n, about 150 bytes a vertex in all; a larger n is refused
-# before anything is allocated.  The two limits are safe together: at
-# n = 2^21 and m = MAX_EDGES, `mvmatch bench` and `mvmatch solve` each
-# peaked near 530 MB, within a 1.5 GB address space.
+# sized by n; a larger n is refused before anything is allocated.  On
+# CPython 3.11, x86-64 Linux, `mvmatch solve` on an edgeless graph of
+# 2^21 vertices peaked at 257 MB RSS, about 115 bytes a vertex above the
+# interpreter's 16 MB, a third of it the parse's table of vertex ints
+# (`_vertices`).  The two limits are safe together: at n = 2^21 and
+# m = MAX_EDGES, `mvmatch solve` peaked at 411 MB and `mvmatch bench` at
+# 477 MB, within a 1.5 GB address space.
 MAX_VERTICES = 1 << 21
 
 # The most edges `generate_random_graph` samples and the most edge lines
 # `parse_dimacs` reads; a larger m is refused before the graph is built.
 # Its memory grows with m: `mvmatch gen` and `mvmatch bench` at 10^6
-# edges peaked near 540 MB (n = 2*10^5, or n = 2,000 when dense).
+# edges peaked at 294 and 276 MB with n = 2*10^5, and at 289 MB with
+# n = 2,000, where the sample is dense (same host).
 MAX_EDGES = 10**6
 
 
@@ -38,24 +43,26 @@ class GraphFormatError(ValueError):
     lines."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Static undirected simple graph.
 
     Attributes:
         n: number of vertices (identified by indices 0..n-1).
-        edges: tuple of unordered vertex pairs (u, v) with u < v, in
-            first-occurrence order.
         adj: per-vertex tuple of neighbours, in the order of `edges`.
+        ends: the two ends of each edge in turn, in either order, one
+            flat tuple in first-occurrence order.
 
-    The edges are held once, in `edges`; `adj` holds each edge as its
-    two ends' neighbour ints, so no per-edge tuple or index outlives the
-    build.
+    The edges are held once, as their ends in `ends`, and `adj` holds
+    each edge as its two ends' neighbour ints, so no per-edge tuple or
+    index outlives the build.  `edges` and `m` are derived from `ends`.
+    Two graphs are equal when their n, `adj` and `edges` are, whichever
+    way round each edge's ends were given.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
     adj: tuple[tuple[int, ...], ...]
+    ends: tuple[int, ...]
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -63,27 +70,53 @@ class Graph:
 
         Endpoints outside 0..n-1, self-loops and n below 0 or above
         MAX_VERTICES are rejected; duplicate undirected edges are merged,
-        keeping the first.  `parse_dimacs` relies on these checks for its
-        column path.
+        keeping the first.  An IndexError raised while `edges` is read
+        counts as an endpoint out of range.  `parse_dimacs` relies on
+        these checks for its column path.
+
+        The endpoints are read into one list, and the adjacency is made
+        by one loop over it, with no tuple per edge.  A repeated edge
+        shows as a vertex listed twice in one adjacency; only then are
+        the distinct edges collected and the graph built again from them.
         """
         if n < 0:
             raise GraphFormatError(f"vertex count {n} is negative")
         if n > MAX_VERTICES:
             raise GraphFormatError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
-        distinct: dict[tuple[int, int], None] = {}
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphFormatError(f"vertex index out of range: ({u}, {v})")
-            if u == v:
-                raise GraphFormatError(f"self-loop at vertex {u}")
-            distinct[(u, v) if u < v else (v, u)] = None
-        order = tuple(distinct)
-        del distinct  # free the dict before the adjacency is made
         adj: list[list[int]] = [[] for _ in range(n)]
-        for u, v in order:
-            adj[u].append(v)
-            adj[v].append(u)
-        return Graph(n, order, tuple(map(tuple, adj)))
+        try:
+            ends = list(chain.from_iterable(edges))
+            # A negative index would wrap to the end of `adj`.
+            if ends and min(ends) < 0:
+                raise IndexError
+            pairs = iter(ends)
+            for u, v in zip(pairs, pairs):
+                if u == v:
+                    raise GraphFormatError(f"self-loop at vertex {u}")
+                adj[u].append(v)
+                adj[v].append(u)
+        except IndexError:
+            raise GraphFormatError(f"vertex index out of range [0, {n})") from None
+        if sum(map(len, map(set, adj))) < len(ends):
+            pairs = iter(ends)
+            return Graph.from_edges(
+                n, dict.fromkeys((u, v) if u < v else (v, u) for u, v in zip(pairs, pairs))
+            )
+        return Graph(n, tuple(map(tuple, adj)), tuple(ends))
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The edges as pairs (u, v) with u < v, in first-occurrence
+        order; a new tuple on each call."""
+        pairs = iter(self.ends)
+        return tuple((u, v) if u < v else (v, u) for u, v in zip(pairs, pairs))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Graph) and (self.n, self.adj, self.edges) == (
+            other.n, other.adj, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         """Whether (u, v) is an edge: a scan of the shorter adjacency."""
@@ -92,7 +125,7 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.ends) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -176,31 +209,44 @@ def _parse_columns(text: str) -> Graph:
 
     Raises ValueError (GraphFormatError among them) for a number JSON or
     `int` refuses, an endpoint out of range, a self-loop or too many
-    vertices; `Graph.from_edges` does the checks.
+    vertices; `Graph.from_edges` does the checks on the endpoints, which
+    it reads through the vertex table (`_vertices`).
     """
     head, _, body = text.partition("\n")
-    ends = iter(_endpoints(body, "e"))
+    n = int(head.split()[2])
+    if n > MAX_VERTICES:
+        raise ValueError("too many vertices")  # before the table is made
+    ends = _vertices(_endpoints(body, "e"), n)
     del body  # free the copy of the text before the build allocates
-    return Graph.from_edges(int(head.split()[2]), zip(ends, ends))
+    return Graph.from_edges(n, zip(ends, ends))
 
 
 def _endpoints(body: str, word: str) -> list[int]:
-    """The vertices of `body`, canonical lines '<word> <a> <b>' (1-based)
-    joined by newlines, as one list in text order, each made 0-based.
+    """The numbers of `body`, canonical lines '<word> <a> <b>' joined by
+    newlines, as one list in text order, as the text gives them.
 
-    The canonical pattern has shown that past each line's word `body`
-    holds only ASCII digits and single spaces, so turning every newline,
-    word and space into a comma makes one JSON array, which `json.loads`
-    converts in C; a final newline is JSON whitespace.  It raises
-    ValueError for a number with a leading zero, such as `01`, or past
-    Python's int-conversion limit.  Each step copies the text, and each
-    copy adds to peak memory, so the steps are as few as the conversion
-    needs.
+    The canonical pattern has shown that `body` holds only the word, ASCII
+    digits, single spaces and newlines, so deleting each newline and each
+    letter of the word, and turning each space into a comma, leaves a
+    comma before every number: one JSON array once the first comma is
+    dropped, which `json.loads` converts in C.  It raises ValueError for
+    a number with a leading zero, such as `01`, or past Python's
+    int-conversion limit.  Each step copies the text, and each copy adds
+    to peak memory, so the steps are as few as the conversion needs.
     """
-    flat = body.replace(f"\n{word} ", ",").replace(" ", ",")
-    numbers = json.loads(f"[{flat[len(word) + 1 :]}]")
-    del flat
-    return [x - 1 for x in numbers]
+    flat = body.translate(str.maketrans(" ", ",", "\n" + word))
+    return json.loads(f"[{flat[1:]}]")
+
+
+def _vertices(numbers: list[int], n: int) -> Iterator[int]:
+    """The 1-based vertex `numbers` as 0-based vertices, converted as they
+    are read, each looked up in one table of the n vertices so that every
+    vertex is one shared int object.
+
+    A number above n raises IndexError; 0 comes out as -1, which the
+    reader refuses as out of range.
+    """
+    return map(list(range(-1, n)).__getitem__, numbers)
 
 
 # A line end of `str.splitlines`; "\r\n" is one end, not two.
@@ -373,10 +419,13 @@ def _parse_matching_columns(text: str, n: int) -> MatchingState:
     """
     head, _, body = text.partition("\n")
     declared = int(head[5:])
-    ends = _endpoints(body, "matched")
+    try:
+        ends = list(_vertices(_endpoints(body, "matched"), n))
+    except IndexError:
+        raise ValueError("vertex out of range") from None
     if declared != len(ends) // 2:
         raise ValueError("declared size differs")
-    if ends and not (0 <= min(ends) and max(ends) < n):
+    if ends and min(ends) < 0:
         raise ValueError("vertex out of range")
     if len(set(ends)) != len(ends):
         raise ValueError("vertex repeated")

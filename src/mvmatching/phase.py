@@ -267,14 +267,15 @@ def _assign_maxlevels(s: PhaseState, members: list[int], t: int) -> None:
     set, is filed by MIN's rule: into Br(tenacity) if the tenacity is at
     most l_m.  `waiting[w]` holds each such bridge as its other end x;
     two or more are filed in the order of w's adjacency, which is the
-    first-occurrence order of `g.edges` (`Graph.from_edges`).  A matched bridge never waits:
-    both its ends have oddlevels.  An unclassified unmatched edge
-    (w, x) is left to MIN.  A live x has no evenlevel at or below the
-    current level i, or its even scan would have classified the edge, so
-    MIN scans the edge from its first even end at level L > i.  If x has
-    a level, both ends lie below L + 1: MIN makes the edge a bridge and
-    files it at level L, before MAX reaches its tenacity of at least
-    2L + 1, or it waits for x's even maxlevel."""
+    first-occurrence order of the edges in `g.ends` (`Graph.from_edges`).
+    A matched bridge never waits: both its ends have oddlevels.  An
+    unclassified unmatched edge (w, x) is left to MIN.  A live x has no
+    evenlevel at or below the current level i, or its even scan would
+    have classified the edge, so MIN scans the edge from its first even
+    end at level L > i.  If x has a level, both ends lie below L + 1:
+    MIN makes the edge a bridge and files it at level L, before MAX
+    reaches its tenacity of at least 2L + 1, or it waits for x's even
+    maxlevel."""
     even, odd, minl = s.evenlevel, s.oddlevel, s.minlevels
     for w in members:
         maxl = t - minl[w]

@@ -15,8 +15,12 @@ def karp_sipser(g: Graph) -> tuple[MatchingState, int]:
 
     The degree-1 rule matches a free vertex that has one free neighbour
     to that neighbour, until no such vertex is left.  Then the next edge
-    of `g.edges` whose ends are both free is matched, a greedy pick, and
-    the rule runs again, until no edge joins two free vertices.
+    whose ends are both free is matched, a greedy pick, and the rule runs
+    again, until no edge joins two free vertices.  The picks walk
+    `g.ends` two at a time, which is the order of `g.edges`, and take
+    each pair as (u, v) with u < v, as `g.edges` gives it, so the order
+    in which the pick lowers its ends' neighbours' counts does not
+    depend on how the input wrote the edge.
 
     `live[w]` is w's degree less its matched neighbours, so while w is
     free it counts w's free neighbours.  Each new pair lowers the counts
@@ -37,7 +41,8 @@ def karp_sipser(g: Graph) -> tuple[MatchingState, int]:
     partner = matching.partner
     live = [len(nbrs) for nbrs in adj]
     stack = [v for v, count in enumerate(live) if count == 1]
-    edges = iter(g.edges)
+    ends = iter(g.ends)
+    pairs = zip(ends, ends)
     picks = 0
     while True:
         if stack:
@@ -49,11 +54,13 @@ def karp_sipser(g: Graph) -> tuple[MatchingState, int]:
                     break
             walk = adj[v]
         else:
-            for u, v in edges:
+            for u, v in pairs:
                 if partner[u] is None and partner[v] is None:
                     break
             else:
                 return matching, picks
+            if v < u:
+                u, v = v, u
             picks += 1
             walk = adj[u] + adj[v]
         partner[u] = v

@@ -158,6 +158,12 @@ class TestParseDimacs:
         with pytest.raises(GraphFormatError, match="negative"):
             Graph.from_edges(-1, [])
 
+    @pytest.mark.parametrize("edges", [[(0, -1)], [(-3, 1)], [(0, 1), (2, 3)]])
+    def test_from_edges_endpoint_out_of_range(self, edges: list[tuple[int, int]]) -> None:
+        # Indexing the adjacency at -1 would wrap to the last vertex.
+        with pytest.raises(GraphFormatError, match="out of range"):
+            Graph.from_edges(3, edges)
+
 
 def _parse_outcome(parse, text: str) -> Graph | str:
     try:
@@ -263,6 +269,13 @@ class TestParsePaths:
             "p edge 3 1\ne 1 " + "2" * 5000 + "\n",
             "p edge " + "3" * 5000 + " 0\n",
             "p edge 3 1\ne 01 2\n",
+            # Endpoint 0 and endpoint n + 1 name their line.
+            "p edge 3 1\ne 0 1\n",
+            "p edge 3 1\ne 4 1\n",
+            # Repeated edges, given both ways round.
+            "p edge 3 4\ne 1 2\ne 2 1\ne 1 2\ne 2 3\n",
+            "p edge 4 5\ne 2 3\ne 1 2\ne 3 2\ne 2 1\ne 4 1",
+            "p edge 3 3\ne 3 1\ne 1 3\ne 1 1\n",
         ],
     )
     def test_edge_cases_match_line_loop(self, text: str) -> None:
@@ -736,7 +749,7 @@ class TestGraphLayout:
             if (min(u, v), max(u, v)) not in ref:
                 ref.append((min(u, v), max(u, v)))
         # Edges are in first-occurrence order, each as (u, v), u < v.
-        assert (g.n, g.edges) == (n, tuple(ref))
+        assert (g.n, g.m, g.edges) == (n, len(ref), tuple(ref))
         # adj[v] is the other ends of v's edges in that order, the
         # order in which `phase._assign_maxlevels` files waiting bridges.
         assert g.adj == tuple(
@@ -748,10 +761,7 @@ class TestGraphLayout:
                 assert g.has_edge(u, v) == g.has_edge(v, u) == want, (u, v)
 
     def test_built_graph_holds_under_250_bytes_an_edge(self) -> None:
-        # Each edge is held once as a tuple in `edges` and as two
-        # neighbour ints in `adj`, with no id or index beside them: about
-        # 150 bytes an edge under tracemalloc, the endpoint ints the parse
-        # makes included.
+        # The loose guard; the next test holds the layout to 100 bytes.
         text = serialize_dimacs(generate_random_graph(4000, 20000, 2020))
         gc.collect()
         tracemalloc.start()
@@ -764,6 +774,35 @@ class TestGraphLayout:
             tracemalloc.stop()
         assert g.m == 20000
         assert held / g.m < 250
+
+    def test_built_graph_holds_under_100_bytes_an_edge(self) -> None:
+        # `ends` holds each edge as two pointers and `adj` as two more,
+        # all to the vertex table's ints, with no tuple per edge: about
+        # 48 bytes an edge under tracemalloc, the table included.
+        text = serialize_dimacs(generate_random_graph(4000, 20000, 2020))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            g = parse_dimacs(text)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert g.m == 20000
+        assert held / g.m < 100
+
+    def test_equal_whichever_way_round_the_ends_are_given(self) -> None:
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        h = Graph.from_edges(3, [(1, 0), (2, 1)])
+        assert g.ends != h.ends
+        assert g == h and hash(g) == hash(h)
+        assert g != Graph.from_edges(3, [(1, 2), (0, 1)])
+
+    def test_parsed_graph_holds_one_int_per_vertex(self) -> None:
+        g = parse_dimacs(serialize_dimacs(generate_random_graph(4000, 20000, 2020)))
+        held = {id(v) for v in g.ends} | {id(w) for nbrs in g.adj for w in nbrs}
+        assert len(held) <= g.n
 
 
 class TestGraphProperties:

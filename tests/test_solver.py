@@ -169,9 +169,16 @@ class TestDegreeOneSeed:
         n=st.integers(min_value=0, max_value=30),
         frac=st.floats(min_value=0.0, max_value=0.3),
         seed=_SEED,
+        reverse=st.booleans(),
     )
-    def test_seed_is_the_reference_karp_sipser(self, n: int, frac: float, seed: int) -> None:
-        self._check_seed(generate_random_graph(n, int(frac * (n * (n - 1) // 2)), seed))
+    def test_seed_is_the_reference_karp_sipser(
+        self, n: int, frac: float, seed: int, reverse: bool
+    ) -> None:
+        g = generate_random_graph(n, int(frac * (n * (n - 1) // 2)), seed)
+        if reverse:
+            # The same graph with each edge given as (v, u), v > u.
+            g = Graph.from_edges(n, [(v, u) for u, v in g.edges])
+        self._check_seed(g)
 
     def test_given_start_is_not_seeded(self) -> None:
         g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])

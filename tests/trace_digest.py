@@ -1,4 +1,4 @@
-"""Print two sha256 digests of the engine's behaviour on a fixed corpus.
+"""Print three sha256 digests of the engine's behaviour on a fixed corpus.
 
 A refactor that must not change behaviour should print the same count and
 digests before and after.  For the first line each solve adds, in order: the
@@ -15,7 +15,7 @@ a seeded greedy partial matching in turn;
 `triangle_chain(200)`, `nested_blossoms(12)` and `inner_matched_path(2000)`;
 and every named graph of `support.py`.
 
-Not collected by pytest; `tests/test_trace_digest.py` pins both digests
+Not collected by pytest; `tests/test_trace_digest.py` pins the three digests
 through `digests()`.  Run from the repository root:
 
     python tests/trace_digest.py
@@ -69,21 +69,24 @@ def digest_one(h, outcome, g: Graph, start) -> None:
     h.update(("\n".join(lines) + "\n").encode())
 
 
-def digests() -> tuple[int, str, str]:
-    """The corpus size, the behaviour digest and the outcome digest."""
+def digests() -> tuple[int, str, str, str]:
+    """The corpus size and the behaviour, outcome and graph digests."""
     h = hashlib.sha256()
     outcome = hashlib.sha256()
+    graphs = hashlib.sha256()
     count = 0
     for g, start in corpus():
+        graphs.update(f"{(g.n, g.adj, g.edges)}\n".encode())
         digest_one(h, outcome, g, start)
         count += 1
-    return count, h.hexdigest(), outcome.hexdigest()
+    return count, h.hexdigest(), outcome.hexdigest(), graphs.hexdigest()
 
 
 def main() -> None:
-    count, behaviour, outcome = digests()
+    count, behaviour, outcome, graphs = digests()
     print(f"{count} solves sha256 {behaviour}")
     print(f"outcome sha256 {outcome}")
+    print(f"graphs sha256 {graphs}")
 
 
 if __name__ == "__main__":
