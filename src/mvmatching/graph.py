@@ -22,11 +22,11 @@ _R = TypeVar("_R")
 # The most vertices a graph may have.  Every array the engine keeps is
 # sized by n; a larger n is refused before anything is allocated.  On
 # CPython 3.11, x86-64 Linux, `mvmatch solve` on an edgeless graph of
-# 2^21 vertices peaked at 257 MB RSS, about 115 bytes a vertex above the
-# interpreter's 16 MB, a third of it the parse's table of vertex ints
-# (`_vertices`).  The two limits are safe together: at n = 2^21 and
-# m = MAX_EDGES, `mvmatch solve` peaked at 411 MB and `mvmatch bench` at
-# 477 MB, within a 1.5 GB address space.
+# 2^21 vertices peaked at 177 MB RSS, about 77 bytes a vertex above the
+# interpreter's 16 MB, nearly all of it the empty adjacency lists.  The
+# two limits are safe together: at n = 2^21 and m = MAX_EDGES,
+# `mvmatch solve` peaked at 468 MB and `mvmatch bench` at 477 MB, within
+# a 1.5 GB address space.
 MAX_VERTICES = 1 << 21
 
 # The most edges `generate_random_graph` samples and the most edge lines
@@ -65,19 +65,24 @@ class Graph:
     ends: tuple[int, ...]
 
     @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph from an edge iterable.
+    def from_edges(
+        n: int, edges: Iterable[tuple[int, int]] = (), *, ends: Optional[list[int]] = None
+    ) -> "Graph":
+        """Build a graph from an edge iterable, or from `ends`, the flat
+        list of endpoints, two per edge; `edges` is ignored when `ends` is
+        given.
 
-        Endpoints outside 0..n-1, self-loops and n below 0 or above
-        MAX_VERTICES are rejected; duplicate undirected edges are merged,
-        keeping the first.  An IndexError raised while `edges` is read
-        counts as an endpoint out of range.  `parse_dimacs` relies on
-        these checks for its column path.
+        Endpoints outside 0..n-1, self-loops, an odd number of `ends` and
+        n below 0 or above MAX_VERTICES are rejected; duplicate undirected
+        edges are merged, keeping the first.  An IndexError raised while
+        `edges` is read counts as an endpoint out of range.  `parse_dimacs`
+        relies on these checks for its column path, which hands over the
+        list it already holds.
 
-        The endpoints are read into one list, and the adjacency is made
-        by one loop over it, with no tuple per edge.  A repeated edge
-        shows as a vertex listed twice in one adjacency; only then are
-        the distinct edges collected and the graph built again from them.
+        The pairs are flattened into one list, and the adjacency is made by
+        one loop over it, with no tuple per edge.  A repeated edge shows as
+        a vertex listed twice in one adjacency; only then are the distinct
+        edges collected and the graph built again from them.
         """
         if n < 0:
             raise GraphFormatError(f"vertex count {n} is negative")
@@ -85,7 +90,10 @@ class Graph:
             raise GraphFormatError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
         adj: list[list[int]] = [[] for _ in range(n)]
         try:
-            ends = list(chain.from_iterable(edges))
+            if ends is None:
+                ends = list(chain.from_iterable(edges))
+            elif len(ends) % 2:
+                raise GraphFormatError(f"{len(ends)} endpoints do not make whole edges")
             # A negative index would wrap to the end of `adj`.
             if ends and min(ends) < 0:
                 raise IndexError
@@ -198,7 +206,13 @@ def check_edge_lines(text: str) -> None:
     """Refuse DIMACS text with more than MAX_EDGES edge lines, counted
     before the text is split.  Each line that starts with 'e' is an edge
     line or one the line loop refuses, so the count refuses no text the
-    loop accepts; the loop counts edge lines with leading spaces itself."""
+    loop accepts; the loop counts edge lines with leading spaces itself.
+
+    k such lines take at least 2k - 1 characters (an 'e' after each
+    newline, the first perhaps without one), so a text of at most
+    2 * MAX_EDGES characters is under the limit and is not counted."""
+    if len(text) <= 2 * MAX_EDGES:
+        return
     lines = text.count("\ne") + text.startswith("e")
     if lines > MAX_EDGES:
         raise GraphFormatError(f"{lines} edge lines exceed the limit of {MAX_EDGES}")
@@ -209,16 +223,20 @@ def _parse_columns(text: str) -> Graph:
 
     Raises ValueError (GraphFormatError among them) for a number JSON or
     `int` refuses, an endpoint out of range, a self-loop or too many
-    vertices; `Graph.from_edges` does the checks on the endpoints, which
-    it reads through the vertex table (`_vertices`).
+    vertices.  The endpoints are converted through the vertex table
+    (`_vertices`), where an endpoint above n fails, and the list is handed
+    to `Graph.from_edges` as `ends`, which does the other checks.
     """
     head, _, body = text.partition("\n")
     n = int(head.split()[2])
     if n > MAX_VERTICES:
         raise ValueError("too many vertices")  # before the table is made
-    ends = _vertices(_endpoints(body, "e"), n)
+    try:
+        ends = _vertices(_endpoints(body, "e"), n)
+    except IndexError:
+        raise ValueError("vertex out of range") from None
     del body  # free the copy of the text before the build allocates
-    return Graph.from_edges(n, zip(ends, ends))
+    return Graph.from_edges(n, ends=ends)
 
 
 def _endpoints(body: str, word: str) -> list[int]:
@@ -238,15 +256,19 @@ def _endpoints(body: str, word: str) -> list[int]:
     return json.loads(f"[{flat[1:]}]")
 
 
-def _vertices(numbers: list[int], n: int) -> Iterator[int]:
-    """The 1-based vertex `numbers` as 0-based vertices, converted as they
-    are read, each looked up in one table of the n vertices so that every
-    vertex is one shared int object.
+def _vertices(numbers: list[int], n: int) -> list[int]:
+    """The 1-based vertex `numbers` as a list of 0-based vertices, each
+    looked up in one table of vertices so that every vertex is one shared
+    int object.  The table is freed on return, before the caller builds.
 
-    A number above n raises IndexError; 0 comes out as -1, which the
-    reader refuses as out of range.
+    The table holds the n vertices, or, when `numbers` is shorter than n,
+    those up to the largest number, so a text that names few of many
+    declared vertices builds no table of them all.  A number above n
+    raises IndexError; 0 comes out as -1, which the reader refuses as out
+    of range.
     """
-    return map(list(range(-1, n)).__getitem__, numbers)
+    top = n if len(numbers) >= n else min(n, max(numbers, default=0))
+    return list(map(list(range(-1, top)).__getitem__, numbers))
 
 
 # A line end of `str.splitlines`; "\r\n" is one end, not two.
@@ -420,7 +442,7 @@ def _parse_matching_columns(text: str, n: int) -> MatchingState:
     head, _, body = text.partition("\n")
     declared = int(head[5:])
     try:
-        ends = list(_vertices(_endpoints(body, "matched"), n))
+        ends = _vertices(_endpoints(body, "matched"), n)
     except IndexError:
         raise ValueError("vertex out of range") from None
     if declared != len(ends) // 2:

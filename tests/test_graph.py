@@ -149,6 +149,9 @@ class TestParseDimacs:
         monkeypatch.setattr(graph, "_parse_lines", lambda text: pytest.fail("line loop ran"))
         with pytest.raises(GraphFormatError, match="4 edge lines"):
             parse_dimacs("e 1 2\nc header\np edge 3 4\ne 2 3\ne 2 1\ne 1 3\n")
+        # The shortest text over the limit: 2 * 3 + 1 characters.
+        with pytest.raises(GraphFormatError, match="4 edge lines"):
+            parse_dimacs("e\ne\ne\ne")
 
     def test_vertex_count_above_limit(self) -> None:
         with pytest.raises(GraphFormatError, match="limit"):
@@ -163,6 +166,12 @@ class TestParseDimacs:
         # Indexing the adjacency at -1 would wrap to the last vertex.
         with pytest.raises(GraphFormatError, match="out of range"):
             Graph.from_edges(3, edges)
+        with pytest.raises(GraphFormatError, match="out of range"):
+            Graph.from_edges(3, ends=[end for edge in edges for end in edge])
+
+    def test_from_edges_refuses_an_odd_endpoint_count(self) -> None:
+        with pytest.raises(GraphFormatError, match="3 endpoints"):
+            Graph.from_edges(3, ends=[0, 1, 2])
 
 
 def _parse_outcome(parse, text: str) -> Graph | str:
@@ -276,6 +285,10 @@ class TestParsePaths:
             "p edge 3 4\ne 1 2\ne 2 1\ne 1 2\ne 2 3\n",
             "p edge 4 5\ne 2 3\ne 1 2\ne 3 2\ne 2 1\ne 4 1",
             "p edge 3 3\ne 3 1\ne 1 3\ne 1 1\n",
+            # Fewer numbers than vertices: the table ends at the largest.
+            "p edge 5 1\ne 2 4\n",
+            "p edge 5 1\ne 5 1\n",
+            "p edge 5 1\ne 6 1\n",
         ],
     )
     def test_edge_cases_match_line_loop(self, text: str) -> None:
@@ -311,6 +324,20 @@ class TestParsePaths:
         finally:
             tracemalloc.stop()
         assert peak <= 128 * lines
+
+    def test_few_named_vertices_memory(self) -> None:
+        # The vertex table is freed before the build allocates, so the
+        # peak is the empty adjacency lists and their tuple, about 73
+        # bytes a vertex; a table held through the build adds 40.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            g = parse_dimacs("p edge 262144 0\n")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.n == 262144
+        assert peak / g.n < 90
 
     def test_comment_lines_memory(self) -> None:
         # The line loop reads its lines a block at a time: a list of every
@@ -541,6 +568,20 @@ class TestMatchingPaths:
         assert m.size() == n // 2
         assert peak <= 288 * (n // 2)
 
+    def test_few_named_vertices_memory(self) -> None:
+        # The vertex table ends at the largest number in the text: the
+        # peak is the partner list, 8 bytes a vertex; a table of all n
+        # would add 32.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            m = parse_matching("size 1\nmatched 1 2\n", 262144)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert m.size() == 1
+        assert peak / m.n < 16
+
     def test_repeated_pairs_memory(self) -> None:
         # Pairs past n // 2 + 1 are counted, not kept: a list of every
         # line and every pair would hold about 35 MB here.
@@ -744,6 +785,8 @@ class TestGraphLayout:
     ) -> None:
         n, pairs = given_edges
         g = Graph.from_edges(n, pairs)
+        flat = Graph.from_edges(n, ends=[end for pair in pairs for end in pair])
+        assert (flat.n, flat.ends, flat.adj) == (g.n, g.ends, g.adj)
         ref: list[tuple[int, int]] = []
         for u, v in pairs:
             if (min(u, v), max(u, v)) not in ref:

@@ -46,5 +46,6 @@ def test_engine_spans_wrap_live_names(tmp_path, capsys) -> None:
         "paths.remove",
         "solver.augment",
         "graph.parse",
+        "graph.build",
     ):
         assert tracer.counts[span] > 0, span
